@@ -3,10 +3,8 @@
 from .clifford import CliffordFamily, build_clifford_family, radon_hurwitz_bound, validate_hurwitz
 from .curvature import (
     CurvatureTensor,
-    JacobiOperator,
     ReducedJacobi,
     eval_tensor,
-    jacobi,
     jacobi_matrix,
     make_clifford,
     make_constant_curvature,
@@ -41,7 +39,6 @@ __all__ = [
     "CliffordFamily",
     "CurvatureTensor",
     "FLOAT64",
-    "JacobiOperator",
     "PreconditionError",
     "RATIONAL",
     "ReducedJacobi",
@@ -59,7 +56,6 @@ __all__ = [
     "classify_k_root",
     "dump_tensor",
     "eval_tensor",
-    "jacobi",
     "jacobi_matrix",
     "load_tensor",
     "make_clifford",

@@ -17,19 +17,18 @@ import numpy as np
 from .curvature import (
     CurvatureTensor,
     _jacobi_numerators,
-    eval_tensor,
     jacobi_matrix,
     reduced_jacobi,
     ricci_operator,
+    validate_symmetries,  # run by name through CHECKERS
 )
 from .linalg import (
     FLOAT64,
-    IDENTITY_TOL,
     RATIONAL,
     PreconditionError,
-    char_poly,
     cluster_eigenvalues,
     default_cluster_tol,
+    default_tol,
     eigh,
     random_int_vector,
     random_orthogonal_matrix,
@@ -40,6 +39,12 @@ from .linalg import (
 from .report import CheckReport, make_report
 
 _SAMPLING_NOTE = "sampling check: pass means no counterexample found"
+
+
+def _worse(res, worst):
+    """Whether a sample's residual replaces the worst so far: the first
+    strictly larger one, and the first NaN, which no later value replaces."""
+    return res > worst or (res != res and worst == worst)
 
 
 def _norm(v):
@@ -58,26 +63,12 @@ def _exact_orthogonal_pair(n, stream):
     raise RuntimeError("degenerate rational draws")
 
 
-_INT64_SAFE = float(2**62)
-
-
-def _int_matvec(m, v):
-    """m @ v for integer data, staying in int64 only when provably safe."""
-    v64 = np.asarray([int(c) for c in v], dtype=np.int64)
-    if m.dtype == np.int64:
-        bound = float(np.abs(m).max()) * m.shape[1] * float(np.abs(v64).max())
-        if 1.1 * bound < _INT64_SAFE:
-            return m @ v64
-        m = np.asarray(m.tolist(), dtype=object)
-    return m.dot(np.asarray(v64.tolist(), dtype=object))
-
-
 def _int_dot(u, v):
     """Overflow-free inner product of two integer vectors (Python ints)."""
     return sum(int(a) * int(b) for a, b in zip(u, v))
 
 
-def check_jacobi_orthogonal(R: CurvatureTensor, samples=1000, seed=0,
+def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
                             tol=None, mode=None) -> CheckReport:
     """J_X Y perpendicular to J_Y X over random orthogonal pairs.
 
@@ -90,8 +81,7 @@ def check_jacobi_orthogonal(R: CurvatureTensor, samples=1000, seed=0,
         mode = R.mode
     if mode == RATIONAL and R.mode != RATIONAL:
         raise PreconditionError("rational-mode check needs a rational tensor")
-    if tol is None:
-        tol = 0 if mode == RATIONAL else IDENTITY_TOL
+    tol = default_tol(tol, mode)
     worst, witness = 0, {}
     for i in range(samples):
         stream = sample_stream(seed, i)
@@ -99,14 +89,14 @@ def check_jacobi_orthogonal(R: CurvatureTensor, samples=1000, seed=0,
             x, y = _exact_orthogonal_pair(R.dim, stream)
             mx, dx = _jacobi_numerators(R, x)
             my, dy = _jacobi_numerators(R, y)
-            num = _int_dot(_int_matvec(mx, y), _int_matvec(my, x))
+            num = _int_dot(mx.dot(y), my.dot(x))
             res = abs(Fraction(num, dx * dy))
         else:
             x, y = random_orthonormal_pair(R.dim, stream)
             jxy = jacobi_matrix(R, x).dot(y)
             jyx = jacobi_matrix(R, y).dot(x)
             res = abs(float(jxy.dot(jyx))) / (_norm(jxy) * _norm(jyx) + 1.0)
-        if res > worst or not witness:
+        if _worse(res, worst) or not witness:
             worst = res
             witness = {"sample": i, "x": list(x), "y": list(y)}
     return make_report("jacobi-orthogonal", worst, witness, samples, seed,
@@ -124,14 +114,15 @@ def _eigenvectors_with_values(R, x, cluster_tol=None):
     return red, sd, out
 
 
-def check_jacobi_dual(R: CurvatureTensor, samples=1000, seed=0,
-                      tol=IDENTITY_TOL) -> CheckReport:
+def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
+                      tol=None) -> CheckReport:
     """J_X Y = lambda Y implies J_Y X = lambda X, over eigenvectors of J_X.
 
     Each clustered eigenspace is tested on its full orthonormal basis plus
     three random unit combinations inside the eigenspace (the Jacobi operator
     is quadratic in its base, so basis vectors alone do not suffice).
     """
+    tol = default_tol(tol, FLOAT64)
     Rf = R.to_float()
     worst, witness = 0.0, {}
     for i in range(samples):
@@ -151,7 +142,7 @@ def check_jacobi_dual(R: CurvatureTensor, samples=1000, seed=0,
             for y in cand:
                 jyx = y @ np.tensordot(t, y, axes=([0], [0]))
                 res = _norm(jyx - lam * x) / (1.0 + abs(lam))
-                if res > worst or not witness:
+                if _worse(res, worst) or not witness:
                     worst = res
                     witness = {"sample": i, "x": list(x), "y": list(y),
                                "eigenvalue": lam}
@@ -159,12 +150,8 @@ def check_jacobi_dual(R: CurvatureTensor, samples=1000, seed=0,
                        FLOAT64, notes=_SAMPLING_NOTE, provenance=R.provenance)
 
 
-def reduced_char_poly(R: CurvatureTensor, x):
-    return char_poly(reduced_jacobi(R.to_float(), x).matrix)
-
-
-def check_osserman(R: CurvatureTensor, samples=1000, seed=0,
-                   tol=IDENTITY_TOL) -> CheckReport:
+def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
+                   tol=None) -> CheckReport:
     """Constancy of the reduced Jacobi characteristic polynomial over unit X.
 
     Coefficients are taken for the spectrally normalized operator (eigenvalues
@@ -172,6 +159,7 @@ def check_osserman(R: CurvatureTensor, samples=1000, seed=0,
     whose exact value is 0 drowns in the float noise of the large ones and no
     uniform tolerance works across dimensions.
     """
+    tol = default_tol(tol, FLOAT64)
     Rf = R.to_float()
     x0 = random_unit_vector(R.dim, sample_stream(seed, 0))
     vals0 = np.linalg.eigvalsh(reduced_jacobi(Rf, x0).matrix)
@@ -185,7 +173,7 @@ def check_osserman(R: CurvatureTensor, samples=1000, seed=0,
         vals = np.linalg.eigvalsh(reduced_jacobi(Rf, x).matrix)
         coeffs = np.poly(vals / spectral_scale)
         res = float((np.abs(coeffs - ref) / scale).max())
-        if res > worst:
+        if _worse(res, worst):
             worst = res
             witness = {"sample": i, "x": list(x),
                        "coefficients": list(coeffs),
@@ -195,8 +183,9 @@ def check_osserman(R: CurvatureTensor, samples=1000, seed=0,
                        FLOAT64, notes=_SAMPLING_NOTE, provenance=R.provenance)
 
 
-def check_einstein(R: CurvatureTensor, tol=IDENTITY_TOL) -> CheckReport:
+def check_einstein(R: CurvatureTensor, *, tol=None) -> CheckReport:
     """Ricci operator equals a scalar multiple of the identity."""
+    tol = default_tol(tol, R.mode)
     ric = ricci_operator(R)
     n = R.dim
     if R.mode == RATIONAL:
@@ -204,8 +193,6 @@ def check_einstein(R: CurvatureTensor, tol=IDENTITY_TOL) -> CheckReport:
         const = Fraction(tr, 1) / n
         dev = ric - const * np.eye(n, dtype=np.int64).astype(object)
         worst = max(abs(v) for v in dev.reshape(-1))
-        if tol == IDENTITY_TOL:
-            tol = 0
     else:
         const = float(np.trace(ric)) / n
         worst = float(np.abs(ric - const * np.eye(n)).max())
@@ -226,7 +213,7 @@ class RootClassification:
     seed: int = 0
 
 
-def classify_k_root(R: CurvatureTensor, samples=100, seed=0,
+def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0,
                     cluster_tol=None) -> RootClassification:
     Rf = R.to_float()
     ref = None
@@ -253,8 +240,8 @@ def classify_k_root(R: CurvatureTensor, samples=100, seed=0,
                               samples=samples, seed=seed)
 
 
-def check_two_root_decomposition(R: CurvatureTensor, samples=500, seed=0,
-                                 tol=IDENTITY_TOL) -> CheckReport:
+def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
+                                 tol=None) -> CheckReport:
     """Two-root eigenspace identity for g(J_X Y, J_Y X).
 
     For each sample: eigendecompose the reduced Jacobi at unit Y, split a
@@ -263,6 +250,7 @@ def check_two_root_decomposition(R: CurvatureTensor, samples=500, seed=0,
     duality by-products g(J_X1 Y, X2) and g(J_X2 Y, X1) are also required
     to vanish.
     """
+    tol = default_tol(tol, FLOAT64)
     cls = classify_k_root(R, samples=min(samples, 16), seed=seed)
     if cls.k != 2 or not cls.per_sample_agreement:
         raise PreconditionError(
@@ -291,7 +279,7 @@ def check_two_root_decomposition(R: CurvatureTensor, samples=500, seed=0,
         span = 1.0 + abs(l2 - l1)
         res = max(abs(lhs - rhs) / (1.0 + abs(lhs)),
                   abs(b1) / span, abs(b2) / span)
-        if res > worst or not witness:
+        if _worse(res, worst) or not witness:
             worst = res
             witness = {"sample": i, "y": list(y), "x": list(x),
                        "lambda1": l1, "lambda2": l2,
@@ -313,8 +301,8 @@ def _triples(count, stream, total):
                 return
 
 
-def check_eigen_bianchi_identity(R: CurvatureTensor, samples=100, seed=0,
-                                 tol=IDENTITY_TOL, random_triples=40,
+def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
+                                 tol=None, random_triples=40,
                                  precheck_samples=50) -> CheckReport:
     """Eigenvalue-weighted Bianchi identity for Osserman tensors.
 
@@ -326,6 +314,7 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, samples=100, seed=0,
     Triples are exhaustive over the eigenbasis when n-1 <= 8, randomized
     otherwise.  Precondition: the tensor samples as Osserman.
     """
+    tol = default_tol(tol, FLOAT64)
     pre = check_osserman(R, samples=precheck_samples, seed=seed, tol=1e-6)
     if not pre.passed:
         raise PreconditionError(
@@ -358,7 +347,7 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, samples=100, seed=0,
             r_bac = float(c3[ib, ia, ic])
             lhs = r_abc * (lc - 2 * lb + la) + r_bac * (lc + lb - 2 * la)
             res = abs(lhs) / (1.0 + abs(r_abc) + abs(r_bac))
-            if res > worst or not witness:
+            if _worse(res, worst) or not witness:
                 worst = res
                 witness = {"sample": i, "x": list(x),
                            "triple": [int(ia), int(ib), int(ic)],
@@ -368,7 +357,7 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, samples=100, seed=0,
                        FLOAT64, notes=_SAMPLING_NOTE, provenance=R.provenance)
 
 
-def check_polarization(R: CurvatureTensor, samples=200, seed=0, tol=None,
+def check_polarization(R: CurvatureTensor, *, samples=200, seed=0, tol=None,
                        mode=None) -> CheckReport:
     """Polarization identities of the Jacobi operator at arbitrary X, Y:
 
@@ -382,8 +371,7 @@ def check_polarization(R: CurvatureTensor, samples=200, seed=0, tol=None,
         mode = R.mode
     if mode == RATIONAL and R.mode != RATIONAL:
         raise PreconditionError("rational-mode check needs a rational tensor")
-    if tol is None:
-        tol = 0 if mode == RATIONAL else IDENTITY_TOL
+    tol = default_tol(tol, mode)
     worst, witness = 0, {}
     for i in range(samples):
         stream = sample_stream(seed, i)
@@ -404,19 +392,20 @@ def check_polarization(R: CurvatureTensor, samples=200, seed=0, tol=None,
         else:
             scale = 1.0 + _norm(jx.dot(y)) + _norm(jy.dot(x))
             res = max(_norm(r1), _norm(r2), float(np.abs(r3).max())) / scale
-        if res > worst or not witness:
+        if _worse(res, worst) or not witness:
             worst = res
             witness = {"sample": i, "x": list(x), "y": list(y)}
     return make_report("polarization", worst, witness, samples, seed, tol,
                        mode, provenance=R.provenance)
 
 
-def check_ricci_sum(R: CurvatureTensor, tol=1e-12, bases=3,
-                    seed=0) -> CheckReport:
+def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None,
+                    bases=3) -> CheckReport:
     """Ricci operator equals the sum of Jacobi operators over any
     orthonormal basis; checked on the standard basis (independent route)
-    and ``bases`` random orthonormal bases (float).
+    and ``bases`` random orthonormal bases (float).  Default tolerance 1e-12.
     """
+    tol = 1e-12 if tol is None else tol
     n = R.dim
     ric = ricci_operator(R)
     if R.mode == RATIONAL:
@@ -425,7 +414,7 @@ def check_ricci_sum(R: CurvatureTensor, tol=1e-12, bases=3,
         for i in range(n):
             jm = jacobi_matrix(R, eye[:, i])
             acc = jm if acc is None else acc + jm
-        worst_std = max(abs(v) for v in (acc - ric).reshape(-1))
+        worst_std = Fraction(max(abs(v) for v in (acc - ric).reshape(-1)))
     else:
         acc = sum(jacobi_matrix(R, np.eye(n)[:, i]) for i in range(n))
         worst_std = float(np.abs(acc - ric).max())
@@ -436,10 +425,35 @@ def check_ricci_sum(R: CurvatureTensor, tol=1e-12, bases=3,
         q = random_orthogonal_matrix(n, sample_stream(seed, b))
         acc = sum(jacobi_matrix(Rf, q[:, i]) for i in range(n))
         scale = 1.0 + float(np.abs(ric_f).max())
-        worst_rand = max(worst_rand, float(np.abs(acc - ric_f).max()) / scale)
-    worst = max(float(worst_std), worst_rand)
+        res = float(np.abs(acc - ric_f).max()) / scale
+        worst_rand = res if _worse(res, worst_rand) else worst_rand
+    worst_std_f = float(worst_std)
+    worst = worst_rand if _worse(worst_rand, worst_std_f) else worst_std_f
     return make_report("ricci-sum", worst,
                        {"standard_basis_residual": worst_std,
                         "random_basis_residual": worst_rand},
                        samples=bases + 1, seed=seed, tol=tol, mode=R.mode,
                        provenance=R.provenance)
+
+
+# property -> (checker in this module, the options it takes), in the order
+# of `osscheck check all`.  Checkers are looked up by name when they run.
+CHECKERS = {
+    "symmetries": ("validate_symmetries", ("tol",)),
+    "einstein": ("check_einstein", ("tol",)),
+    "ricci-sum": ("check_ricci_sum", ("seed", "tol")),
+    "polarization": ("check_polarization", ("samples", "seed", "tol", "mode")),
+    "osserman": ("check_osserman", ("samples", "seed", "tol")),
+    "jacobi-dual": ("check_jacobi_dual", ("samples", "seed", "tol")),
+    "jacobi-orthogonal": ("check_jacobi_orthogonal",
+                          ("samples", "seed", "tol", "mode")),
+    "two-root-decomposition": ("check_two_root_decomposition",
+                               ("samples", "seed", "tol")),
+    "eigen-bianchi": ("check_eigen_bianchi_identity", ("samples", "seed", "tol")),
+}
+
+
+def run_check(name, R: CurvatureTensor, **options) -> CheckReport:
+    """Run the checker of property ``name`` with the options it takes."""
+    checker, takes = CHECKERS[name]
+    return globals()[checker](R, **{k: options[k] for k in takes})

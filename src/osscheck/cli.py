@@ -17,14 +17,12 @@ import numpy as np
 from . import analysis
 from .clifford import build_clifford_family, radon_hurwitz_bound
 from .curvature import (
-    CurvatureTensor,
     make_clifford,
     make_constant_curvature,
     make_from_symmetric,
     make_rj,
     random_curvature,
     reduced_jacobi,
-    validate_symmetries,
 )
 from .linalg import (
     FLOAT64,
@@ -42,10 +40,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_PRECONDITION = 2
 EXIT_IO = 3
-
-CHECKS = ("symmetries", "einstein", "osserman", "jacobi-dual",
-          "jacobi-orthogonal", "k-root", "two-root-decomposition",
-          "eigen-bianchi", "polarization", "ricci-sum", "all")
 
 
 def _scalar(text, mode):
@@ -78,7 +72,7 @@ def _build_parser():
     b.add_argument("--out", required=True)
 
     c = sub.add_parser("check", help="run a property checker on a tensor file")
-    c.add_argument("property", choices=CHECKS)
+    c.add_argument("property", choices=(*analysis.CHECKERS, "k-root", "all"))
     c.add_argument("--in", dest="path", required=True)
     c.add_argument("--samples", type=int, default=1000)
     c.add_argument("--seed", type=int, default=0)
@@ -143,33 +137,6 @@ def _cmd_build(args):
     return EXIT_PASS
 
 
-def _run_check(name, R, args):
-    kw = dict(samples=args.samples, seed=args.seed)
-    tol = args.tol
-    if name == "symmetries":
-        return validate_symmetries(R, tol=tol)
-    if name == "einstein":
-        return analysis.check_einstein(R, **({"tol": tol} if tol is not None else {}))
-    if name == "osserman":
-        return analysis.check_osserman(R, **kw, **({"tol": tol} if tol is not None else {}))
-    if name == "jacobi-dual":
-        return analysis.check_jacobi_dual(R, **kw, **({"tol": tol} if tol is not None else {}))
-    if name == "jacobi-orthogonal":
-        return analysis.check_jacobi_orthogonal(R, tol=tol, mode=args.mode, **kw)
-    if name == "two-root-decomposition":
-        return analysis.check_two_root_decomposition(
-            R, **kw, **({"tol": tol} if tol is not None else {}))
-    if name == "eigen-bianchi":
-        return analysis.check_eigen_bianchi_identity(
-            R, **kw, **({"tol": tol} if tol is not None else {}))
-    if name == "polarization":
-        return analysis.check_polarization(R, tol=tol, mode=args.mode, **kw)
-    if name == "ricci-sum":
-        return analysis.check_ricci_sum(
-            R, seed=args.seed, **({"tol": tol} if tol is not None else {}))
-    raise ValueError(name)
-
-
 def _cmd_check(args):
     R = load_tensor(args.path)
     if args.property == "k-root":
@@ -190,14 +157,13 @@ def _cmd_check(args):
                 json.dump(doc, fh, indent=2)
         return EXIT_PASS if cls.per_sample_agreement else EXIT_FAIL
 
+    options = {"samples": args.samples, "seed": args.seed, "tol": args.tol,
+               "mode": args.mode}
     if args.property == "all":
-        names = ["symmetries", "einstein", "ricci-sum", "polarization",
-                 "osserman", "jacobi-dual", "jacobi-orthogonal",
-                 "two-root-decomposition", "eigen-bianchi"]
         reports, all_pass = {}, True
-        for name in names:
+        for name in analysis.CHECKERS:
             try:
-                rep = _run_check(name, R, args)
+                rep = analysis.run_check(name, R, **options)
             except PreconditionError as e:
                 print(f"{name:>24}: skipped ({e})")
                 reports[name] = {"verdict": "skipped", "reason": str(e)}
@@ -213,7 +179,7 @@ def _cmd_check(args):
                            "reports": reports}, fh, indent=2)
         return EXIT_PASS if all_pass else EXIT_FAIL
 
-    rep = _run_check(args.property, R, args)
+    rep = analysis.run_check(args.property, R, **options)
     print(f"{rep.name}: {rep.verdict}  worst residual "
           f"{float(rep.worst_residual):.3e}  (samples={rep.samples}, "
           f"seed={rep.seed}, tol={float(rep.tolerance):g}, mode={rep.mode})")

@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -30,81 +29,109 @@ from .linalg import (
     UNIT_TOL,
     PreconditionError,
     clear_denominators,
+    default_tol,
+    int64_safe,
+    int_array,
+    max_abs,
     require_symmetric,
 )
 from .report import make_report
 
-_INT64_SAFE = float(2**62)
+
+def _exact_matrix(nums, denom):
+    """Object array of exact scalars ``nums / denom`` (ints when denom is 1)."""
+    m = nums.astype(object)
+    return m if denom == 1 else m * Fraction(1, denom)
 
 
-def _object_array(nested):
-    a = np.array(nested, dtype=object)
-    return a
-
-
-def _int_components_to_mode(acc, denom, mode):
-    """Turn an integer component array ``acc / denom`` into mode storage."""
-    if mode == FLOAT64:
-        return np.asarray(acc, dtype=np.float64) / denom
-    if denom == 1:
-        return _object_array(acc.tolist())
-    flat = [Fraction(int(v), denom) for v in acc.reshape(-1)]
-    return np.array(flat, dtype=object).reshape(acc.shape)
-
-
-@dataclass(frozen=True)
 class CurvatureTensor:
     """Dense rank-4 curvature tensor in the standard orthonormal basis.
 
-    ``components[i, j, k, l] = R(e_i, e_j, e_k, e_l)``, row-major.  Immutable
-    after construction; all operations on it are pure.
+    ``components[i, j, k, l] = R(e_i, e_j, e_k, e_l)``, row-major.  A float64
+    tensor stores its components.  A rational tensor stores only integer
+    ``numerators`` over one common ``denominator``, the lcm of the reduced
+    denominators of its components; the numerators are int64 when the int64
+    overflow rule admits a Jacobi contraction against a unit-size integer
+    vector, Python ints otherwise.  Its ``components`` are a read-only view
+    built on each access.  Immutable after construction; all operations on
+    it are pure.
     """
 
-    dim: int
-    mode: str
-    components: np.ndarray
-    provenance: str = ""
+    __slots__ = ("dim", "mode", "provenance", "numerators", "denominator",
+                 "_components", "_max_numerator")
 
-    def __post_init__(self):
-        c = self.components
-        if c.shape != (self.dim,) * 4:
+    def __init__(self, dim, mode, components, provenance=""):
+        """``components`` is a float64 array, or in rational mode an object
+        array of exact scalars (ints or Fractions)."""
+        if components.shape != (dim,) * 4:
             raise ValueError("components must be an n^4 array")
-        if self.mode == RATIONAL and c.dtype != object:
-            raise ValueError("rational mode requires object components")
-        if self.mode == FLOAT64 and c.dtype != np.float64:
+        if mode == RATIONAL:
+            if components.dtype != object:
+                raise ValueError("rational mode requires object components")
+            self._set_exact(*clear_denominators(components), provenance)
+            return
+        if mode == FLOAT64 and components.dtype != np.float64:
             raise ValueError("float64 mode requires float64 components")
-        c.setflags(write=False)
+        components.setflags(write=False)
+        self._set(dim=dim, mode=mode, provenance=provenance, numerators=None,
+                  denominator=None, _components=components, _max_numerator=None)
 
-    @cached_property
-    def float_components(self):
+    @classmethod
+    def _from_numerators(cls, numerators, denominator=1, provenance=""):
+        """Rational tensor ``numerators / denominator`` from an n^4 integer
+        array (int64 or Python ints) and a positive int."""
+        self = cls.__new__(cls)
+        self._set_exact(np.asarray(numerators), int(denominator), provenance)
+        return self
+
+    def _set_exact(self, nums, L, provenance):
+        dim = nums.shape[0]
+        if nums.shape != (dim,) * 4:
+            raise ValueError("numerators must be an n^4 array")
+        if L != 1:
+            g = math.gcd(L, *nums.reshape(-1).tolist())
+            if g != 1:
+                nums, L = nums.astype(object) // g, L // g
+        # memory order (l, i, j, k): the Jacobi contraction is then a single
+        # matrix-vector product (see _jacobi_numerators)
+        nums = int_array(nums, dim, dim).transpose(3, 0, 1, 2).copy()
+        nums = nums.transpose(1, 2, 3, 0)
+        nums.setflags(write=False)
+        self._set(dim=dim, mode=RATIONAL, provenance=provenance, numerators=nums,
+                  denominator=L, _components=None, _max_numerator=max_abs(nums))
+
+    def _set(self, **fields):
+        for key, value in fields.items():
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, key, value):
+        raise AttributeError("CurvatureTensor is immutable")
+
+    @property
+    def components(self):
         if self.mode == FLOAT64:
-            return self.components
-        return np.asarray(self.components, dtype=np.float64)
+            return self._components
+        view = _exact_matrix(self.numerators, self.denominator)
+        view.setflags(write=False)
+        return view
 
     def to_float(self) -> "CurvatureTensor":
+        """The float64 tensor whose components are the correctly rounded
+        exact ones."""
         if self.mode == FLOAT64:
             return self
-        return CurvatureTensor(self.dim, FLOAT64, self.float_components.copy(),
-                               self.provenance)
-
-    @cached_property
-    def _exact_form(self):
-        """(numerators, lcm, int64 view or None, max |numerator|) for rational mode."""
-        nums, L = clear_denominators(self.components)
-        try:
-            n64 = np.asarray(nums.tolist(), dtype=np.int64)
-        except OverflowError:
-            n64 = None
-        nmax = None if n64 is None else float(np.abs(n64).max())
-        return nums, L, n64, nmax
+        nums, L = self.numerators, self.denominator
+        if L == 1 or (self._max_numerator <= 2**53 and L <= 2**53):
+            # one rounding: in the conversion when L is 1, otherwise in the
+            # division of two operands that binary64 holds exactly
+            comp = nums.astype(np.float64, order="C") / L
+        else:
+            comp = np.array([v / L for v in nums.reshape(-1).tolist()],
+                            dtype=np.float64).reshape(nums.shape)
+        return CurvatureTensor(self.dim, FLOAT64, comp, self.provenance)
 
     def scaled(self, c) -> "CurvatureTensor":
-        if self.mode == RATIONAL:
-            comp = self.components * Fraction(c)
-        else:
-            comp = self.components * float(c)
-        return CurvatureTensor(self.dim, self.mode, comp,
-                               f"scaled({c})*{self.provenance}")
+        return _combine([c], [self], self.mode, f"scaled({c})*{self.provenance}")
 
 
 def _check_vector(R, x):
@@ -130,59 +157,31 @@ def _jacobi_numerators(R: CurvatureTensor, x):
     """Exact Jacobi matrix at ``x`` as ``(numerators, denominator)``.
 
     ``numerators / denominator`` equals the Jacobi matrix exactly; the
-    numerator array is int64 when an a-priori bound rules out overflow,
-    otherwise an object array of Python ints.
+    numerator array is int64 when the int64 overflow rule admits the
+    contraction, otherwise an object array of Python ints.
     """
-    nums_R, LR, R64, Rmax = R._exact_form
     xn, Lx = clear_denominators(np.asarray(x, dtype=object))
-    n = R.dim
-    m = None
-    if R64 is not None:
-        try:
-            x64 = np.asarray(xn.tolist(), dtype=np.int64)
-        except OverflowError:
-            x64 = None
-        if x64 is not None:
-            xmax = float(np.abs(x64).max())
-            if 1.1 * Rmax * n * n * xmax * xmax < _INT64_SAFE:
-                m = np.einsum("ijkw,j,k->wi", R64, x64, x64)
-    if m is None:
-        t = np.tensordot(nums_R, xn, axes=([1], [0]))  # (i, k, w)
-        t = np.tensordot(t, xn, axes=([1], [0]))       # (i, w)
-        m = t.T
-    return m, LR * Lx * Lx
-
-
-def _jacobi_matrix_exact(R: CurvatureTensor, x):
-    """Exact Jacobi matrix in rational mode (object array of exact scalars)."""
-    m, denom = _jacobi_numerators(R, x)
-    m_obj = m if m.dtype == object else _object_array(m.tolist())
-    if denom != 1:
-        m_obj = m_obj * Fraction(1, denom)
-    return m_obj
+    n, nums = R.dim, R.numerators
+    xmax = max_abs(xn)
+    if nums.dtype == np.int64 and int64_safe(R._max_numerator, n, n, xmax, xmax):
+        xn = xn.astype(np.int64)
+    else:
+        nums = nums.astype(object, copy=False)
+    # M[w, i] = sum_jk R[i, j, k, w] x_j x_k; the (l, i, j, k) memory order
+    # of the numerators makes the (w i, j k) matrix a view
+    m = nums.transpose(3, 0, 1, 2).reshape(n * n, n * n) @ np.outer(xn, xn).reshape(-1)
+    return m.reshape(n, n), R.denominator * Lx * Lx
 
 
 def jacobi_matrix(R: CurvatureTensor, x):
-    """Matrix of the Jacobi operator J_x: M[w, i] = R(e_i, x, x, e_w)."""
+    """Matrix of the Jacobi operator J_x: M[w, i] = R(e_i, x, x, e_w).
+
+    Exact scalars in rational mode, float64 otherwise.
+    """
     x = _check_vector(R, x)
     if R.mode == RATIONAL:
-        return _jacobi_matrix_exact(R, x)
+        return _exact_matrix(*_jacobi_numerators(R, x))
     return np.einsum("ijkw,j,k->wi", R.components, x, x)
-
-
-@dataclass(frozen=True)
-class JacobiOperator:
-    """Self-adjoint operator Y -> R#(Y, X)X; annihilates its base vector."""
-
-    base: np.ndarray
-    matrix: np.ndarray
-
-    def __call__(self, y):
-        return self.matrix.dot(y)
-
-
-def jacobi(R: CurvatureTensor, x) -> JacobiOperator:
-    return JacobiOperator(np.asarray(x), jacobi_matrix(R, x))
 
 
 def _complement_frame(x):
@@ -210,30 +209,34 @@ def reduced_jacobi(R: CurvatureTensor, x, unit_tol=UNIT_TOL) -> ReducedJacobi:
     if abs(np.linalg.norm(x) - 1.0) > unit_tol:
         raise PreconditionError("reduced_jacobi requires a unit base vector")
     frame = _complement_frame(x)
-    full = jacobi_matrix(R.to_float() if R.mode == RATIONAL else R, x)
+    full = jacobi_matrix(R.to_float(), x)
     red = frame.T @ full @ frame
     return ReducedJacobi(x, frame, 0.5 * (red + red.T))
 
 
 def ricci_operator(R: CurvatureTensor):
     """Ricci operator: Ric[w, y] = sum_i R(e_y, e_i, e_i, e_w)."""
-    t = np.trace(R.components, axis1=1, axis2=2)  # t[y, w]
-    return t.T
+    if R.mode == RATIONAL:
+        t = np.trace(R.numerators, axis1=1, axis2=2)  # t[y, w]
+        return _exact_matrix(t.T, R.denominator)
+    return np.trace(R.components, axis1=1, axis2=2).T
 
 
-def validate_symmetries(R: CurvatureTensor, tol=None):
+def validate_symmetries(R: CurvatureTensor, *, tol=None):
     """Check the Z2 symmetries and the first Bianchi identity of R."""
-    if tol is None:
-        tol = 0 if R.mode == RATIONAL else IDENTITY_TOL
-    c = R.components
+    tol = default_tol(tol, R.mode)
+    c = R.numerators if R.mode == RATIONAL else R.components
     res = {
         "skew_first_pair": c + c.transpose(1, 0, 2, 3),
         "skew_last_pair": c + c.transpose(0, 1, 3, 2),
         "pair_interchange": c - c.transpose(2, 3, 0, 1),
         "first_bianchi": c + c.transpose(1, 2, 0, 3) + c.transpose(2, 0, 1, 3),
     }
-    per_family = {k: np.abs(v).max() for k, v in res.items()}
-    worst = max(per_family.values())
+    if R.mode == RATIONAL:
+        per_family = {k: Fraction(max_abs(v), R.denominator) for k, v in res.items()}
+    else:
+        per_family = {k: np.abs(v).max() for k, v in res.items()}
+    worst = np.max(list(per_family.values()))  # a NaN family stays worst
     witness = {"residual_by_family": per_family}
     return make_report("symmetries", worst, witness, samples=R.dim**4, seed=0,
                        tol=tol, mode=R.mode, provenance=R.provenance)
@@ -243,23 +246,35 @@ def validate_symmetries(R: CurvatureTensor, tol=None):
 # Constructors.
 # ---------------------------------------------------------------------------
 
-def _r1_int(n):
+def _r1(n) -> CurvatureTensor:
+    """The unit constant-curvature tensor R1 (rational)."""
     eye = np.eye(n, dtype=np.int64)
-    return (np.einsum("il,jk->ijkl", eye, eye)
-            - np.einsum("ik,jl->ijkl", eye, eye))
+    return CurvatureTensor._from_numerators(
+        np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye))
+
+
+def _combine(weights, tensors, mode, provenance) -> CurvatureTensor:
+    """sum_i w_i T_i in ``mode``; exact in rational mode."""
+    if mode == FLOAT64:
+        acc = tensors[0].to_float().components * float(weights[0])
+        for w, T in zip(weights[1:], tensors[1:]):
+            acc = acc + T.to_float().components * float(w)
+        return CurvatureTensor(acc.shape[0], FLOAT64, acc, provenance)
+    ws = [Fraction(w) for w in weights]
+    L = math.lcm(*(w.denominator * T.denominator for w, T in zip(ws, tensors)))
+    coeffs = [w.numerator * (L // (w.denominator * T.denominator))
+              for w, T in zip(ws, tensors)]
+    bound = sum(abs(c) * T._max_numerator for c, T in zip(coeffs, tensors))
+    dtype = np.int64 if int64_safe(bound) else object
+    acc = sum(c * T.numerators.astype(dtype) for c, T in zip(coeffs, tensors))
+    return CurvatureTensor._from_numerators(acc, L, provenance)
 
 
 def make_constant_curvature(n, kappa, mode=FLOAT64) -> CurvatureTensor:
     """Constant sectional curvature kappa: J_X Y = kappa (eps_X Y - g(Y,X) X)."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    base = _r1_int(n)
-    if mode == RATIONAL:
-        k = Fraction(kappa)
-        comp = _int_components_to_mode(base * k.numerator, k.denominator, mode)
-    else:
-        comp = np.asarray(base, dtype=np.float64) * float(kappa)
-    return CurvatureTensor(n, mode, comp, f"constant(n={n}, kappa={kappa})")
+    return _combine([kappa], [_r1(n)], mode, f"constant(n={n}, kappa={kappa})")
 
 
 def _require_skew(J, tol=IDENTITY_TOL):
@@ -284,18 +299,18 @@ def make_rj(J, mode=FLOAT64) -> CurvatureTensor:
     """Tensor generated by a skew-adjoint endomorphism J."""
     J = _require_skew(J)
     n = J.shape[0]
-    if mode == RATIONAL:
-        if np.issubdtype(np.asarray(J).dtype, np.number) and J.dtype != object:
-            Ji = np.asarray(J, dtype=np.int64)
-            if not np.array_equal(np.asarray(J, dtype=np.float64),
-                                  Ji.astype(np.float64)):
-                raise ValueError("rational mode needs exact (integer/Fraction) J")
-            comp = _int_components_to_mode(_rj_components(Ji), 1, mode)
-        else:
-            comp = _rj_components(np.asarray(J, dtype=object))
-    else:
+    prov = f"rj(n={n})"
+    if mode == FLOAT64:
         comp = _rj_components(np.asarray(J, dtype=np.float64))
-    return CurvatureTensor(n, mode, comp, f"rj(n={n})")
+        return CurvatureTensor(n, mode, comp, prov)
+    if J.dtype == object:
+        return CurvatureTensor(n, mode, _rj_components(J), prov)
+    Ji = np.asarray(J, dtype=np.int64)
+    if not np.array_equal(np.asarray(J, dtype=np.float64), Ji.astype(np.float64)):
+        raise ValueError("rational mode needs exact (integer/Fraction) J")
+    # entries of R^J are sums of three products of two entries of J
+    Ji = int_array(Ji, 4, max_abs(Ji))
+    return CurvatureTensor._from_numerators(_rj_components(Ji), 1, prov)
 
 
 def make_clifford(n, mu0, terms, mode=RATIONAL, validate=True) -> CurvatureTensor:
@@ -313,30 +328,8 @@ def make_clifford(n, mu0, terms, mode=RATIONAL, validate=True) -> CurvatureTenso
         if not rep.passed:
             raise PreconditionError(
                 f"not a valid Clifford family: worst residual {rep.worst_residual}")
-    prov = _clifford_provenance(n, mu0, mus, Js)
-    integer_js = all(
-        J.dtype != object and np.issubdtype(J.dtype, np.integer) for J in Js)
-    if mode == RATIONAL and integer_js:
-        fmus = [Fraction(mu0)] + [Fraction(m) for m in mus]
-        L = math.lcm(*[f.denominator for f in fmus]) if fmus else 1
-        acc = int(fmus[0] * L) * _r1_int(n)
-        for f, J in zip(fmus[1:], Js):
-            acc = acc + int(f * L) * _rj_components(np.asarray(J, dtype=np.int64))
-        comp = _int_components_to_mode(acc, L, mode)
-        R = CurvatureTensor(n, mode, comp, prov)
-        # the integer form is already known: seed the cache used by the
-        # exact Jacobi contraction instead of re-scanning 65k+ Fractions
-        R.__dict__["_exact_form"] = (_object_array(acc.tolist()), L, acc,
-                                     float(np.abs(acc).max()))
-        return R
-    acc = make_constant_curvature(n, mu0, mode).components.copy()
-    for mu, J in zip(mus, Js):
-        rj = make_rj(J, mode).components
-        if mode == RATIONAL:
-            acc = acc + rj * Fraction(mu)
-        else:
-            acc = acc + rj * float(mu)
-    return CurvatureTensor(n, mode, acc, prov)
+    return _combine([mu0, *mus], [_r1(n), *(make_rj(J, mode) for J in Js)],
+                    mode, _clifford_provenance(n, mu0, mus, Js))
 
 
 def _clifford_provenance(n, mu0, mus, Js):
@@ -354,11 +347,9 @@ def make_from_symmetric(S_list, coeffs, mode=FLOAT64, n=None) -> CurvatureTensor
     if not S_list:
         if n is None:
             raise ValueError("empty generator list needs an explicit dimension")
-        if mode == RATIONAL:
-            comp = _int_components_to_mode(np.zeros((n,) * 4, dtype=np.int64), 1, mode)
-        else:
-            comp = np.zeros((n,) * 4, dtype=np.float64)
-        return CurvatureTensor(n, mode, comp, "from_symmetric(empty)")
+        zero = CurvatureTensor._from_numerators(np.zeros((n,) * 4, dtype=np.int64),
+                                               1, "from_symmetric(empty)")
+        return zero if mode == RATIONAL else zero.to_float()
     acc = None
     for S, c in zip(S_list, coeffs):
         S = np.asarray(S)

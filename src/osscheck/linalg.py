@@ -1,8 +1,9 @@
 """Dense linear algebra over two scalar modes: binary64 and exact rationals.
 
-Float-mode quantities live in ordinary ``float64`` numpy arrays; rational-mode
-quantities live in ``dtype=object`` arrays holding :class:`fractions.Fraction`
-(plain Python ints are accepted as denominators-1 rationals).  All spectral
+Float-mode quantities live in ordinary ``float64`` numpy arrays.  Exact
+integer work runs on int64 arrays when :func:`int64_safe` proves that it
+cannot overflow, and on ``dtype=object`` arrays of Python ints otherwise;
+exact scalars are :class:`fractions.Fraction` or int.  All spectral
 operations are float-only; identity checks may run in either mode.
 """
 
@@ -16,7 +17,6 @@ import numpy as np
 
 FLOAT64 = "float64"
 RATIONAL = "rational"
-MODES = (FLOAT64, RATIONAL)
 
 # Default tolerances.  Safe for dims <= 16 with well separated spectra.
 EIG_TOL = 1e-10
@@ -26,31 +26,15 @@ UNIT_TOL = 1e-12
 SYM_TOL = 1e-10
 
 
+def default_tol(tol, mode):
+    """``tol``, or when it is None the default: exact 0 in rational mode."""
+    if tol is not None:
+        return tol
+    return 0 if mode == RATIONAL else IDENTITY_TOL
+
+
 class PreconditionError(ValueError):
     """An operation was called outside its stated precondition."""
-
-
-def is_rational_array(a) -> bool:
-    return isinstance(a, np.ndarray) and a.dtype == object
-
-
-def as_vector(entries, mode=FLOAT64):
-    if mode == RATIONAL:
-        return np.array([Fraction(e) for e in entries], dtype=object)
-    return np.asarray(entries, dtype=np.float64)
-
-
-def dot(x, y):
-    """Standard positive-definite inner product g(x, y)."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return x.dot(y)
-
-
-def norm(x):
-    return math.sqrt(float(dot(x, x)))
 
 
 def require_symmetric(m, tol=SYM_TOL):
@@ -81,27 +65,6 @@ def gram_schmidt(vs, dep_tol=DEP_TOL):
             raise ValueError("gram_schmidt: linearly dependent input")
         out.append(w / nw)
     return out
-
-
-def gram_schmidt_exact(vs):
-    """Exact orthogonalization over the rationals.
-
-    Returns ``(basis, sq_norms)`` where the basis is orthogonal (not
-    normalized, since square roots leave the rationals) and spans the same
-    subspace.  Raises on linearly dependent input.
-    """
-    basis, sq_norms = [], []
-    for v in vs:
-        w = np.array([Fraction(e) for e in v], dtype=object)
-        for u, n2 in zip(basis, sq_norms):
-            c = u.dot(w) / n2
-            w = w - c * u
-        n2 = w.dot(w)
-        if n2 == 0:
-            raise ValueError("gram_schmidt_exact: linearly dependent input")
-        basis.append(w)
-        sq_norms.append(n2)
-    return basis, sq_norms
 
 
 def cluster_eigenvalues(values, cluster_tol):
@@ -167,14 +130,6 @@ def eigh(m, eig_tol=EIG_TOL, cluster_tol=None):
     return SpectralData(tuple(centers), tuple(mults), vecs, vals)
 
 
-def char_poly(m):
-    """Monic characteristic polynomial coefficients of a self-adjoint matrix."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.size == 0:
-        return np.array([1.0])
-    return np.poly(np.linalg.eigvalsh(0.5 * (m + m.T)))
-
-
 # ---------------------------------------------------------------------------
 # Seeded randomness.
 #
@@ -227,11 +182,6 @@ def random_orthogonal_matrix(n, stream):
     return q * np.sign(np.diag(r))
 
 
-def random_rational(stream, max_num=9, max_den=9):
-    return Fraction(int(stream.integers(-max_num, max_num + 1)),
-                    int(stream.integers(1, max_den + 1)))
-
-
 def random_int_vector(n, stream, max_abs=9):
     """Nonzero integer-component vector (integers are exact rationals)."""
     for _ in range(_MAX_RETRIES):
@@ -245,18 +195,42 @@ def clear_denominators(arr):
     """Return ``(numerators, L)`` with ``arr == numerators / L`` exactly.
 
     ``numerators`` is an object array of Python ints, ``L`` the positive lcm
-    of all denominators (1 for integer input).
+    of all reduced denominators (1 for integer input).
     """
-    flat = arr.reshape(-1)
-    L = 1
-    for e in flat.tolist():
-        if isinstance(e, Fraction):
-            L = math.lcm(L, e.denominator)
-    if L == 1:
-        nums = np.array([int(e) for e in flat.tolist()], dtype=object)
-    else:
-        nums = np.array(
-            [int(e * L) if isinstance(e, Fraction) else int(e) * L for e in flat.tolist()],
-            dtype=object,
-        )
-    return nums.reshape(arr.shape), L
+    flat = arr.reshape(-1).tolist()
+    L = math.lcm(*{e.denominator for e in flat if isinstance(e, Fraction)})
+    nums = [e.numerator * (L // e.denominator) if isinstance(e, Fraction)
+            else int(e) * L for e in flat]
+    return np.array(nums, dtype=object).reshape(arr.shape), L
+
+
+# ---------------------------------------------------------------------------
+# The one int64 overflow rule.
+#
+# Exact integer arrays are int64 only while an a-priori bound on every
+# entry and partial sum of the work ahead, given as a product of factors,
+# stays below 2^62 with a 10% margin; otherwise they hold Python ints.
+# ---------------------------------------------------------------------------
+
+_INT64_SAFE = 2**62
+
+
+def int64_safe(*factors):
+    """True when the product of the nonnegative int ``factors`` is a bound
+    that int64 arithmetic can carry."""
+    return 11 * math.prod(factors) < 10 * _INT64_SAFE
+
+
+def max_abs(a):
+    """Largest absolute entry of an integer array, as a Python int."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def int_array(a, *growth):
+    """Integer array ``a`` as int64 when ``int64_safe(max_abs(a), *growth)``,
+    otherwise as an object array of Python ints.  ``growth`` bounds how much
+    the work ahead can enlarge the entries."""
+    a = np.asarray(a)
+    if int64_safe(max_abs(a), *growth):
+        return a.astype(np.int64)
+    return a if a.dtype == object else a.astype(object)

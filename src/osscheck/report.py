@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-ARTIFACT_VERSION = "0.1.0"
+from .linalg import RATIONAL
+
+ARTIFACT_VERSION = "0.2.0"
 
 
 def _jsonable(v):
@@ -28,8 +31,10 @@ class CheckReport:
     """Outcome of one property checker run.
 
     ``verdict`` is "pass" iff ``worst_residual <= tolerance`` (exact zero
-    required in rational mode when tolerance is 0).  The witness holds the
-    sample achieving the worst residual, reproducible from (seed, index).
+    required in rational mode when tolerance is 0); a non-finite residual
+    always fails.  In rational mode an exact worst residual is a Fraction.
+    The witness holds the sample achieving the worst residual, reproducible
+    from (seed, index).
     """
 
     name: str
@@ -68,10 +73,12 @@ class CheckReport:
 
 def make_report(name, worst, witness, samples, seed, tol, mode,
                 notes="", provenance=""):
-    if isinstance(worst, Fraction) or isinstance(tol, Fraction) or tol == 0:
-        ok = worst == 0 if tol == 0 else worst <= tol
+    if mode == RATIONAL and not isinstance(worst, float):
+        worst = Fraction(worst)
+    if isinstance(worst, Fraction):
+        ok = worst <= tol
     else:
-        ok = float(worst) <= float(tol)
+        ok = math.isfinite(worst) and worst <= tol
     return CheckReport(
         name=name,
         verdict="pass" if ok else "fail",

@@ -7,7 +7,8 @@ A tensor file is a single JSON document:
      "provenance": "..."}
 
 Rational components are "p/q" strings (or plain integer strings) and
-round-trip bit-exactly.
+round-trip bit-exactly.  ``dim`` must be an integer >= 2 and float
+components must be finite.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ class TensorFileError(ValueError):
 
 def tensor_to_document(R: CurvatureTensor) -> dict:
     if R.mode == RATIONAL:
-        comps = [str(Fraction(v)) for v in R.components.reshape(-1)]
+        L = R.denominator
+        nums = R.numerators.reshape(-1).tolist()
+        comps = [str(v) for v in nums] if L == 1 else [str(Fraction(v, L)) for v in nums]
     else:
         comps = [float(v) for v in R.components.reshape(-1)]
     return {"dim": R.dim, "mode": R.mode, "components": comps,
@@ -50,14 +53,18 @@ def tensor_from_document(doc) -> CurvatureTensor:
     if not isinstance(doc, dict):
         raise TensorFileError("tensor file must hold a JSON object")
     try:
-        dim = int(doc["dim"])
+        dim = doc["dim"]
         mode = doc["mode"]
         comps = doc["components"]
         prov = str(doc.get("provenance", ""))
     except KeyError as e:
         raise TensorFileError(f"missing field {e}") from e
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
+        raise TensorFileError(f"field 'dim' must be an integer >= 2, found {dim!r}")
     if mode not in (FLOAT64, RATIONAL):
         raise TensorFileError(f"unknown mode {mode!r}")
+    if not isinstance(comps, list):
+        raise TensorFileError("field 'components' must be a list")
     if len(comps) != dim**4:
         raise TensorFileError(
             f"expected {dim**4} components, found {len(comps)}")
@@ -68,7 +75,14 @@ def tensor_from_document(doc) -> CurvatureTensor:
         except (ValueError, ZeroDivisionError) as e:
             raise TensorFileError(f"bad rational component: {e}") from e
     else:
-        arr = np.asarray(comps, dtype=np.float64).reshape((dim,) * 4)
+        try:
+            arr = np.asarray(comps, dtype=np.float64).reshape((dim,) * 4)
+        except (TypeError, ValueError) as e:
+            raise TensorFileError(f"field 'components': bad float component: {e}") from e
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise TensorFileError(
+                f"field 'components': non-finite float component at index {bad[0]}")
     return CurvatureTensor(dim, mode, arr, prov)
 
 

@@ -5,7 +5,6 @@ The Clifford corpus (dims 4/8/16, every rank up to the Radon-Hurwitz bound,
 shared across criteria.
 """
 
-import gc
 import time
 from fractions import Fraction
 
@@ -65,11 +64,6 @@ def clifford_corpus():
                                   mode=RATIONAL, validate=False)
                 entries.append((mu0, mus, R))
             corpus[(n, m)] = entries
-    # the corpus is immutable for the rest of the session; freezing it keeps
-    # its millions of exact scalars out of every later GC pass, which would
-    # otherwise dominate the runtime of the allocation-heavy checkers
-    gc.collect()
-    gc.freeze()
     return corpus
 
 

@@ -25,6 +25,7 @@ from osscheck import (
     sample_stream,
 )
 from osscheck.analysis import _eigenvectors_with_values
+from osscheck.curvature import CurvatureTensor
 from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError, eigh
 
 
@@ -105,11 +106,9 @@ class TestOsserman:
         assert rep.passed
         # coefficients must match the expanded product (x-4)^3 (x-1)^4
         want = np.poly([4, 4, 4, 1, 1, 1, 1])
-        x = sample_stream(0, 0)
-        from osscheck.analysis import reduced_char_poly
-
         x0 = np.array([1.0] + [0.0] * 7)
-        got = reduced_char_poly(quaternionic8, x0)
+        red = reduced_jacobi(quaternionic8.to_float(), x0)
+        got = np.poly(np.linalg.eigvalsh(red.matrix))
         assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
 
     def test_random_fails(self, random4):
@@ -309,3 +308,57 @@ def test_negative_controls_small():
         if not check_osserman(R, samples=10).passed:
             fails += 1
     assert fails >= 19
+
+
+class TestToleranceAndNaN:
+    def test_einstein_honours_explicit_tolerance(self, quaternionic8):
+        assert check_einstein(quaternionic8, tol=1e-9).tolerance == 1e-9
+        assert check_einstein(quaternionic8).tolerance == 0
+
+    def test_all_nan_tensor_fails_osserman(self):
+        R = CurvatureTensor(2, FLOAT64, np.full((2,) * 4, np.nan), "nan")
+        rep = check_osserman(R, samples=5)
+        assert not rep.passed
+        assert np.isnan(rep.worst_residual)
+        assert rep.witness["sample"] == 1
+
+    def test_first_nan_is_worst(self):
+        from osscheck.analysis import _worse
+
+        nan = float("nan")
+        assert _worse(nan, 1.0) and not _worse(1.0, nan) and not _worse(nan, nan)
+        assert _worse(2.0, 1.0) and not _worse(1.0, 1.0)
+
+    def test_nan_tensor_fails_eigen_bianchi_precheck(self):
+        R = CurvatureTensor(2, FLOAT64, np.full((2,) * 4, np.nan), "nan")
+        with pytest.raises(PreconditionError):
+            check_eigen_bianchi_identity(R, samples=5)
+
+
+class TestCheckerTable:
+    def test_every_checker_defaults_tol_to_none(self):
+        import inspect
+
+        from osscheck import analysis
+
+        for name, (checker, takes) in analysis.CHECKERS.items():
+            params = inspect.signature(getattr(analysis, checker)).parameters
+            assert params["tol"].default is None, name
+            assert params["tol"].kind is inspect.Parameter.KEYWORD_ONLY, name
+            assert set(takes) <= set(params), name
+
+    def test_run_check_looks_checkers_up_when_called(self, monkeypatch):
+        from osscheck import analysis
+
+        calls = []
+        original = analysis.check_osserman
+
+        def spy(R, **kw):
+            calls.append(kw)
+            return original(R, **kw)
+
+        monkeypatch.setattr(analysis, "check_osserman", spy)
+        rep = analysis.run_check("osserman", make_constant_curvature(3, 1),
+                                 samples=4, seed=2, tol=None, mode=None)
+        assert rep.passed
+        assert calls == [{"samples": 4, "seed": 2, "tol": None}]

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from osscheck import (
     build_clifford_family,
     eval_tensor,
-    jacobi,
     jacobi_matrix,
     make_clifford,
     make_constant_curvature,
@@ -270,7 +270,7 @@ class TestJacobi:
     def test_constant_on_basis(self):
         R = make_constant_curvature(4, 1)
         e = basis(4)
-        assert np.allclose(jacobi(R, e[0])(e[1]), e[1])
+        assert np.allclose(jacobi_matrix(R, e[0]).dot(e[1]), e[1])
 
     def test_quadratic_in_base(self):
         R = random_curvature(5, 2, sample_stream(14))
@@ -381,3 +381,62 @@ def test_scaled_tensor():
     S = R.scaled(Fraction(3, 2))
     e = basis(4, RATIONAL)
     assert eval_tensor(S, e[0], e[1], e[1], e[0]) == Fraction(3, 2)
+
+
+class TestExactStorage:
+    def test_one_canonical_integer_form(self):
+        fam = build_clifford_family(4, 1)
+        R = make_clifford(4, Fraction(1, 6), [(Fraction(-1, 4), fam.structures[0])])
+        assert R.numerators.dtype == np.int64
+        # the denominator is the lcm of the reduced component denominators
+        dens = {Fraction(v).denominator for v in R.components.reshape(-1)}
+        assert R.denominator == math.lcm(*dens) == 12
+        assert all(Fraction(int(n), R.denominator) == c for n, c in
+                   zip(R.numerators.reshape(-1), R.components.reshape(-1)))
+
+    def test_object_constructor_clears_denominators(self):
+        comp = make_constant_curvature(3, Fraction(4, 6), RATIONAL).components
+        R = CurvatureTensor(3, RATIONAL, np.array(comp.tolist(), dtype=object))
+        assert R.denominator == 3 and R.numerators.dtype == np.int64
+
+    def test_components_view_is_read_only(self):
+        R = make_constant_curvature(3, 2, RATIONAL)
+        with pytest.raises(ValueError):
+            R.components[0, 1, 1, 0] = 5
+        with pytest.raises(AttributeError):
+            R.denominator = 2
+
+    def test_huge_weights_fall_back_to_python_ints(self):
+        R = make_constant_curvature(4, 10**20, RATIONAL)
+        assert R.numerators.dtype == object
+        assert R.components[0, 1, 1, 0] == 10**20
+        assert validate_symmetries(R).passed
+
+    def test_to_float_rounds_once(self):
+        # numerators beyond 2^53 over L > 1: converting the numerator first
+        # and dividing afterwards would round twice
+        kappa = Fraction(2**60 + 3, 7)
+        R = make_constant_curvature(3, kappa, RATIONAL)
+        got = R.to_float().components
+        want = [float(Fraction(v)) for v in R.components.reshape(-1)]
+        assert got.reshape(-1).tolist() == want
+        assert got[0, 1, 1, 0] == float(kappa)
+        small = make_constant_curvature(3, Fraction(1, 3), RATIONAL).to_float()
+        assert small.components[0, 1, 1, 0] == 1 / 3
+
+    def test_scaled_stays_canonical(self):
+        R = make_constant_curvature(4, Fraction(1, 3), RATIONAL).scaled(3)
+        assert R.denominator == 1
+        assert R.provenance.startswith("scaled(3)*constant(")
+
+    @pytest.mark.parametrize("mu", [Fraction(-2, 3), 10**17])
+    def test_exact_jacobi_matches_full_contraction(self, mu):
+        # 10**17 exceeds the int64 bound, so that tensor takes the Python-int path
+        fam = build_clifford_family(4, 3)
+        R = make_clifford(4, Fraction(5, 7), [(mu, J) for J in fam.structures])
+        assert R.numerators.dtype == (object if mu == 10**17 else np.int64)
+        e = basis(4, RATIONAL)
+        x = np.array([3, -1, Fraction(1, 2), 2], dtype=object)
+        m = jacobi_matrix(R, x)
+        for w, i in itertools.product(range(4), repeat=2):
+            assert m[w, i] == eval_tensor(R, e[i], x, x, e[w])

@@ -177,3 +177,82 @@ class TestCliSpectrum:
     def test_zero_direction(self, tensor_files):
         assert main(["spectrum", "--in", str(tensor_files["quat"]),
                      "--direction", "0,0,0,0,0,0,0,0"]) == 2
+
+
+class TestLoadValidation:
+    @pytest.mark.parametrize("dim", [0, 1, -2, 2.5, "4", True])
+    def test_bad_dim(self, tmp_path, capsys, dim):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"dim": dim, "mode": "float64",
+                                 "components": [0.0], "provenance": ""}))
+        assert main(["check", "osserman", "--in", str(p)]) == 3
+        assert "field 'dim'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_float_component(self, tmp_path, capsys, bad):
+        p = tmp_path / "bad.json"
+        comps = ", ".join(["0.0"] * 5 + [bad] + ["0.0"] * 10)
+        p.write_text('{"dim": 2, "mode": "float64", "components": [%s]}' % comps)
+        assert main(["check", "osserman", "--in", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert "field 'components'" in err and "index 5" in err
+
+    @pytest.mark.parametrize("comps", [["x"] * 16, 5, {"a": 1.0}])
+    def test_malformed_components(self, tmp_path, capsys, comps):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"dim": 2, "mode": "float64",
+                                 "components": comps}))
+        assert main(["check", "osserman", "--in", str(p)]) == 3
+        assert "field 'components'" in capsys.readouterr().err
+
+
+class TestExactEndToEnd:
+    def test_build_clifford_with_huge_common_denominator(self, tmp_path):
+        # the lcm of the weight denominators exceeds int64
+        out = tmp_path / "c16.json"
+        assert main(["build", "clifford", "--dim", "16", "--mu0", "1/1000003",
+                     "--mu=1/1000033,1/1000037,1/1000039,1,1,1,1,1",
+                     "--out", str(out)]) == 0
+        R = load_tensor(out)
+        assert R.denominator == 1000003 * 1000033 * 1000037 * 1000039
+        assert R.numerators.dtype == object
+        for prop in ("symmetries", "jacobi-orthogonal"):
+            assert main(["check", prop, "--in", str(out), "--samples", "3"]) == 0
+
+    def test_build_constant_with_huge_kappa(self, tmp_path):
+        out = tmp_path / "k.json"
+        assert main(["build", "constant", "--dim", "4", "--kappa",
+                     "100000000000000000000", "--out", str(out)]) == 0
+        assert load_tensor(out).components[0, 1, 1, 0] == 10**20
+
+    def test_rational_residual_spelling_survives_files(self, tmp_path):
+        from osscheck import validate_symmetries
+
+        fam = build_clifford_family(4, 3)
+        R = make_clifford(4, 1, [(-1, J) for J in fam.structures])
+        p = tmp_path / "r.json"
+        dump_tensor(R, p)
+        a = validate_symmetries(R).to_dict()
+        b = validate_symmetries(load_tensor(p)).to_dict()
+        assert a["worst_residual"] == b["worst_residual"] == "0"
+        assert a == b
+
+    def test_check_all_skips_eigen_bianchi_on_nan(self, monkeypatch, capsys):
+        from osscheck import cli
+        from osscheck.curvature import CurvatureTensor
+
+        R = CurvatureTensor(2, "float64", np.full((2,) * 4, np.nan), "nan")
+        monkeypatch.setattr(cli, "load_tensor", lambda path: R)
+        assert main(["check", "all", "--in", "nan.json", "--samples", "5"]) == 1
+        out = capsys.readouterr().out
+        assert "osserman: fail" in out
+        assert "eigen-bianchi: skipped" in out
+
+    def test_check_all_order(self, tensor_files, capsys):
+        assert main(["check", "all", "--in", str(tensor_files["quat"]),
+                     "--samples", "5"]) == 0
+        names = [line.split(":")[0].strip()
+                 for line in capsys.readouterr().out.splitlines()]
+        assert names == ["symmetries", "einstein", "ricci-sum", "polarization",
+                         "osserman", "jacobi-dual", "jacobi-orthogonal",
+                         "two-root-decomposition", "eigen-bianchi"]

@@ -9,6 +9,7 @@ counterexample found", not a proof.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .curvature import (
     CurvatureTensor,
+    _first_slot,
     _jacobi_numerators,
     jacobi_matrix,
     reduced_jacobi,
@@ -30,6 +32,9 @@ from .linalg import (
     default_cluster_tol,
     default_tol,
     eigh,
+    eigvalsh,
+    int_array,
+    max_abs,
     random_int_vector,
     random_orthogonal_matrix,
     random_orthonormal_pair,
@@ -45,6 +50,13 @@ def _worse(res, worst):
     """Whether a sample's residual replaces the worst so far: the first
     strictly larger one, and the first NaN, which no later value replaces."""
     return res > worst or (res != res and worst == worst)
+
+
+def _require_samples(least, **counts):
+    """Reject a sample count below ``least``: fewer samples test nothing."""
+    for name, count in counts.items():
+        if count < least:
+            raise PreconditionError(f"{name} must be at least {least}, found {count}")
 
 
 def _norm(v):
@@ -69,23 +81,20 @@ def _int_dot(u, v):
 
 
 def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
-                            tol=None, mode=None) -> CheckReport:
+                            tol=None) -> CheckReport:
     """J_X Y perpendicular to J_Y X over random orthogonal pairs.
 
-    Rational mode is exact: pairs are forced orthogonal by projection and
-    the residual is the exact inner product (tolerance 0).
+    A rational tensor is checked exactly: pairs are forced orthogonal by
+    projection and the residual is the exact inner product (tolerance 0).
     """
     if R.dim < 2:
         raise PreconditionError("need dimension >= 2")
-    if mode is None:
-        mode = R.mode
-    if mode == RATIONAL and R.mode != RATIONAL:
-        raise PreconditionError("rational-mode check needs a rational tensor")
-    tol = default_tol(tol, mode)
+    _require_samples(1, samples=samples)
+    tol = default_tol(tol, R.mode)
     worst, witness = 0, {}
     for i in range(samples):
         stream = sample_stream(seed, i)
-        if mode == RATIONAL:
+        if R.mode == RATIONAL:
             x, y = _exact_orthogonal_pair(R.dim, stream)
             mx, dx = _jacobi_numerators(R, x)
             my, dy = _jacobi_numerators(R, y)
@@ -100,7 +109,7 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
             worst = res
             witness = {"sample": i, "x": list(x), "y": list(y)}
     return make_report("jacobi-orthogonal", worst, witness, samples, seed,
-                       tol, mode, notes=_SAMPLING_NOTE, provenance=R.provenance)
+                       tol, R.mode, notes=_SAMPLING_NOTE, provenance=R.provenance)
 
 
 def _eigenvectors_with_values(R, x, cluster_tol=None):
@@ -122,16 +131,18 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
     three random unit combinations inside the eigenspace (the Jacobi operator
     is quadratic in its base, so basis vectors alone do not suffice).
     """
+    _require_samples(1, samples=samples)
     tol = default_tol(tol, FLOAT64)
     Rf = R.to_float()
+    n = R.dim
     worst, witness = 0.0, {}
     for i in range(samples):
         stream = sample_stream(seed, i)
-        x = random_unit_vector(R.dim, stream)
+        x = random_unit_vector(n, stream)
         _, _, spaces = _eigenvectors_with_values(Rf, x)
-        # J_y x = sum_{j,k} t[j, k, w] y_j y_k with t = R contracted with x:
-        # one n^4 contraction per sample instead of one per candidate y
-        t = np.tensordot(Rf.components, x, axes=([0], [0]))
+        # J_y x = t vec(y y^T) with t = R contracted with x in its first
+        # slot: one n^4 contraction per sample instead of one per candidate y
+        t = _first_slot(Rf, x).reshape(n, n * n)
         for lam, cols in spaces:
             cand = [cols[:, j] for j in range(cols.shape[1])]
             if cols.shape[1] > 1:
@@ -140,7 +151,7 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
                     v = cols @ c
                     cand.append(v / np.linalg.norm(v))
             for y in cand:
-                jyx = y @ np.tensordot(t, y, axes=([0], [0]))
+                jyx = t @ np.outer(y, y).reshape(-1)
                 res = _norm(jyx - lam * x) / (1.0 + abs(lam))
                 if _worse(res, worst) or not witness:
                     worst = res
@@ -159,10 +170,11 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
     whose exact value is 0 drowns in the float noise of the large ones and no
     uniform tolerance works across dimensions.
     """
+    _require_samples(2, samples=samples)
     tol = default_tol(tol, FLOAT64)
     Rf = R.to_float()
     x0 = random_unit_vector(R.dim, sample_stream(seed, 0))
-    vals0 = np.linalg.eigvalsh(reduced_jacobi(Rf, x0).matrix)
+    vals0 = eigvalsh(reduced_jacobi(Rf, x0).matrix)
     spectral_scale = max(1.0, float(np.abs(vals0).max()))
     ref = np.poly(vals0 / spectral_scale)
     scale = 1.0 + np.abs(ref)
@@ -170,7 +182,7 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
     witness = {"reference_x": list(x0), "reference_coefficients": list(ref)}
     for i in range(1, samples):
         x = random_unit_vector(R.dim, sample_stream(seed, i))
-        vals = np.linalg.eigvalsh(reduced_jacobi(Rf, x).matrix)
+        vals = eigvalsh(reduced_jacobi(Rf, x).matrix)
         coeffs = np.poly(vals / spectral_scale)
         res = float((np.abs(coeffs - ref) / scale).max())
         if _worse(res, worst):
@@ -186,14 +198,17 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
 def check_einstein(R: CurvatureTensor, *, tol=None) -> CheckReport:
     """Ricci operator equals a scalar multiple of the identity."""
     tol = default_tol(tol, R.mode)
-    ric = ricci_operator(R)
     n = R.dim
     if R.mode == RATIONAL:
-        tr = sum(ric[i, i] for i in range(n))
-        const = Fraction(tr, 1) / n
-        dev = ric - const * np.eye(n, dtype=np.int64).astype(object)
-        worst = max(abs(v) for v in dev.reshape(-1))
+        # n L Ric - tr(L Ric) I in integers: every entry is at most 2n times
+        # the largest entry of L Ric, a trace of the numerators
+        t = int_array(np.trace(R.numerators, axis1=1, axis2=2), 2, n)
+        tr = int(np.trace(t))
+        dev = n * t - tr * np.eye(n, dtype=t.dtype)
+        const = Fraction(tr, n * R.denominator)
+        worst = Fraction(max_abs(dev), n * R.denominator)
     else:
+        ric = ricci_operator(R)
         const = float(np.trace(ric)) / n
         worst = float(np.abs(ric - const * np.eye(n)).max())
     return make_report("einstein", worst, {"einstein_constant": const},
@@ -215,25 +230,22 @@ class RootClassification:
 
 def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0,
                     cluster_tol=None) -> RootClassification:
+    """Clustered reduced Jacobi spectrum at sample 0, and whether every
+    sample's spectrum agrees with it (a NaN center agrees with nothing)."""
+    _require_samples(1, samples=samples)
     Rf = R.to_float()
     ref = None
     agree = True
-    tol_used = cluster_tol
     for i in range(samples):
         x = random_unit_vector(R.dim, sample_stream(seed, i))
-        red = reduced_jacobi(Rf, x)
-        vals = np.linalg.eigvalsh(red.matrix)
+        vals = eigvalsh(reduced_jacobi(Rf, x).matrix)
         ct = cluster_tol if cluster_tol is not None else default_cluster_tol(vals)
-        tol_used = ct
         centers, mults = cluster_eigenvalues(list(vals), ct)
         if ref is None:
             ref = (centers, mults)
-        else:
-            same_shape = mults == ref[1]
-            same_centers = same_shape and all(
-                abs(c - rc) <= ct for c, rc in zip(centers, ref[0]))
-            if not (same_shape and same_centers):
-                agree = False
+        same_centers = mults == ref[1] and all(
+            abs(c - rc) <= ct for c, rc in zip(centers, ref[0]))
+        agree = agree and same_centers
     return RootClassification(k=len(ref[0]), centers=ref[0],
                               multiplicities=ref[1],
                               per_sample_agreement=agree,
@@ -250,6 +262,7 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
     duality by-products g(J_X1 Y, X2) and g(J_X2 Y, X1) are also required
     to vanish.
     """
+    _require_samples(1, samples=samples)
     tol = default_tol(tol, FLOAT64)
     cls = classify_k_root(R, samples=min(samples, 16), seed=seed)
     if cls.k != 2 or not cls.per_sample_agreement:
@@ -314,6 +327,8 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
     Triples are exhaustive over the eigenbasis when n-1 <= 8, randomized
     otherwise.  Precondition: the tensor samples as Osserman.
     """
+    _require_samples(1, samples=samples)
+    _require_samples(2, precheck_samples=precheck_samples)
     tol = default_tol(tol, FLOAT64)
     pre = check_osserman(R, samples=precheck_samples, seed=seed, tol=1e-6)
     if not pre.passed:
@@ -322,21 +337,19 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
             f"(osserman residual {pre.worst_residual:.3e})")
     Rf = R.to_float()
     n = R.dim
-    comp = Rf.components
     worst, witness = 0.0, {}
-    import itertools
     for i in range(samples):
         stream = sample_stream(seed, i)
         x = random_unit_vector(n, stream)
         red = reduced_jacobi(Rf, x)
-        vals, vecs = np.linalg.eigh(red.matrix)
-        ambient = red.frame @ vecs
-        t = np.tensordot(comp, x, axes=([0], [0]))  # t[j, k, l]
+        sd = eigh(red.matrix)
+        vals, ambient = sd.raw, red.frame @ sd.eigenbasis
+        t = _first_slot(Rf, x)  # t[l, j, k] = R(X, e_j, e_k, e_l)
         # contract all three slots with the eigenbasis once, so each triple
         # is a table lookup: c3[a, b, c] = R(X, A_a, B_b, C_c)
-        c3 = np.tensordot(t, ambient, axes=([0], [0]))
-        c3 = np.tensordot(c3, ambient, axes=([0], [0]))
-        c3 = np.tensordot(c3, ambient, axes=([0], [0]))
+        c3 = np.tensordot(t, ambient, axes=([1], [0]))   # [l, k, a]
+        c3 = np.tensordot(c3, ambient, axes=([1], [0]))  # [l, a, b]
+        c3 = np.tensordot(c3, ambient, axes=([0], [0]))  # [a, b, c]
         if n - 1 <= 8:
             triples = itertools.combinations(range(n - 1), 3)
         else:
@@ -357,38 +370,40 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
                        FLOAT64, notes=_SAMPLING_NOTE, provenance=R.provenance)
 
 
-def check_polarization(R: CurvatureTensor, *, samples=200, seed=0, tol=None,
-                       mode=None) -> CheckReport:
+def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
+                       tol=None) -> CheckReport:
     """Polarization identities of the Jacobi operator at arbitrary X, Y:
 
         J_{X+Y}(X-Y) = 2 (J_Y X - J_X Y)
         J_{X-Y}(X+Y) = 2 (J_Y X + J_X Y)
         J_{X+Y} + J_{X-Y} = 2 J_X + 2 J_Y   (as matrices)
 
-    Exact in rational mode.
+    A rational tensor is checked exactly, on integer X, Y and the integer
+    Jacobi numerators, which all share the denominator of the tensor.
     """
-    if mode is None:
-        mode = R.mode
-    if mode == RATIONAL and R.mode != RATIONAL:
-        raise PreconditionError("rational-mode check needs a rational tensor")
-    tol = default_tol(tol, mode)
+    _require_samples(1, samples=samples)
+    tol = default_tol(tol, R.mode)
+    exact = R.mode == RATIONAL
     worst, witness = 0, {}
     for i in range(samples):
         stream = sample_stream(seed, i)
-        if mode == RATIONAL:
+        if exact:
             x = random_int_vector(R.dim, stream)
             y = random_int_vector(R.dim, stream)
+            # the matrix identity adds six of these matrices at most
+            jx, jy, jp, jm = (int_array(_jacobi_numerators(R, v)[0], 6)
+                              for v in (x, y, x + y, x - y))
         else:
             x = stream.standard_normal(R.dim)
             y = stream.standard_normal(R.dim)
-        jx, jy = jacobi_matrix(R, x), jacobi_matrix(R, y)
-        jp, jm = jacobi_matrix(R, x + y), jacobi_matrix(R, x - y)
+            jx, jy = jacobi_matrix(R, x), jacobi_matrix(R, y)
+            jp, jm = jacobi_matrix(R, x + y), jacobi_matrix(R, x - y)
         r1 = jp.dot(x - y) - 2 * (jy.dot(x) - jx.dot(y))
         r2 = jm.dot(x + y) - 2 * (jy.dot(x) + jx.dot(y))
         r3 = jp + jm - 2 * jx - 2 * jy
-        if mode == RATIONAL:
-            res = max(max(abs(v) for v in r1), max(abs(v) for v in r2),
-                      max(abs(v) for v in r3.reshape(-1)))
+        if exact:
+            res = Fraction(max(max_abs(r1), max_abs(r2), max_abs(r3)),
+                           R.denominator)
         else:
             scale = 1.0 + _norm(jx.dot(y)) + _norm(jy.dot(x))
             res = max(_norm(r1), _norm(r2), float(np.abs(r3).max())) / scale
@@ -396,7 +411,7 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0, tol=None,
             worst = res
             witness = {"sample": i, "x": list(x), "y": list(y)}
     return make_report("polarization", worst, witness, samples, seed, tol,
-                       mode, provenance=R.provenance)
+                       R.mode, provenance=R.provenance)
 
 
 def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None,
@@ -409,12 +424,13 @@ def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None,
     n = R.dim
     ric = ricci_operator(R)
     if R.mode == RATIONAL:
-        acc = None
-        eye = np.eye(n, dtype=np.int64).astype(object)
-        for i in range(n):
-            jm = jacobi_matrix(R, eye[:, i])
-            acc = jm if acc is None else acc + jm
-        worst_std = Fraction(max(abs(v) for v in (acc - ric).reshape(-1)))
+        # numerators over the denominator of R; each Jacobi numerator at a
+        # basis vector is one numerator of R, so the n-term sums and the
+        # trace of the numerators stay inside the int64 rule of R
+        eye = np.eye(n, dtype=np.int64)
+        acc = sum(_jacobi_numerators(R, eye[:, i])[0] for i in range(n))
+        ric_nums = np.trace(R.numerators, axis1=1, axis2=2).T
+        worst_std = Fraction(max_abs(acc - ric_nums), R.denominator)
     else:
         acc = sum(jacobi_matrix(R, np.eye(n)[:, i]) for i in range(n))
         worst_std = float(np.abs(acc - ric).max())
@@ -442,11 +458,10 @@ CHECKERS = {
     "symmetries": ("validate_symmetries", ("tol",)),
     "einstein": ("check_einstein", ("tol",)),
     "ricci-sum": ("check_ricci_sum", ("seed", "tol")),
-    "polarization": ("check_polarization", ("samples", "seed", "tol", "mode")),
+    "polarization": ("check_polarization", ("samples", "seed", "tol")),
     "osserman": ("check_osserman", ("samples", "seed", "tol")),
     "jacobi-dual": ("check_jacobi_dual", ("samples", "seed", "tol")),
-    "jacobi-orthogonal": ("check_jacobi_orthogonal",
-                          ("samples", "seed", "tol", "mode")),
+    "jacobi-orthogonal": ("check_jacobi_orthogonal", ("samples", "seed", "tol")),
     "two-root-decomposition": ("check_two_root_decomposition",
                                ("samples", "seed", "tol")),
     "eigen-bianchi": ("check_eigen_bianchi_identity", ("samples", "seed", "tol")),

@@ -30,6 +30,7 @@ from .linalg import (
     PreconditionError,
     cluster_eigenvalues,
     default_cluster_tol,
+    eigvalsh,
     random_unit_vector,
     sample_stream,
 )
@@ -79,7 +80,9 @@ def _build_parser():
     c.add_argument("--tol", type=float, default=None,
                    help="residual tolerance (default 1e-9 float, exact 0 rational)")
     c.add_argument("--mode", choices=(FLOAT64, RATIONAL), default=None,
-                   help="scalar mode for mode-aware checks (default: tensor mode)")
+                   help="convert the tensor to this scalar mode before any "
+                        "check: float64 runs every check in float, rational "
+                        "needs a rational file (default: the file's mode)")
     c.add_argument("--out", default=None, help="write JSON report here")
 
     s = sub.add_parser("spectrum", help="print the reduced Jacobi spectrum")
@@ -139,6 +142,10 @@ def _cmd_build(args):
 
 def _cmd_check(args):
     R = load_tensor(args.path)
+    if args.mode == FLOAT64:
+        R = R.to_float()
+    elif args.mode == RATIONAL and R.mode != RATIONAL:
+        raise PreconditionError("--mode rational needs a rational tensor file")
     if args.property == "k-root":
         cls = analysis.classify_k_root(R, samples=min(args.samples, 200),
                                        seed=args.seed)
@@ -157,9 +164,12 @@ def _cmd_check(args):
                 json.dump(doc, fh, indent=2)
         return EXIT_PASS if cls.per_sample_agreement else EXIT_FAIL
 
-    options = {"samples": args.samples, "seed": args.seed, "tol": args.tol,
-               "mode": args.mode}
+    options = {"samples": args.samples, "seed": args.seed, "tol": args.tol}
     if args.property == "all":
+        # fewer samples would skip osserman, which compares against sample 0
+        if args.samples < 2:
+            raise PreconditionError(
+                f"--samples must be at least 2 for check all, found {args.samples}")
         reports, all_pass = {}, True
         for name in analysis.CHECKERS:
             try:
@@ -202,7 +212,7 @@ def _cmd_spectrum(args):
     else:
         x = random_unit_vector(R.dim, sample_stream(args.seed))
     red = reduced_jacobi(R.to_float(), x)
-    vals = np.linalg.eigvalsh(red.matrix)
+    vals = eigvalsh(red.matrix)
     centers, mults = cluster_eigenvalues(list(vals), default_cluster_tol(vals))
     print("eigenvalues:", ", ".join(
         f"{c:g} x{m}" for c, m in zip(centers, mults)))

@@ -44,21 +44,53 @@ def _exact_matrix(nums, denom):
     return m if denom == 1 else m * Fraction(1, denom)
 
 
+# The storage layout, shared by both scalar modes.  A tensor keeps its
+# scalars (float64 components or integer numerators) as one C-contiguous
+# (n^2, n^2) matrix whose row (l, i) and column (j, k) hold R[i, j, k, l],
+# so the Jacobi operator is one matrix-vector product (see _jacobi).  The
+# constructors build R1, R^J and R^S in this memory order, and elementwise
+# numpy operations on the [i, j, k, l] view keep it, so sums, scalings and
+# dtype conversions of stored tensors reach _as_matrix already laid out and
+# are not copied again.
+
+def _as_matrix(t):
+    """Stored matrix of the four-index array ``t[i, j, k, l]``, read-only;
+    a copy only when ``t`` is not a view of one in this layout."""
+    n = t.shape[0]
+    m = np.ascontiguousarray(t.transpose(3, 0, 1, 2)).reshape(n * n, n * n)
+    m.setflags(write=False)
+    return m
+
+
+def _as_tensor(m, n):
+    """The ``[i, j, k, l]`` view of a C-contiguous array in the stored order:
+    a stored matrix, or an n^4 array indexed ``[l, i, j, k]``."""
+    return m.reshape((n,) * 4).transpose(1, 2, 3, 0)
+
+
+def _jacobi(m, x):
+    """M[w, i] = sum_jk R[i, j, k, w] x_j x_k: the stored matrix times
+    vec(x x^T), in float or integer arithmetic alike."""
+    n = x.shape[0]
+    return (m @ np.outer(x, x).reshape(-1)).reshape(n, n)
+
+
 class CurvatureTensor:
     """Dense rank-4 curvature tensor in the standard orthonormal basis.
 
-    ``components[i, j, k, l] = R(e_i, e_j, e_k, e_l)``, row-major.  A float64
-    tensor stores its components.  A rational tensor stores only integer
+    ``components[i, j, k, l] = R(e_i, e_j, e_k, e_l)``.  A float64 tensor
+    stores its components.  A rational tensor stores only integer
     ``numerators`` over one common ``denominator``, the lcm of the reduced
     denominators of its components; the numerators are int64 when the int64
     overflow rule admits a Jacobi contraction against a unit-size integer
-    vector, Python ints otherwise.  Its ``components`` are a read-only view
-    built on each access.  Immutable after construction; all operations on
-    it are pure.
+    vector, Python ints otherwise, and its ``components`` are a read-only
+    view built on each access.  Both modes store their scalars in the one
+    layout described above.  Immutable after construction; all operations
+    on it are pure.
     """
 
-    __slots__ = ("dim", "mode", "provenance", "numerators", "denominator",
-                 "_components", "_max_numerator")
+    __slots__ = ("dim", "mode", "provenance", "denominator", "_matrix",
+                 "_max_numerator")
 
     def __init__(self, dim, mode, components, provenance=""):
         """``components`` is a float64 array, or in rational mode an object
@@ -73,8 +105,8 @@ class CurvatureTensor:
         if mode == FLOAT64 and components.dtype != np.float64:
             raise ValueError("float64 mode requires float64 components")
         components.setflags(write=False)
-        self._set(dim=dim, mode=mode, provenance=provenance, numerators=None,
-                  denominator=None, _components=components, _max_numerator=None)
+        self._set(dim=dim, mode=mode, provenance=provenance, denominator=None,
+                  _matrix=_as_matrix(components), _max_numerator=None)
 
     @classmethod
     def _from_numerators(cls, numerators, denominator=1, provenance=""):
@@ -92,13 +124,9 @@ class CurvatureTensor:
             g = math.gcd(L, *nums.reshape(-1).tolist())
             if g != 1:
                 nums, L = nums.astype(object) // g, L // g
-        # memory order (l, i, j, k): the Jacobi contraction is then a single
-        # matrix-vector product (see _jacobi_numerators)
-        nums = int_array(nums, dim, dim).transpose(3, 0, 1, 2).copy()
-        nums = nums.transpose(1, 2, 3, 0)
-        nums.setflags(write=False)
-        self._set(dim=dim, mode=RATIONAL, provenance=provenance, numerators=nums,
-                  denominator=L, _components=None, _max_numerator=max_abs(nums))
+        m = _as_matrix(int_array(nums, dim, dim))
+        self._set(dim=dim, mode=RATIONAL, provenance=provenance, denominator=L,
+                  _matrix=m, _max_numerator=max_abs(m))
 
     def _set(self, **fields):
         for key, value in fields.items():
@@ -108,10 +136,17 @@ class CurvatureTensor:
         raise AttributeError("CurvatureTensor is immutable")
 
     @property
+    def numerators(self):
+        """Integer numerators ``[i, j, k, l]`` of a rational tensor, read-only
+        (None for a float64 tensor)."""
+        return _as_tensor(self._matrix, self.dim) if self.mode == RATIONAL else None
+
+    @property
     def components(self):
+        stored = _as_tensor(self._matrix, self.dim)
         if self.mode == FLOAT64:
-            return self._components
-        view = _exact_matrix(self.numerators, self.denominator)
+            return stored
+        view = _exact_matrix(stored, self.denominator)
         view.setflags(write=False)
         return view
 
@@ -120,15 +155,16 @@ class CurvatureTensor:
         exact ones."""
         if self.mode == FLOAT64:
             return self
-        nums, L = self.numerators, self.denominator
+        m, L = self._matrix, self.denominator
         if L == 1 or (self._max_numerator <= 2**53 and L <= 2**53):
             # one rounding: in the conversion when L is 1, otherwise in the
             # division of two operands that binary64 holds exactly
-            comp = nums.astype(np.float64, order="C") / L
+            comp = m.astype(np.float64) / L
         else:
-            comp = np.array([v / L for v in nums.reshape(-1).tolist()],
-                            dtype=np.float64).reshape(nums.shape)
-        return CurvatureTensor(self.dim, FLOAT64, comp, self.provenance)
+            comp = np.array([v / L for v in m.reshape(-1).tolist()],
+                            dtype=np.float64).reshape(m.shape)
+        return CurvatureTensor(self.dim, FLOAT64, _as_tensor(comp, self.dim),
+                               self.provenance)
 
     def scaled(self, c) -> "CurvatureTensor":
         return _combine([c], [self], self.mode, f"scaled({c})*{self.provenance}")
@@ -154,34 +190,41 @@ def eval_tensor(R: CurvatureTensor, X, Y, Z, W):
 
 
 def _jacobi_numerators(R: CurvatureTensor, x):
-    """Exact Jacobi matrix at ``x`` as ``(numerators, denominator)``.
+    """Exact Jacobi matrix of a rational tensor at the exact vector ``x``,
+    as ``(numerators, denominator)``.
 
     ``numerators / denominator`` equals the Jacobi matrix exactly; the
     numerator array is int64 when the int64 overflow rule admits the
     contraction, otherwise an object array of Python ints.
     """
     xn, Lx = clear_denominators(np.asarray(x, dtype=object))
-    n, nums = R.dim, R.numerators
+    n, m = R.dim, R._matrix
     xmax = max_abs(xn)
-    if nums.dtype == np.int64 and int64_safe(R._max_numerator, n, n, xmax, xmax):
+    if m.dtype == np.int64 and int64_safe(R._max_numerator, n, n, xmax, xmax):
         xn = xn.astype(np.int64)
     else:
-        nums = nums.astype(object, copy=False)
-    # M[w, i] = sum_jk R[i, j, k, w] x_j x_k; the (l, i, j, k) memory order
-    # of the numerators makes the (w i, j k) matrix a view
-    m = nums.transpose(3, 0, 1, 2).reshape(n * n, n * n) @ np.outer(xn, xn).reshape(-1)
-    return m.reshape(n, n), R.denominator * Lx * Lx
+        m = m.astype(object, copy=False)
+    return _jacobi(m, xn), R.denominator * Lx * Lx
 
 
 def jacobi_matrix(R: CurvatureTensor, x):
     """Matrix of the Jacobi operator J_x: M[w, i] = R(e_i, x, x, e_w).
 
-    Exact scalars in rational mode, float64 otherwise.
+    Exact scalars in rational mode (``x`` must then hold exact rationals),
+    float64 otherwise.
     """
     x = _check_vector(R, x)
     if R.mode == RATIONAL:
         return _exact_matrix(*_jacobi_numerators(R, x))
-    return np.einsum("ijkw,j,k->wi", R.components, x, x)
+    return _jacobi(R._matrix, x.astype(np.float64, copy=False))
+
+
+def _first_slot(R: CurvatureTensor, x):
+    """t[w, j, k] = R(x, e_j, e_k, e_w) for a float64 tensor: one batched
+    matrix-vector product on the stored matrix.  J_y x is then
+    ``t.reshape(n, n * n) @ vec(y y^T)``."""
+    n = R.dim
+    return (x @ R._matrix.reshape(n, n, n * n)).reshape(n, n, n)
 
 
 def _complement_frame(x):
@@ -216,16 +259,14 @@ def reduced_jacobi(R: CurvatureTensor, x, unit_tol=UNIT_TOL) -> ReducedJacobi:
 
 def ricci_operator(R: CurvatureTensor):
     """Ricci operator: Ric[w, y] = sum_i R(e_y, e_i, e_i, e_w)."""
-    if R.mode == RATIONAL:
-        t = np.trace(R.numerators, axis1=1, axis2=2)  # t[y, w]
-        return _exact_matrix(t.T, R.denominator)
-    return np.trace(R.components, axis1=1, axis2=2).T
+    t = np.trace(_as_tensor(R._matrix, R.dim), axis1=1, axis2=2)  # t[y, w]
+    return _exact_matrix(t.T, R.denominator) if R.mode == RATIONAL else t.T
 
 
 def validate_symmetries(R: CurvatureTensor, *, tol=None):
     """Check the Z2 symmetries and the first Bianchi identity of R."""
     tol = default_tol(tol, R.mode)
-    c = R.numerators if R.mode == RATIONAL else R.components
+    c = _as_tensor(R._matrix, R.dim)
     res = {
         "skew_first_pair": c + c.transpose(1, 0, 2, 3),
         "skew_last_pair": c + c.transpose(0, 1, 3, 2),
@@ -249,8 +290,9 @@ def validate_symmetries(R: CurvatureTensor, *, tol=None):
 def _r1(n) -> CurvatureTensor:
     """The unit constant-curvature tensor R1 (rational)."""
     eye = np.eye(n, dtype=np.int64)
-    return CurvatureTensor._from_numerators(
-        np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye))
+    lijk = (np.einsum("il,jk->lijk", eye, eye, order="C")
+            - np.einsum("ik,jl->lijk", eye, eye, order="C"))
+    return CurvatureTensor._from_numerators(_as_tensor(lijk, n))
 
 
 def _combine(weights, tensors, mode, provenance) -> CurvatureTensor:
@@ -288,11 +330,13 @@ def _require_skew(J, tol=IDENTITY_TOL):
 
 
 def _rj_components(J):
-    """R^J[i,j,k,l] = J[k,i]J[l,j] - J[k,j]J[l,i] + 2 J[j,i]J[l,k]."""
+    """R^J[i,j,k,l] = J[k,i]J[l,j] - J[k,j]J[l,i] + 2 J[j,i]J[l,k], built
+    in the stored order."""
     Jt = J.T
-    return (np.einsum("ik,jl->ijkl", Jt, Jt)
-            - np.einsum("jk,il->ijkl", Jt, Jt)
-            + 2 * np.einsum("ij,kl->ijkl", Jt, Jt))
+    lijk = (np.einsum("ik,jl->lijk", Jt, Jt, order="C")
+            - np.einsum("jk,il->lijk", Jt, Jt, order="C")
+            + 2 * np.einsum("ij,kl->lijk", Jt, Jt, order="C"))
+    return _as_tensor(lijk, J.shape[0])
 
 
 def make_rj(J, mode=FLOAT64) -> CurvatureTensor:
@@ -359,8 +403,9 @@ def make_from_symmetric(S_list, coeffs, mode=FLOAT64, n=None) -> CurvatureTensor
                          dtype=object)
         elif mode == FLOAT64:
             S = np.asarray(S, dtype=np.float64)
-        # R^S[i,j,k,l] = S[l,i] S[k,j] - S[k,i] S[l,j]
-        term = (np.einsum("li,kj->ijkl", S, S) - np.einsum("ki,lj->ijkl", S, S))
+        # R^S[i,j,k,l] = S[l,i] S[k,j] - S[k,i] S[l,j], in the stored order
+        term = _as_tensor(np.einsum("li,kj->lijk", S, S, order="C")
+                          - np.einsum("ki,lj->lijk", S, S, order="C"), S.shape[0])
         cc = Fraction(c) if mode == RATIONAL else float(c)
         acc = term * cc if acc is None else acc + term * cc
     nn = acc.shape[0]
@@ -381,5 +426,5 @@ def random_curvature(n, k_terms, stream) -> CurvatureTensor:
         Ss.append(0.5 * (a + a.T))
         cs.append(float(stream.standard_normal()))
     R = make_from_symmetric(Ss, cs, mode=FLOAT64)
-    return CurvatureTensor(n, FLOAT64, R.components.copy(),
+    return CurvatureTensor(n, FLOAT64, R.components,
                            f"random(n={n}, k_terms={k_terms})")

@@ -10,6 +10,7 @@ operations are float-only; identity checks may run in either mode.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -117,13 +118,25 @@ class SpectralData:
         return self.eigenbasis[:, start : start + self.multiplicities[index]]
 
 
+def eigvalsh(m):
+    """Ascending eigenvalues of a symmetric float matrix; all NaN when an
+    entry is not finite, on which LAPACK does not converge."""
+    if not np.isfinite(m).all():
+        return np.full(m.shape[0], np.nan)
+    return np.linalg.eigvalsh(m)
+
+
 def eigh(m, eig_tol=EIG_TOL, cluster_tol=None):
-    """Self-adjoint eigensolver (float mode only)."""
+    """Self-adjoint eigensolver (float mode only).  A matrix with an entry
+    that is not finite has NaN eigenvalues and a NaN eigenbasis."""
     m = np.asarray(m)
     if m.dtype == object:
         raise PreconditionError("eigh is float-only; eigenvalues are irrational in general")
     require_symmetric(m)
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    if not np.isfinite(m).all():
+        vals, vecs = np.full(m.shape[0], np.nan), np.full(m.shape, np.nan)
+    else:
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(vals)
     centers, mults = cluster_eigenvalues(list(vals), cluster_tol)
@@ -191,16 +204,29 @@ def random_int_vector(n, stream, max_abs=9):
     raise RuntimeError("random_int_vector: degenerate draws")
 
 
+def _exact_scalar(index, e):
+    """Entry ``index`` of an array as an int or a Fraction, or ValueError."""
+    if isinstance(e, (int, Fraction)):
+        return e
+    if isinstance(e, numbers.Rational):  # numpy integers, among others
+        return Fraction(int(e.numerator), int(e.denominator))
+    raise ValueError(f"entry {index} ({e!r}) is not an exact rational")
+
+
 def clear_denominators(arr):
     """Return ``(numerators, L)`` with ``arr == numerators / L`` exactly.
 
-    ``numerators`` is an object array of Python ints, ``L`` the positive lcm
-    of all reduced denominators (1 for integer input).
+    Every entry must be an exact rational (``numbers.Rational``); the first
+    one that is not raises ``ValueError``.  ``numerators`` is an object array
+    of Python ints, ``L`` the positive lcm of all reduced denominators (1 for
+    integer input).
     """
     flat = arr.reshape(-1).tolist()
+    if not set(map(type, flat)) <= {int, Fraction}:
+        flat = [_exact_scalar(index, e) for index, e in enumerate(flat)]
     L = math.lcm(*{e.denominator for e in flat if isinstance(e, Fraction)})
     nums = [e.numerator * (L // e.denominator) if isinstance(e, Fraction)
-            else int(e) * L for e in flat]
+            else e * L for e in flat]
     return np.array(nums, dtype=object).reshape(arr.shape), L
 
 

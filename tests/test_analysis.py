@@ -24,6 +24,7 @@ from osscheck import (
     ricci_operator,
     sample_stream,
 )
+from osscheck import analysis
 from osscheck.analysis import _eigenvectors_with_values
 from osscheck.curvature import CurvatureTensor
 from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError, eigh
@@ -316,11 +317,20 @@ class TestToleranceAndNaN:
         assert check_einstein(quaternionic8).tolerance == 0
 
     def test_all_nan_tensor_fails_osserman(self):
-        R = CurvatureTensor(2, FLOAT64, np.full((2,) * 4, np.nan), "nan")
-        rep = check_osserman(R, samples=5)
-        assert not rep.passed
-        assert np.isnan(rep.worst_residual)
-        assert rep.witness["sample"] == 1
+        # from n = 3 on, LAPACK does not converge on a NaN matrix
+        for n in (2, 4):
+            R = CurvatureTensor(n, FLOAT64, np.full((n,) * 4, np.nan), "nan")
+            rep = check_osserman(R, samples=5)
+            assert not rep.passed
+            assert np.isnan(rep.worst_residual)
+            assert rep.witness["sample"] == 1
+
+    def test_nan_spectrum_fails_jacobi_dual_and_k_root(self):
+        R = CurvatureTensor(4, FLOAT64, np.full((4,) * 4, np.nan), "nan")
+        rep = check_jacobi_dual(R, samples=3)
+        assert not rep.passed and np.isnan(rep.worst_residual)
+        for samples in (1, 3):
+            assert not classify_k_root(R, samples=samples).per_sample_agreement
 
     def test_first_nan_is_worst(self):
         from osscheck.analysis import _worse
@@ -330,9 +340,10 @@ class TestToleranceAndNaN:
         assert _worse(2.0, 1.0) and not _worse(1.0, 1.0)
 
     def test_nan_tensor_fails_eigen_bianchi_precheck(self):
-        R = CurvatureTensor(2, FLOAT64, np.full((2,) * 4, np.nan), "nan")
-        with pytest.raises(PreconditionError):
-            check_eigen_bianchi_identity(R, samples=5)
+        for n in (2, 4):
+            R = CurvatureTensor(n, FLOAT64, np.full((n,) * 4, np.nan), "nan")
+            with pytest.raises(PreconditionError):
+                check_eigen_bianchi_identity(R, samples=5)
 
 
 class TestCheckerTable:
@@ -362,3 +373,44 @@ class TestCheckerTable:
                                  samples=4, seed=2, tol=None, mode=None)
         assert rep.passed
         assert calls == [{"samples": 4, "seed": 2, "tol": None}]
+
+    def test_no_checker_takes_a_mode(self):
+        # the scalar mode belongs to the tensor: convert it with to_float()
+        import inspect
+
+        checkers = [getattr(analysis, c) for c, _ in analysis.CHECKERS.values()]
+        for checker in checkers + [classify_k_root]:
+            assert "mode" not in inspect.signature(checker).parameters, checker
+        for _, takes in analysis.CHECKERS.values():
+            assert "mode" not in takes
+
+    def test_exact_checkers_read_integers(self, quaternionic8, monkeypatch):
+        # no rational Jacobi matrix of Fractions is built by any checker
+        def refuse(R, x):
+            assert R.mode == FLOAT64, "jacobi_matrix called on a rational tensor"
+            return jacobi_matrix(R, x)
+
+        monkeypatch.setattr(analysis, "jacobi_matrix", refuse)
+        for name in analysis.CHECKERS:
+            assert analysis.run_check(name, quaternionic8, samples=4, seed=1,
+                                      tol=None).passed, name
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("name", [n for n, (_, takes) in
+                                      analysis.CHECKERS.items() if "samples" in takes])
+    def test_zero_samples_rejected(self, name, quaternionic8):
+        with pytest.raises(PreconditionError, match="samples must be at least"):
+            analysis.run_check(name, quaternionic8, samples=0, seed=0, tol=None)
+
+    def test_k_root_zero_samples_rejected(self, quaternionic8):
+        with pytest.raises(PreconditionError, match="samples must be at least 1"):
+            classify_k_root(quaternionic8, samples=0)
+
+    def test_one_osserman_sample_compares_nothing(self, quaternionic8):
+        with pytest.raises(PreconditionError, match="samples must be at least 2"):
+            check_osserman(quaternionic8, samples=1)
+        with pytest.raises(PreconditionError,
+                           match="precheck_samples must be at least 2"):
+            check_eigen_bianchi_identity(quaternionic8, samples=3,
+                                         precheck_samples=1)

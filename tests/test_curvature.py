@@ -440,3 +440,50 @@ class TestExactStorage:
         m = jacobi_matrix(R, x)
         for w, i in itertools.product(range(4), repeat=2):
             assert m[w, i] == eval_tensor(R, e[i], x, x, e[w])
+
+    def test_inexact_entries_are_rejected(self):
+        # a float entry used to be truncated: [0.6, 0.8, 0, 0] gave J = 0
+        R = make_constant_curvature(4, 1, RATIONAL)
+        with pytest.raises(ValueError, match=r"entry 0 \(0\.6\)"):
+            jacobi_matrix(R, np.array([0.6, 0.8, 0, 0]))
+        comp = np.array(R.components.tolist(), dtype=object)
+        comp[0, 1, 1, 0] = 1.5
+        with pytest.raises(ValueError, match=r"entry 20 \(1\.5\)"):
+            CurvatureTensor(4, RATIONAL, comp)
+        comp[0, 1, 1, 0] = np.int64(3)
+        assert CurvatureTensor(4, RATIONAL, comp).components[0, 1, 1, 0] == 3
+
+
+class TestStorageLayout:
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_float_jacobi_matches_eval_and_exact(self, n):
+        fam = build_clifford_family(n, 3)
+        R = make_clifford(n, Fraction(5, 7), [(Fraction(-2, 3), J)
+                                              for J in fam.structures])
+        Rf = R.to_float()
+        g = sample_stream(70 + n)
+        x = np.array([Fraction(int(v), 4) for v in g.integers(-4, 5, n)],
+                     dtype=object)
+        xf = x.astype(np.float64)
+        got = jacobi_matrix(Rf, xf)
+        assert got.dtype == np.float64
+        exact = np.asarray(jacobi_matrix(R, x), dtype=np.float64)
+        assert np.abs(got - exact).max() <= 1e-12
+        e = np.eye(n)
+        for w, i in itertools.product(range(n), repeat=2):
+            assert abs(got[w, i] - eval_tensor(Rf, e[i], xf, xf, e[w])) <= 1e-12
+
+    def test_both_modes_share_one_layout(self):
+        from osscheck.curvature import _as_matrix, _rj_components
+
+        J = build_clifford_family(4, 1).structures[0]
+        R = make_clifford(4, 1, [(-1, J)])
+        Rf = R.to_float()
+        assert np.array_equal(Rf._matrix, R._matrix.astype(np.float64))
+        # R^J is built in the layout, and sums, scalings and conversions of
+        # stored tensors keep it, so _as_matrix hands them through uncopied
+        for t in (_rj_components(np.asarray(J)), Rf.components * 2.0,
+                  R.numerators.astype(object) * 3, R.numerators + R.numerators):
+            assert np.shares_memory(_as_matrix(t), t)
+        c = np.ascontiguousarray(Rf.components)
+        assert not np.shares_memory(_as_matrix(c), c)

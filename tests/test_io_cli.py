@@ -256,3 +256,64 @@ class TestExactEndToEnd:
         assert names == ["symmetries", "einstein", "ricci-sum", "polarization",
                          "osserman", "jacobi-dual", "jacobi-orthogonal",
                          "two-root-decomposition", "eigen-bianchi"]
+
+
+@pytest.fixture(scope="module")
+def from_symmetric4(tmp_path_factory):
+    """Rational, generically neither Osserman nor Jacobi-orthogonal."""
+    p = tmp_path_factory.mktemp("sym") / "sym4.json"
+    assert main(["build", "from-symmetric", "--dim", "4", "--k-terms", "3",
+                 "--out", str(p)]) == 0
+    return str(p)
+
+
+class TestModeConvertsTensor:
+    def test_float_mode_keeps_the_exact_verdict(self, from_symmetric4):
+        # float draws used to be truncated to integers by the exact check
+        for mode in ([], ["--mode", "float64"], ["--mode", "rational"]):
+            assert main(["check", "jacobi-orthogonal", "--in", from_symmetric4,
+                         "--samples", "20"] + mode) == 1
+
+    def test_float_mode_polarization_passes(self, from_symmetric4):
+        for mode in ([], ["--mode", "float64"]):
+            assert main(["check", "polarization", "--in", from_symmetric4,
+                         "--samples", "20"] + mode) == 0
+
+    def test_check_all_runs_every_check_in_float(self, from_symmetric4, tmp_path):
+        out = tmp_path / "all.json"
+        main(["check", "all", "--in", from_symmetric4, "--samples", "5",
+              "--mode", "float64", "--out", str(out)])
+        reports = json.loads(out.read_text())["reports"].values()
+        assert {r["mode"] for r in reports if "mode" in r} == {"float64"}
+
+    def test_rational_mode_needs_a_rational_file(self, tensor_files, capsys):
+        assert main(["check", "einstein", "--in", str(tensor_files["rand"]),
+                     "--mode", "rational"]) == 2
+        assert "rational tensor file" in capsys.readouterr().err
+
+
+class TestSampleCountsCli:
+    @pytest.mark.parametrize("prop", ["osserman", "jacobi-orthogonal", "k-root",
+                                      "all"])
+    def test_zero_samples_exit_2(self, tensor_files, prop, capsys):
+        assert main(["check", prop, "--in", str(tensor_files["quat"]),
+                     "--samples", "0"]) == 2
+        assert "samples must be at least" in capsys.readouterr().err
+
+    def test_check_all_needs_two_samples(self, tensor_files, capsys):
+        # one sample would skip osserman and still exit 0
+        assert main(["check", "all", "--in", str(tensor_files["quat"]),
+                     "--samples", "1"]) == 2
+        assert "at least 2 for check all" in capsys.readouterr().err
+
+
+class TestNonFiniteSpectrum:
+    def test_overflowing_tensor_fails_instead_of_raising(self, tmp_path, capsys):
+        # finite components whose Jacobi matrices overflow to inf and NaN
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"dim": 4, "mode": "float64",
+                                 "components": [1e308] * 256}))
+        for prop, code in (("osserman", 1), ("jacobi-dual", 1), ("k-root", 1),
+                           ("two-root-decomposition", 2), ("eigen-bianchi", 2)):
+            assert main(["check", prop, "--in", str(p), "--samples", "5"]) == code
+            assert "did not converge" not in capsys.readouterr().err

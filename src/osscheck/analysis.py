@@ -4,7 +4,7 @@ Einstein, root structure, and the proof-step identities.
 All checkers are pure given (tensor, seed): sample i always draws from the
 per-sample stream keyed by (seed, i), so results are independent of any
 parallel scheduling of the sample loop.  Sampling checkers certify "no
-counterexample found", not a proof.
+counterexample found", not a proof; they all run through :func:`_sweep`.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ from .linalg import (
 )
 from .report import CheckReport, make_report
 
-_SAMPLING_NOTE = "sampling check: pass means no counterexample found"
-
-
 def _worse(res, worst):
     """Whether a sample's residual replaces the worst so far: the first
     strictly larger one, and the first NaN, which no later value replaces."""
@@ -57,6 +54,29 @@ def _require_samples(least, **counts):
     for name, count in counts.items():
         if count < least:
             raise PreconditionError(f"{name} must be at least {least}, found {count}")
+
+
+def _sweep(name, R, draw, *, samples, seed, tol, mode=FLOAT64, reference=None):
+    """The sampling loop and report of every sampling checker.
+
+    Sample i runs ``draw(i, sample_stream(seed, i))``, which yields one
+    ``(residual, fields)`` per candidate.  The worst is the first strictly
+    largest or first NaN residual (:func:`_worse`); the first candidate
+    stands even at 0.  Only a new worst calls ``fields()``, for the witness
+    ``{"sample": i, **fields()}``.  Osserman's ``reference`` witness (its
+    sample 0) stands instead until a residual exceeds 0, from sample 1 on.
+    """
+    first = 0 if reference is None else 1
+    _require_samples(first + 1, samples=samples)
+    tol = default_tol(tol, mode)
+    worst, witness = 0.0, reference or {}
+    for i in range(first, samples):
+        for res, fields in draw(i, sample_stream(seed, i)):
+            if _worse(res, worst) or not witness:
+                worst, witness = res, {"sample": i, **fields()}
+    return make_report(name, worst, witness, samples, seed, tol, mode,
+                       notes="sampling check: pass means no counterexample found",
+                       provenance=R.provenance)
 
 
 def _norm(v):
@@ -75,11 +95,6 @@ def _exact_orthogonal_pair(n, stream):
     raise RuntimeError("degenerate rational draws")
 
 
-def _int_dot(u, v):
-    """Overflow-free inner product of two integer vectors (Python ints)."""
-    return sum(int(a) * int(b) for a, b in zip(u, v))
-
-
 def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
                             tol=None) -> CheckReport:
     """J_X Y perpendicular to J_Y X over random orthogonal pairs.
@@ -89,38 +104,32 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
     """
     if R.dim < 2:
         raise PreconditionError("need dimension >= 2")
-    _require_samples(1, samples=samples)
-    tol = default_tol(tol, R.mode)
-    worst, witness = 0, {}
-    for i in range(samples):
-        stream = sample_stream(seed, i)
+
+    def draw(i, stream):
         if R.mode == RATIONAL:
             x, y = _exact_orthogonal_pair(R.dim, stream)
             mx, dx = _jacobi_numerators(R, x)
             my, dy = _jacobi_numerators(R, y)
-            num = _int_dot(mx.dot(y), my.dot(x))
+            num = mx.dot(y).dot(my.dot(x))  # y and x hold Python ints
             res = abs(Fraction(num, dx * dy))
         else:
             x, y = random_orthonormal_pair(R.dim, stream)
             jxy = jacobi_matrix(R, x).dot(y)
             jyx = jacobi_matrix(R, y).dot(x)
             res = abs(float(jxy.dot(jyx))) / (_norm(jxy) * _norm(jyx) + 1.0)
-        if _worse(res, worst) or not witness:
-            worst = res
-            witness = {"sample": i, "x": list(x), "y": list(y)}
-    return make_report("jacobi-orthogonal", worst, witness, samples, seed,
-                       tol, R.mode, notes=_SAMPLING_NOTE, provenance=R.provenance)
+        yield res, lambda: {"x": list(x), "y": list(y)}
+
+    return _sweep("jacobi-orthogonal", R, draw, samples=samples, seed=seed,
+                  tol=tol, mode=R.mode)
 
 
 def _eigenvectors_with_values(R, x, cluster_tol=None):
-    """Ambient eigenvectors of the reduced Jacobi at unit x, with centers."""
+    """(center, ambient eigenvectors) of each eigenvalue cluster of the
+    reduced Jacobi at unit x."""
     red = reduced_jacobi(R, x)
     sd = eigh(red.matrix, cluster_tol=cluster_tol)
-    out = []
-    for idx, lam in enumerate(sd.eigenvalues):
-        cols = red.frame @ sd.eigenspace(idx)
-        out.append((float(lam), cols))
-    return red, sd, out
+    return [(float(lam), red.frame @ sd.eigenspace(idx))
+            for idx, lam in enumerate(sd.eigenvalues)]
 
 
 def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
@@ -131,15 +140,12 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
     three random unit combinations inside the eigenspace (the Jacobi operator
     is quadratic in its base, so basis vectors alone do not suffice).
     """
-    _require_samples(1, samples=samples)
-    tol = default_tol(tol, FLOAT64)
     Rf = R.to_float()
     n = R.dim
-    worst, witness = 0.0, {}
-    for i in range(samples):
-        stream = sample_stream(seed, i)
+
+    def draw(i, stream):
         x = random_unit_vector(n, stream)
-        _, _, spaces = _eigenvectors_with_values(Rf, x)
+        spaces = _eigenvectors_with_values(Rf, x)
         # J_y x = t vec(y y^T) with t = R contracted with x in its first
         # slot: one n^4 contraction per sample instead of one per candidate y
         t = _first_slot(Rf, x).reshape(n, n * n)
@@ -153,12 +159,9 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
             for y in cand:
                 jyx = t @ np.outer(y, y).reshape(-1)
                 res = _norm(jyx - lam * x) / (1.0 + abs(lam))
-                if _worse(res, worst) or not witness:
-                    worst = res
-                    witness = {"sample": i, "x": list(x), "y": list(y),
-                               "eigenvalue": lam}
-    return make_report("jacobi-dual", worst, witness, samples, seed, tol,
-                       FLOAT64, notes=_SAMPLING_NOTE, provenance=R.provenance)
+                yield res, lambda: {"x": list(x), "y": list(y), "eigenvalue": lam}
+
+    return _sweep("jacobi-dual", R, draw, samples=samples, seed=seed, tol=tol)
 
 
 def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
@@ -170,29 +173,23 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
     whose exact value is 0 drowns in the float noise of the large ones and no
     uniform tolerance works across dimensions.
     """
-    _require_samples(2, samples=samples)
-    tol = default_tol(tol, FLOAT64)
     Rf = R.to_float()
     x0 = random_unit_vector(R.dim, sample_stream(seed, 0))
     vals0 = eigvalsh(reduced_jacobi(Rf, x0).matrix)
     spectral_scale = max(1.0, float(np.abs(vals0).max()))
     ref = np.poly(vals0 / spectral_scale)
     scale = 1.0 + np.abs(ref)
-    worst = 0.0
-    witness = {"reference_x": list(x0), "reference_coefficients": list(ref)}
-    for i in range(1, samples):
-        x = random_unit_vector(R.dim, sample_stream(seed, i))
+    reference = {"reference_x": list(x0), "reference_coefficients": list(ref)}
+
+    def draw(i, stream):
+        x = random_unit_vector(R.dim, stream)
         vals = eigvalsh(reduced_jacobi(Rf, x).matrix)
         coeffs = np.poly(vals / spectral_scale)
         res = float((np.abs(coeffs - ref) / scale).max())
-        if _worse(res, worst):
-            worst = res
-            witness = {"sample": i, "x": list(x),
-                       "coefficients": list(coeffs),
-                       "reference_x": list(x0),
-                       "reference_coefficients": list(ref)}
-    return make_report("osserman", worst, witness, samples, seed, tol,
-                       FLOAT64, notes=_SAMPLING_NOTE, provenance=R.provenance)
+        yield res, lambda: {"x": list(x), "coefficients": list(coeffs), **reference}
+
+    return _sweep("osserman", R, draw, samples=samples, seed=seed, tol=tol,
+                  reference=reference)
 
 
 def check_einstein(R: CurvatureTensor, *, tol=None) -> CheckReport:
@@ -228,8 +225,7 @@ class RootClassification:
     seed: int = 0
 
 
-def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0,
-                    cluster_tol=None) -> RootClassification:
+def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0) -> RootClassification:
     """Clustered reduced Jacobi spectrum at sample 0, and whether every
     sample's spectrum agrees with it (a NaN center agrees with nothing)."""
     _require_samples(1, samples=samples)
@@ -239,7 +235,7 @@ def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0,
     for i in range(samples):
         x = random_unit_vector(R.dim, sample_stream(seed, i))
         vals = eigvalsh(reduced_jacobi(Rf, x).matrix)
-        ct = cluster_tol if cluster_tol is not None else default_cluster_tol(vals)
+        ct = default_cluster_tol(vals)
         centers, mults = cluster_eigenvalues(list(vals), ct)
         if ref is None:
             ref = (centers, mults)
@@ -262,8 +258,7 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
     duality by-products g(J_X1 Y, X2) and g(J_X2 Y, X1) are also required
     to vanish.
     """
-    _require_samples(1, samples=samples)
-    tol = default_tol(tol, FLOAT64)
+    # classify_k_root rejects samples < 1 before it classifies anything
     cls = classify_k_root(R, samples=min(samples, 16), seed=seed)
     if cls.k != 2 or not cls.per_sample_agreement:
         raise PreconditionError(
@@ -271,11 +266,10 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
             f"(found k={cls.k}, agreement={cls.per_sample_agreement})")
     Rf = R.to_float()
     gap_tol = abs(cls.centers[1] - cls.centers[0]) / 4.0
-    worst, witness = 0.0, {}
-    for i in range(samples):
-        stream = sample_stream(seed, i)
+
+    def draw(i, stream):
         y = random_unit_vector(R.dim, stream)
-        _, _, spaces = _eigenvectors_with_values(Rf, y, cluster_tol=gap_tol)
+        spaces = _eigenvectors_with_values(Rf, y, cluster_tol=gap_tol)
         if len(spaces) != 2:
             raise PreconditionError(
                 f"sample {i} produced {len(spaces)} eigenvalue clusters")
@@ -292,14 +286,12 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
         span = 1.0 + abs(l2 - l1)
         res = max(abs(lhs - rhs) / (1.0 + abs(lhs)),
                   abs(b1) / span, abs(b2) / span)
-        if _worse(res, worst) or not witness:
-            worst = res
-            witness = {"sample": i, "y": list(y), "x": list(x),
-                       "lambda1": l1, "lambda2": l2,
-                       "lhs": lhs, "rhs": rhs, "byproducts": [b1, b2]}
-    return make_report("two-root-decomposition", worst, witness, samples,
-                       seed, tol, FLOAT64, notes=_SAMPLING_NOTE,
-                       provenance=R.provenance)
+        yield res, lambda: {"y": list(y), "x": list(x),
+                            "lambda1": l1, "lambda2": l2,
+                            "lhs": lhs, "rhs": rhs, "byproducts": [b1, b2]}
+
+    return _sweep("two-root-decomposition", R, draw, samples=samples,
+                  seed=seed, tol=tol)
 
 
 def _triples(count, stream, total):
@@ -315,8 +307,7 @@ def _triples(count, stream, total):
 
 
 def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
-                                 tol=None, random_triples=40,
-                                 precheck_samples=50) -> CheckReport:
+                                 tol=None, precheck_samples=50) -> CheckReport:
     """Eigenvalue-weighted Bianchi identity for Osserman tensors.
 
     For mutually orthogonal eigenvectors A, B, C of J_X with eigenvalues
@@ -324,12 +315,12 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
 
         R(X,A,B,C)(lC - 2 lB + lA) + R(X,B,A,C)(lC + lB - 2 lA) = 0.
 
-    Triples are exhaustive over the eigenbasis when n-1 <= 8, randomized
-    otherwise.  Precondition: the tensor samples as Osserman.
+    Triples are exhaustive over the eigenbasis when n-1 <= 8, otherwise 40
+    random ones per sample.  Precondition: the tensor samples as Osserman.
     """
+    # checked before the precheck spends samples (the sweep checks again)
     _require_samples(1, samples=samples)
     _require_samples(2, precheck_samples=precheck_samples)
-    tol = default_tol(tol, FLOAT64)
     pre = check_osserman(R, samples=precheck_samples, seed=seed, tol=1e-6)
     if not pre.passed:
         raise PreconditionError(
@@ -337,9 +328,8 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
             f"(osserman residual {pre.worst_residual:.3e})")
     Rf = R.to_float()
     n = R.dim
-    worst, witness = 0.0, {}
-    for i in range(samples):
-        stream = sample_stream(seed, i)
+
+    def draw(i, stream):
         x = random_unit_vector(n, stream)
         red = reduced_jacobi(Rf, x)
         sd = eigh(red.matrix)
@@ -353,21 +343,18 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
         if n - 1 <= 8:
             triples = itertools.combinations(range(n - 1), 3)
         else:
-            triples = _triples(random_triples, stream, n - 1)
+            triples = _triples(40, stream, n - 1)
         for (ia, ib, ic) in triples:
             la, lb, lc = vals[ia], vals[ib], vals[ic]
             r_abc = float(c3[ia, ib, ic])
             r_bac = float(c3[ib, ia, ic])
             lhs = r_abc * (lc - 2 * lb + la) + r_bac * (lc + lb - 2 * la)
             res = abs(lhs) / (1.0 + abs(r_abc) + abs(r_bac))
-            if _worse(res, worst) or not witness:
-                worst = res
-                witness = {"sample": i, "x": list(x),
-                           "triple": [int(ia), int(ib), int(ic)],
-                           "eigenvalues": [float(la), float(lb), float(lc)],
-                           "r_xabc": r_abc, "r_xbac": r_bac}
-    return make_report("eigen-bianchi", worst, witness, samples, seed, tol,
-                       FLOAT64, notes=_SAMPLING_NOTE, provenance=R.provenance)
+            yield res, lambda: {"x": list(x), "triple": [int(ia), int(ib), int(ic)],
+                                "eigenvalues": [float(la), float(lb), float(lc)],
+                                "r_xabc": r_abc, "r_xbac": r_bac}
+
+    return _sweep("eigen-bianchi", R, draw, samples=samples, seed=seed, tol=tol)
 
 
 def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
@@ -381,12 +368,9 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
     A rational tensor is checked exactly, on integer X, Y and the integer
     Jacobi numerators, which all share the denominator of the tensor.
     """
-    _require_samples(1, samples=samples)
-    tol = default_tol(tol, R.mode)
     exact = R.mode == RATIONAL
-    worst, witness = 0, {}
-    for i in range(samples):
-        stream = sample_stream(seed, i)
+
+    def draw(i, stream):
         if exact:
             x = random_int_vector(R.dim, stream)
             y = random_int_vector(R.dim, stream)
@@ -407,19 +391,18 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
         else:
             scale = 1.0 + _norm(jx.dot(y)) + _norm(jy.dot(x))
             res = max(_norm(r1), _norm(r2), float(np.abs(r3).max())) / scale
-        if _worse(res, worst) or not witness:
-            worst = res
-            witness = {"sample": i, "x": list(x), "y": list(y)}
-    return make_report("polarization", worst, witness, samples, seed, tol,
-                       R.mode, provenance=R.provenance)
+        yield res, lambda: {"x": list(x), "y": list(y)}
+
+    return _sweep("polarization", R, draw, samples=samples, seed=seed, tol=tol,
+                  mode=R.mode)
 
 
-def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None,
-                    bases=3) -> CheckReport:
+def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None) -> CheckReport:
     """Ricci operator equals the sum of Jacobi operators over any
     orthonormal basis; checked on the standard basis (independent route)
-    and ``bases`` random orthonormal bases (float).  Default tolerance 1e-12.
+    and three random orthonormal bases (float).  Default tolerance 1e-12.
     """
+    bases = 3
     tol = 1e-12 if tol is None else tol
     n = R.dim
     ric = ricci_operator(R)

@@ -128,17 +128,15 @@ def build_clifford_family(n, m, stream=None) -> CliffordFamily:
     return CliffordFamily(n, tuple(structures))
 
 
-def validate_hurwitz(family: CliffordFamily, tol=None):
+def validate_hurwitz(family: CliffordFamily):
     """Worst residual over skewness, J^2 + id, and all anticommutators."""
     Js = [np.asarray(J) for J in family.structures]
     exact = all(J.dtype == object or np.issubdtype(J.dtype, np.integer)
                 for J in Js)
-    if tol is None:
-        tol = 0 if exact else IDENTITY_TOL
+    tol = 0 if exact else IDENTITY_TOL
     eye = np.eye(family.dim, dtype=np.int64)
     if not exact:
         eye = eye.astype(np.float64)
-    worst = 0
     per_check = {}
     for i, J in enumerate(Js):
         per_check[f"skew[{i}]"] = np.abs(J + J.T).max()

@@ -247,9 +247,9 @@ class ReducedJacobi:
     matrix: np.ndarray  # (n-1, n-1)
 
 
-def reduced_jacobi(R: CurvatureTensor, x, unit_tol=UNIT_TOL) -> ReducedJacobi:
+def reduced_jacobi(R: CurvatureTensor, x) -> ReducedJacobi:
     x = np.asarray(x, dtype=np.float64)
-    if abs(np.linalg.norm(x) - 1.0) > unit_tol:
+    if abs(np.linalg.norm(x) - 1.0) > UNIT_TOL:
         raise PreconditionError("reduced_jacobi requires a unit base vector")
     frame = _complement_frame(x)
     full = jacobi_matrix(R.to_float(), x)
@@ -319,12 +319,13 @@ def make_constant_curvature(n, kappa, mode=FLOAT64) -> CurvatureTensor:
     return _combine([kappa], [_r1(n)], mode, f"constant(n={n}, kappa={kappa})")
 
 
-def _require_skew(J, tol=IDENTITY_TOL):
+def _require_skew(J):
     J = np.asarray(J)
     if J.dtype == object or np.issubdtype(J.dtype, np.integer):
         if np.any(J != -J.T):
             raise ValueError("J is not skew-adjoint (exact check)")
-    elif float(np.abs(J + J.T).max()) > tol * max(1.0, float(np.abs(J).max())):
+    elif (float(np.abs(J + J.T).max())
+          > IDENTITY_TOL * max(1.0, float(np.abs(J).max()))):
         raise ValueError("J is not skew-adjoint beyond tolerance")
     return J
 

@@ -20,7 +20,6 @@ FLOAT64 = "float64"
 RATIONAL = "rational"
 
 # Default tolerances.  Safe for dims <= 16 with well separated spectra.
-EIG_TOL = 1e-10
 IDENTITY_TOL = 1e-9
 DEP_TOL = 1e-12
 UNIT_TOL = 1e-12
@@ -38,7 +37,7 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated precondition."""
 
 
-def require_symmetric(m, tol=SYM_TOL):
+def require_symmetric(m):
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -48,12 +47,12 @@ def require_symmetric(m, tol=SYM_TOL):
         return m
     scale = max(1.0, float(np.abs(m).max()))
     worst = float(np.abs(m - m.T).max())
-    if worst > tol * scale:
+    if worst > SYM_TOL * scale:
         raise ValueError(f"matrix is not symmetric: residual {worst:.3e}")
     return m
 
 
-def gram_schmidt(vs, dep_tol=DEP_TOL):
+def gram_schmidt(vs):
     """Orthonormalize a list of float vectors (modified Gram-Schmidt, two passes)."""
     out = []
     for v in vs:
@@ -62,7 +61,7 @@ def gram_schmidt(vs, dep_tol=DEP_TOL):
             for u in out:
                 w -= u.dot(w) * u
         nw = np.linalg.norm(w)
-        if nw <= dep_tol * max(1.0, np.linalg.norm(v)):
+        if nw <= DEP_TOL * max(1.0, np.linalg.norm(v)):
             raise ValueError("gram_schmidt: linearly dependent input")
         out.append(w / nw)
     return out
@@ -108,10 +107,6 @@ class SpectralData:
     eigenbasis: np.ndarray
     raw: np.ndarray
 
-    @property
-    def dim(self):
-        return self.eigenbasis.shape[0]
-
     def eigenspace(self, index):
         """Columns of the eigenbasis spanning cluster ``index``."""
         start = sum(self.multiplicities[:index])
@@ -126,7 +121,7 @@ def eigvalsh(m):
     return np.linalg.eigvalsh(m)
 
 
-def eigh(m, eig_tol=EIG_TOL, cluster_tol=None):
+def eigh(m, cluster_tol=None):
     """Self-adjoint eigensolver (float mode only).  A matrix with an entry
     that is not finite has NaN eigenvalues and a NaN eigenbasis."""
     m = np.asarray(m)
@@ -195,10 +190,10 @@ def random_orthogonal_matrix(n, stream):
     return q * np.sign(np.diag(r))
 
 
-def random_int_vector(n, stream, max_abs=9):
-    """Nonzero integer-component vector (integers are exact rationals)."""
+def random_int_vector(n, stream):
+    """Nonzero vector of integers in [-9, 9] (integers are exact rationals)."""
     for _ in range(_MAX_RETRIES):
-        v = stream.integers(-max_abs, max_abs + 1, size=n)
+        v = stream.integers(-9, 10, size=n)
         if np.any(v != 0):
             return np.array([int(c) for c in v], dtype=object)
     raise RuntimeError("random_int_vector: degenerate draws")

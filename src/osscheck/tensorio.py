@@ -14,6 +14,8 @@ components must be finite.
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -49,6 +51,26 @@ def dump_tensor(R: CurvatureTensor, path):
         fh.write("\n")
 
 
+# "p" or "p/q" in ASCII digits with q > 0
+_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
+def _rational(index, v):
+    """Component ``v`` as ``(p, q)`` with ``v == p / q`` and ``q > 0``.
+    JSON integers and ``_INT_RATIO`` strings are read by ``int``; any other
+    spelling goes through ``Fraction(str(v))``, which decides what loads:
+    "0.5" does, "1/-2", "1 / 2" and JSON booleans do not."""
+    try:
+        m = _INT_RATIO.fullmatch(str(v))
+        if m:
+            return int(m[1]), int(m[2] or 1)
+        f = Fraction(str(v))
+    except (ValueError, ZeroDivisionError) as e:
+        raise TensorFileError(
+            f"field 'components': bad rational component at index {index}: {e}") from e
+    return f.numerator, f.denominator
+
+
 def tensor_from_document(doc) -> CurvatureTensor:
     if not isinstance(doc, dict):
         raise TensorFileError("tensor file must hold a JSON object")
@@ -69,20 +91,18 @@ def tensor_from_document(doc) -> CurvatureTensor:
         raise TensorFileError(
             f"expected {dim**4} components, found {len(comps)}")
     if mode == RATIONAL:
-        try:
-            arr = np.array([Fraction(str(v)) for v in comps],
-                           dtype=object).reshape((dim,) * 4)
-        except (ValueError, ZeroDivisionError) as e:
-            raise TensorFileError(f"bad rational component: {e}") from e
-    else:
-        try:
-            arr = np.asarray(comps, dtype=np.float64).reshape((dim,) * 4)
-        except (TypeError, ValueError) as e:
-            raise TensorFileError(f"field 'components': bad float component: {e}") from e
-        bad = np.flatnonzero(~np.isfinite(arr))
-        if bad.size:
-            raise TensorFileError(
-                f"field 'components': non-finite float component at index {bad[0]}")
+        pairs = [_rational(index, v) for index, v in enumerate(comps)]
+        L = math.lcm(*{q for _, q in pairs})
+        nums = np.array([p * (L // q) for p, q in pairs], dtype=object)
+        return CurvatureTensor._from_numerators(nums.reshape((dim,) * 4), L, prov)
+    try:
+        arr = np.asarray(comps, dtype=np.float64).reshape((dim,) * 4)
+    except (TypeError, ValueError) as e:
+        raise TensorFileError(f"field 'components': bad float component: {e}") from e
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise TensorFileError(
+            f"field 'components': non-finite float component at index {bad[0]}")
     return CurvatureTensor(dim, mode, arr, prov)
 
 

@@ -185,7 +185,7 @@ class TestTwoRootDecomposition:
         # X2 = 0 makes the right-hand side vanish term by term
         Rf = quaternionic8.to_float()
         y = np.array([1.0] + [0.0] * 7)
-        _, _, spaces = _eigenvectors_with_values(Rf, y, cluster_tol=0.75)
+        spaces = _eigenvectors_with_values(Rf, y, cluster_tol=0.75)
         (l1, v1), (l2, v2) = spaces
         x = v1[:, 0]
         b1 = jacobi_matrix(Rf, x).dot(y).dot(v2 @ (v2.T @ x))
@@ -414,3 +414,26 @@ class TestSampleCounts:
                            match="precheck_samples must be at least 2"):
             check_eigen_bianchi_identity(quaternionic8, samples=3,
                                          precheck_samples=1)
+
+
+SAMPLING = [n for n, (_, takes) in analysis.CHECKERS.items() if "samples" in takes]
+
+
+class TestSweep:
+    """Every sampling checker runs through the one sweep of analysis._sweep."""
+
+    @pytest.mark.parametrize("name", SAMPLING)
+    def test_nan_tensor_names_the_first_sample(self, name):
+        R = CurvatureTensor(4, FLOAT64, np.full((4,) * 4, np.nan), "nan")
+        try:
+            rep = analysis.run_check(name, R, samples=3, seed=0, tol=None)
+        except PreconditionError:
+            return
+        assert not rep.passed and np.isnan(float(rep.worst_residual))
+        # osserman compares against sample 0, so its first sample is 1
+        assert rep.witness["sample"] == (1 if name == "osserman" else 0)
+
+    @pytest.mark.parametrize("name", SAMPLING)
+    def test_every_report_carries_the_sampling_note(self, name, quaternionic8):
+        rep = analysis.run_check(name, quaternionic8, samples=3, seed=0, tol=None)
+        assert rep.notes == "sampling check: pass means no counterexample found"

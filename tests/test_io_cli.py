@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,32 @@ class TestLoadValidation:
         assert "field 'components'" in capsys.readouterr().err
 
 
+class TestRationalSpellings:
+    @staticmethod
+    def _write(tmp_path, first):
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps({"dim": 2, "mode": "rational",
+                                 "components": ["0"] * 5 + [first] + ["1/3"] * 10}))
+        return p
+
+    @pytest.mark.parametrize("first, value", [
+        ("0.5", Fraction(1, 2)), (7, Fraction(7)), ("-7/12", Fraction(-7, 12)),
+        ("2/4", Fraction(1, 2)), ("0/5", Fraction(0)), ("+1/2", Fraction(1, 2)),
+        (" 3", Fraction(3)), ("1e-3", Fraction(1, 1000)), (0.25, Fraction(1, 4))])
+    def test_accepted(self, tmp_path, first, value):
+        R = load_tensor(self._write(tmp_path, first))
+        comps = R.components.reshape(-1)
+        assert comps[5] == value and comps[6] == Fraction(1, 3) and comps[0] == 0
+        assert R.denominator == math.lcm(value.denominator, 3)
+
+    @pytest.mark.parametrize("first", ["1/0", "1/-2", "1 / 2", "x", "", True])
+    def test_rejected_with_index(self, tmp_path, capsys, first):
+        assert main(["check", "symmetries", "--in",
+                     str(self._write(tmp_path, first))]) == 3
+        err = capsys.readouterr().err
+        assert "field 'components'" in err and "index 5" in err
+
+
 class TestExactEndToEnd:
     def test_build_clifford_with_huge_common_denominator(self, tmp_path):
         # the lcm of the weight denominators exceeds int64
@@ -317,3 +344,10 @@ class TestNonFiniteSpectrum:
                            ("two-root-decomposition", 2), ("eigen-bianchi", 2)):
             assert main(["check", prop, "--in", str(p), "--samples", "5"]) == code
             assert "did not converge" not in capsys.readouterr().err
+
+    def test_overflow_prints_no_numpy_warning(self, tmp_path, capsys):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"dim": 4, "mode": "float64",
+                                 "components": [1e308] * 256}))
+        assert main(["check", "all", "--in", str(p), "--samples", "5"]) == 1
+        assert "Warning" not in capsys.readouterr().err

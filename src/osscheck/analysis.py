@@ -2,9 +2,10 @@
 Einstein, root structure, and the proof-step identities.
 
 All checkers are pure given (tensor, seed): sample i always draws from the
-per-sample stream keyed by (seed, i), so results are independent of any
-parallel scheduling of the sample loop.  Sampling checkers certify "no
-counterexample found", not a proof; they all run through :func:`_sweep`.
+per-sample stream keyed by (seed, i), and its result depends on nothing
+else, not on how many samples run or how they are grouped.  Sampling
+checkers certify "no counterexample found", not a proof; they all run
+through :func:`_sweep`.
 """
 
 from __future__ import annotations
@@ -19,19 +20,23 @@ from .curvature import (
     CurvatureTensor,
     _first_slot,
     _jacobi_numerators,
+    jacobi_matrices,
     jacobi_matrix,
     reduced_jacobi,
     ricci_operator,
     validate_symmetries,  # run by name through CHECKERS
 )
 from .linalg import (
+    BLOCK,
     FLOAT64,
     RATIONAL,
     PreconditionError,
-    cluster_eigenvalues,
+    block_product,
+    charpoly,
+    cluster_rows,
     default_cluster_tol,
     default_tol,
-    eigh,
+    eigh_stack,
     eigvalsh,
     int_array,
     max_abs,
@@ -40,6 +45,7 @@ from .linalg import (
     random_orthonormal_pair,
     random_unit_vector,
     sample_stream,
+    sample_streams,
 )
 from .report import CheckReport, make_report
 
@@ -49,6 +55,18 @@ def _worse(res, worst):
     return res > worst or (res != res and worst == worst)
 
 
+def _first_worst(res):
+    """Flat index of the first NaN of ``res``, else of its first largest
+    entry: the one that :func:`_worse` keeps over ``res.flat`` in order,
+    starting from its first entry."""
+    flat = np.asarray(res).reshape(-1)
+    if flat.dtype != object:
+        nan = np.isnan(flat)
+        if nan.any():
+            return int(nan.argmax())
+    return int(flat.argmax())
+
+
 def _require_samples(least, **counts):
     """Reject a sample count below ``least``: fewer samples test nothing."""
     for name, count in counts.items():
@@ -56,31 +74,84 @@ def _require_samples(least, **counts):
             raise PreconditionError(f"{name} must be at least {least}, found {count}")
 
 
-def _sweep(name, R, draw, *, samples, seed, tol, mode=FLOAT64, reference=None):
-    """The sampling loop and report of every sampling checker.
+def _blocks(seed, first, samples, draw):
+    """Phase 1 of the sampling engine.  For each block of up to BLOCK
+    consecutive samples from ``first`` on, ``(start, arrays)``: sample i
+    takes all it uses, the tuple of arrays ``draw(stream)``, from its own
+    ``(seed, i)`` stream, and ``arrays`` stacks the block's tuples field by
+    field."""
+    streams = sample_streams(seed, range(first, samples))
+    for start in range(first, samples, BLOCK):
+        drawn = [draw(next(streams)) for _ in range(min(BLOCK, samples - start))]
+        yield start, [np.stack(field) for field in zip(*drawn)]
 
-    Sample i runs ``draw(i, sample_stream(seed, i))``, which yields one
-    ``(residual, fields)`` per candidate.  The worst is the first strictly
-    largest or first NaN residual (:func:`_worse`); the first candidate
-    stands even at 0.  Only a new worst calls ``fields()``, for the witness
-    ``{"sample": i, **fields()}``.  Osserman's ``reference`` witness (its
-    sample 0) stands instead until a residual exceeds 0, from sample 1 on.
+
+def _sweep(name, R, draw, compute, *, samples, seed, tol, mode=FLOAT64,
+           reference=None):
+    """The sampling engine and report of every sampling checker.
+
+    Samples run in blocks of BLOCK, each in three phases:
+
+    1. draw (:func:`_blocks`);
+    2. compute: ``compute(start, *arrays)`` returns the residuals
+       ``res[S, C]`` of the block's S samples, which start at sample
+       ``start``, with C candidates each (-inf marks no candidate), and
+       ``fields(s, c)``, the witness fields of candidate c of row s;
+    3. witness: over the flat sequence of residuals, sample by sample, the
+       worst is the first NaN, else the first strictly largest, else the
+       first candidate (:func:`_first_worst` in a block, :func:`_worse`
+       across blocks).  Only the winner builds its witness
+       ``{"sample": i, **fields(s, c)}``.
+
+    Osserman's ``reference`` witness (its sample 0) stands instead until a
+    residual exceeds 0, from sample 1 on.
     """
     first = 0 if reference is None else 1
     _require_samples(first + 1, samples=samples)
     tol = default_tol(tol, mode)
-    worst, witness = 0.0, reference or {}
-    for i in range(first, samples):
-        for res, fields in draw(i, sample_stream(seed, i)):
-            if _worse(res, worst) or not witness:
-                worst, witness = res, {"sample": i, **fields()}
+    worst, winner = 0.0, None
+    for start, arrays in _blocks(seed, first, samples, draw):
+        res, fields = compute(start, *arrays)
+        if res.size == 0:  # eigen-bianchi has no triples when n - 1 < 3
+            continue
+        s, c = divmod(_first_worst(res), res.shape[1])
+        value = res[s, c] if res.dtype == object else float(res[s, c])
+        if (winner is None and reference is None) or _worse(value, worst):
+            worst, winner = value, (start + s, fields, s, c)
+    witness = reference or {}
+    if winner is not None:
+        i, fields, s, c = winner
+        witness = {"sample": i, **fields(s, c)}
     return make_report(name, worst, witness, samples, seed, tol, mode,
                        notes="sampling check: pass means no counterexample found",
                        provenance=R.provenance)
 
 
+def _mv(a, v):
+    """Matrix-vector products ``a @ v`` of one matrix or a stack."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _dot(u, v):
+    """Inner products over the last axis."""
+    return np.einsum("...i,...i->...", u, v)
+
+
 def _norm(v):
-    return float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
+    return np.linalg.norm(v, axis=-1)
+
+
+def _spectra(Rf, X):
+    """Ascending reduced Jacobi eigenvalues at the unit rows of ``X``."""
+    return eigvalsh(reduced_jacobi(Rf, X).matrix)
+
+
+def _eigenbases(Rf, X):
+    """Ascending reduced Jacobi eigenvalues at the unit rows of ``X[S, n]``
+    and their ambient eigenvectors, the columns of an (S, n, n-1) array."""
+    red = reduced_jacobi(Rf, X)
+    vals, vecs = eigh_stack(red.matrix)
+    return vals, red.frame @ vecs
 
 
 def _exact_orthogonal_pair(n, stream):
@@ -104,64 +175,120 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
     """
     if R.dim < 2:
         raise PreconditionError("need dimension >= 2")
+    exact = R.mode == RATIONAL
 
-    def draw(i, stream):
-        if R.mode == RATIONAL:
-            x, y = _exact_orthogonal_pair(R.dim, stream)
-            mx, dx = _jacobi_numerators(R, x)
-            my, dy = _jacobi_numerators(R, y)
-            num = mx.dot(y).dot(my.dot(x))  # y and x hold Python ints
-            res = abs(Fraction(num, dx * dy))
+    def draw(stream):
+        if exact:
+            return _exact_orthogonal_pair(R.dim, stream)
+        return random_orthonormal_pair(R.dim, stream)
+
+    def compute(start, xs, ys):
+        if exact:
+            res = np.empty((len(xs), 1), dtype=object)
+            for s, (x, y) in enumerate(zip(xs, ys)):
+                mx, dx = _jacobi_numerators(R, x)
+                my, dy = _jacobi_numerators(R, y)
+                num = mx.dot(y).dot(my.dot(x))  # y and x hold Python ints
+                res[s, 0] = abs(Fraction(num, dx * dy))
         else:
-            x, y = random_orthonormal_pair(R.dim, stream)
-            jxy = jacobi_matrix(R, x).dot(y)
-            jyx = jacobi_matrix(R, y).dot(x)
-            res = abs(float(jxy.dot(jyx))) / (_norm(jxy) * _norm(jyx) + 1.0)
-        yield res, lambda: {"x": list(x), "y": list(y)}
+            j = jacobi_matrices(R, np.stack([xs, ys], axis=1).reshape(-1, R.dim))
+            jxy, jyx = _mv(j[0::2], ys), _mv(j[1::2], xs)
+            res = (np.abs(_dot(jxy, jyx)) / (_norm(jxy) * _norm(jyx) + 1.0))[:, None]
+        return res, lambda s, c: {"x": list(xs[s]), "y": list(ys[s])}
 
-    return _sweep("jacobi-orthogonal", R, draw, samples=samples, seed=seed,
-                  tol=tol, mode=R.mode)
+    return _sweep("jacobi-orthogonal", R, draw, compute, samples=samples,
+                  seed=seed, tol=tol, mode=R.mode)
 
 
-def _eigenvectors_with_values(R, x, cluster_tol=None):
-    """(center, ambient eigenvectors) of each eigenvalue cluster of the
-    reduced Jacobi at unit x."""
-    red = reduced_jacobi(R, x)
-    sd = eigh(red.matrix, cluster_tol=cluster_tol)
-    return [(float(lam), red.frame @ sd.eigenspace(idx))
-            for idx, lam in enumerate(sd.eigenvalues)]
+def _in_eigenbasis(slot, xs, amb):
+    """q[s, b, a, l] = R(x_s, A_a, A_b, e_l) for the eigenvector columns A of
+    ``amb[s]``: R contracted with x_s in its first slot, one fixed-shape
+    product with ``slot`` (:func:`curvature._first_slot`), then with A in
+    its third and second slots."""
+    S, n, m = amb.shape
+    ambt = amb.transpose(0, 2, 1)
+    p = ambt @ block_product(xs, slot).reshape(S, n, n * n)
+    return ambt[:, None] @ p.reshape(S, m, n, n)
+
+
+def _combinations(labels, mults, normals):
+    """Three random unit vectors inside each degenerate eigenspace, as
+    coefficients in the eigenbasis.
+
+    Eigenvalue j of a sample lies in cluster ``labels[s, j]``
+    (:func:`linalg.cluster_rows`).  A cluster of multiplicity mq > 1 takes
+    3 mq coefficients from ``normals[S, 3m]``, after those of the degenerate
+    clusters before it; combination r uses the r-th mq of them.  There are
+    at most D = m // 2 degenerate clusters.  Returns ``coef[S, D, 3, m]``,
+    ``cluster[S, D]``, the cluster in slot d, and ``valid[S, D]``, whether a
+    degenerate cluster fills slot d.
+    """
+    S, m = labels.shape
+    rows = np.arange(S)[:, None]
+    degenerate = mults > 1
+    cluster = np.argsort(~degenerate, axis=1, kind="stable")[:, :m // 2]
+    valid = degenerate[rows, cluster]
+    mult_of = mults[rows, labels]                  # of each eigenvalue's cluster
+    start_of = (np.cumsum(mults, axis=1) - mults)[rows, labels]
+    in_degenerate = mult_of > 1
+    before = (np.cumsum(in_degenerate, axis=1) - in_degenerate)[rows, start_of]
+    index = (3 * before[:, None, :] + np.arange(3)[:, None] * mult_of[:, None, :]
+             + (np.arange(m) - start_of)[:, None, :])            # (S, 3, m)
+    drawn = np.take_along_axis(normals, index.reshape(S, -1), axis=1).reshape(S, 3, m)
+    slot_of = (np.cumsum(degenerate, axis=1) - 1)[rows, labels]
+    in_slot = in_degenerate[:, None, :] & (slot_of[:, None, :] == np.arange(m // 2)[:, None])
+    coef = drawn[:, None] * in_slot[:, :, None]    # (S, D, 3, m)
+    coef[valid] /= _norm(coef[valid])[..., None]
+    return coef, cluster, valid
 
 
 def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
                       tol=None) -> CheckReport:
     """J_X Y = lambda Y implies J_Y X = lambda X, over eigenvectors of J_X.
 
-    Each clustered eigenspace is tested on its full orthonormal basis plus
-    three random unit combinations inside the eigenspace (the Jacobi operator
-    is quadratic in its base, so basis vectors alone do not suffice).
+    The candidates Y of a sample are the n-1 eigenvectors of the reduced
+    Jacobi at X, then three random unit combinations inside each clustered
+    eigenspace of dimension > 1 (the Jacobi operator is quadratic in its
+    base, so basis vectors alone do not suffice).
     """
     Rf = R.to_float()
     n = R.dim
+    m = n - 1
 
-    def draw(i, stream):
-        x = random_unit_vector(n, stream)
-        spaces = _eigenvectors_with_values(Rf, x)
-        # J_y x = t vec(y y^T) with t = R contracted with x in its first
-        # slot: one n^4 contraction per sample instead of one per candidate y
-        t = _first_slot(Rf, x).reshape(n, n * n)
-        for lam, cols in spaces:
-            cand = [cols[:, j] for j in range(cols.shape[1])]
-            if cols.shape[1] > 1:
-                for _ in range(3):
-                    c = stream.standard_normal(cols.shape[1])
-                    v = cols @ c
-                    cand.append(v / np.linalg.norm(v))
-            for y in cand:
-                jyx = t @ np.outer(y, y).reshape(-1)
-                res = _norm(jyx - lam * x) / (1.0 + abs(lam))
-                yield res, lambda: {"x": list(x), "y": list(y), "eigenvalue": lam}
+    def draw(stream):
+        # at most 3 (n - 1) combination coefficients per sample
+        return random_unit_vector(n, stream), stream.standard_normal(3 * m)
 
-    return _sweep("jacobi-dual", R, draw, samples=samples, seed=seed, tol=tol)
+    slot = _first_slot(Rf)
+
+    def compute(start, xs, normals):
+        S = len(xs)
+        vals, amb = _eigenbases(Rf, xs)
+        labels, centers, mults = cluster_rows(vals, default_cluster_tol(vals))
+        coef, cluster, valid = _combinations(labels, mults, normals)
+        coef = coef.reshape(S, -1, m)
+        # J_y x = R(x, y, y, .) = c_a c_b q[b, a, :] for y = A c: one n^4
+        # product per sample, not one per candidate
+        q = _in_eigenbasis(slot, xs, amb)
+        along = np.arange(m)
+        jyx = np.concatenate(
+            [q[:, along, along],
+             (coef[:, :, None, :] @ (coef @ q.reshape(S, m, -1)).reshape(S, -1, m, n))
+             [:, :, 0]], axis=1)
+        lam = np.concatenate([np.take_along_axis(centers, labels, 1),
+                              np.repeat(np.take_along_axis(centers, cluster, 1),
+                                        3, axis=1)], 1)
+        res = _norm(jyx - lam[..., None] * xs[:, None, :]) / (1.0 + np.abs(lam))
+        res[:, m:][~np.repeat(valid, 3, axis=1)] = -np.inf
+
+        def fields(s, c):
+            y = amb[s, :, c] if c < m else amb[s] @ coef[s, c - m]
+            return {"x": list(xs[s]), "y": list(y), "eigenvalue": float(lam[s, c])}
+
+        return res, fields
+
+    return _sweep("jacobi-dual", R, draw, compute, samples=samples, seed=seed,
+                  tol=tol)
 
 
 def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
@@ -174,22 +301,25 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
     uniform tolerance works across dimensions.
     """
     Rf = R.to_float()
-    x0 = random_unit_vector(R.dim, sample_stream(seed, 0))
-    vals0 = eigvalsh(reduced_jacobi(Rf, x0).matrix)
+    n = R.dim
+    x0 = random_unit_vector(n, sample_stream(seed, 0))
+    vals0 = _spectra(Rf, x0[None])[0]
     spectral_scale = max(1.0, float(np.abs(vals0).max()))
-    ref = np.poly(vals0 / spectral_scale)
+    ref = charpoly(vals0 / spectral_scale)
     scale = 1.0 + np.abs(ref)
     reference = {"reference_x": list(x0), "reference_coefficients": list(ref)}
 
-    def draw(i, stream):
-        x = random_unit_vector(R.dim, stream)
-        vals = eigvalsh(reduced_jacobi(Rf, x).matrix)
-        coeffs = np.poly(vals / spectral_scale)
-        res = float((np.abs(coeffs - ref) / scale).max())
-        yield res, lambda: {"x": list(x), "coefficients": list(coeffs), **reference}
+    def draw(stream):
+        return (random_unit_vector(n, stream),)
 
-    return _sweep("osserman", R, draw, samples=samples, seed=seed, tol=tol,
-                  reference=reference)
+    def compute(start, xs):
+        coeffs = charpoly(_spectra(Rf, xs) / spectral_scale)
+        res = (np.abs(coeffs - ref) / scale).max(axis=1, keepdims=True)
+        return res, lambda s, c: {"x": list(xs[s]), "coefficients": list(coeffs[s]),
+                                  **reference}
+
+    return _sweep("osserman", R, draw, compute, samples=samples, seed=seed,
+                  tol=tol, reference=reference)
 
 
 def check_einstein(R: CurvatureTensor, *, tol=None) -> CheckReport:
@@ -230,20 +360,21 @@ def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0) -> RootClassific
     sample's spectrum agrees with it (a NaN center agrees with nothing)."""
     _require_samples(1, samples=samples)
     Rf = R.to_float()
-    ref = None
-    agree = True
-    for i in range(samples):
-        x = random_unit_vector(R.dim, sample_stream(seed, i))
-        vals = eigvalsh(reduced_jacobi(Rf, x).matrix)
+    n = R.dim
+    ref, agree = None, True
+    for _, (xs,) in _blocks(seed, 0, samples,
+                            lambda stream: (random_unit_vector(n, stream),)):
+        vals = _spectra(Rf, xs)
         ct = default_cluster_tol(vals)
-        centers, mults = cluster_eigenvalues(list(vals), ct)
+        _, centers, mults = cluster_rows(vals, ct)
         if ref is None:
-            ref = (centers, mults)
-        same_centers = mults == ref[1] and all(
-            abs(c - rc) <= ct for c, rc in zip(centers, ref[0]))
-        agree = agree and same_centers
-    return RootClassification(k=len(ref[0]), centers=ref[0],
-                              multiplicities=ref[1],
+            ref = centers[0], mults[0]
+        same = ((mults == ref[1]).all(axis=1)
+                & (np.abs(centers - ref[0]) <= ct[:, None]).all(axis=1))
+        agree = agree and bool(same.all())
+    k = int(np.count_nonzero(ref[1]))
+    return RootClassification(k=k, centers=ref[0][:k].tolist(),
+                              multiplicities=ref[1][:k].tolist(),
                               per_sample_agreement=agree,
                               samples=samples, seed=seed)
 
@@ -265,45 +396,43 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
             f"two-root decomposition needs a stable two-root tensor "
             f"(found k={cls.k}, agreement={cls.per_sample_agreement})")
     Rf = R.to_float()
+    n = R.dim
     gap_tol = abs(cls.centers[1] - cls.centers[0]) / 4.0
 
-    def draw(i, stream):
-        y = random_unit_vector(R.dim, stream)
-        spaces = _eigenvectors_with_values(Rf, y, cluster_tol=gap_tol)
-        if len(spaces) != 2:
-            raise PreconditionError(
-                f"sample {i} produced {len(spaces)} eigenvalue clusters")
-        (l1, v1), (l2, v2) = spaces
-        xr = stream.standard_normal(R.dim)
-        xr -= xr.dot(y) * y
-        x = xr / np.linalg.norm(xr)
-        x1 = v1 @ (v1.T @ x)
-        x2 = v2 @ (v2.T @ x)
-        lhs = float(jacobi_matrix(Rf, x).dot(y).dot(jacobi_matrix(Rf, y).dot(x)))
-        b1 = float(jacobi_matrix(Rf, x1).dot(y).dot(x2))
-        b2 = float(jacobi_matrix(Rf, x2).dot(y).dot(x1))
+    def draw(stream):
+        return random_unit_vector(n, stream), stream.standard_normal(n)
+
+    def compute(start, ys, xr):
+        vals, basis = _eigenbases(Rf, ys)
+        labels, centers, mults = cluster_rows(vals, gap_tol)
+        count = np.count_nonzero(mults, axis=1)
+        bad = np.flatnonzero(count != 2)
+        if bad.size:
+            raise PreconditionError(f"sample {start + bad[0]} produced "
+                                    f"{count[bad[0]]} eigenvalue clusters")
+        x = xr - _dot(xr, ys)[:, None] * ys
+        x /= _norm(x)[:, None]
+        along = _mv(basis.transpose(0, 2, 1), x)  # x in the eigenbasis
+        x1 = _mv(basis, np.where(labels == 0, along, 0.0))
+        x2 = _mv(basis, np.where(labels == 1, along, 0.0))
+        # J_X, J_Y, J_X1 and J_X2 of every sample from one product
+        j = jacobi_matrices(Rf, np.stack([x, ys, x1, x2], axis=1).reshape(-1, n))
+        jx, jy, j1, j2 = (j[k::4] for k in range(4))
+        lhs = _dot(_mv(jx, ys), _mv(jy, x))
+        b1, b2 = _dot(_mv(j1, ys), x2), _dot(_mv(j2, ys), x1)
+        l1, l2 = centers[:, 0], centers[:, 1]
         rhs = (l2 - l1) * (b1 - b2)
-        span = 1.0 + abs(l2 - l1)
-        res = max(abs(lhs - rhs) / (1.0 + abs(lhs)),
-                  abs(b1) / span, abs(b2) / span)
-        yield res, lambda: {"y": list(y), "x": list(x),
-                            "lambda1": l1, "lambda2": l2,
-                            "lhs": lhs, "rhs": rhs, "byproducts": [b1, b2]}
+        span = 1.0 + np.abs(l2 - l1)
+        res = np.maximum.reduce([np.abs(lhs - rhs) / (1.0 + np.abs(lhs)),
+                                 np.abs(b1) / span, np.abs(b2) / span])
+        return res[:, None], lambda s, c: {
+            "y": list(ys[s]), "x": list(x[s]),
+            "lambda1": float(l1[s]), "lambda2": float(l2[s]),
+            "lhs": float(lhs[s]), "rhs": float(rhs[s]),
+            "byproducts": [float(b1[s]), float(b2[s])]}
 
-    return _sweep("two-root-decomposition", R, draw, samples=samples,
+    return _sweep("two-root-decomposition", R, draw, compute, samples=samples,
                   seed=seed, tol=tol)
-
-
-def _triples(count, stream, total):
-    """Random distinct index triples out of ``total`` eigenvectors."""
-    seen = set()
-    for _ in range(count * 4):
-        t = tuple(sorted(stream.choice(total, size=3, replace=False).tolist()))
-        if t not in seen:
-            seen.add(t)
-            yield t
-            if len(seen) >= count:
-                return
 
 
 def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
@@ -316,7 +445,8 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
         R(X,A,B,C)(lC - 2 lB + lA) + R(X,B,A,C)(lC + lB - 2 lA) = 0.
 
     Triples are exhaustive over the eigenbasis when n-1 <= 8, otherwise 40
-    random ones per sample.  Precondition: the tensor samples as Osserman.
+    distinct random ones per sample, drawn at once.  Precondition: the
+    tensor samples as Osserman.
     """
     # checked before the precheck spends samples (the sweep checks again)
     _require_samples(1, samples=samples)
@@ -328,33 +458,47 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
             f"(osserman residual {pre.worst_residual:.3e})")
     Rf = R.to_float()
     n = R.dim
+    m = n - 1
+    table = np.array(list(itertools.combinations(range(m), 3)),
+                     dtype=np.intp).reshape(-1, 3)
 
-    def draw(i, stream):
+    def draw(stream):
         x = random_unit_vector(n, stream)
-        red = reduced_jacobi(Rf, x)
-        sd = eigh(red.matrix)
-        vals, ambient = sd.raw, red.frame @ sd.eigenbasis
-        t = _first_slot(Rf, x)  # t[l, j, k] = R(X, e_j, e_k, e_l)
-        # contract all three slots with the eigenbasis once, so each triple
-        # is a table lookup: c3[a, b, c] = R(X, A_a, B_b, C_c)
-        c3 = np.tensordot(t, ambient, axes=([1], [0]))   # [l, k, a]
-        c3 = np.tensordot(c3, ambient, axes=([1], [0]))  # [l, a, b]
-        c3 = np.tensordot(c3, ambient, axes=([0], [0]))  # [a, b, c]
-        if n - 1 <= 8:
-            triples = itertools.combinations(range(n - 1), 3)
-        else:
-            triples = _triples(40, stream, n - 1)
-        for (ia, ib, ic) in triples:
-            la, lb, lc = vals[ia], vals[ib], vals[ic]
-            r_abc = float(c3[ia, ib, ic])
-            r_bac = float(c3[ib, ia, ic])
-            lhs = r_abc * (lc - 2 * lb + la) + r_bac * (lc + lb - 2 * la)
-            res = abs(lhs) / (1.0 + abs(r_abc) + abs(r_bac))
-            yield res, lambda: {"x": list(x), "triple": [int(ia), int(ib), int(ic)],
-                                "eigenvalues": [float(la), float(lb), float(lc)],
-                                "r_xabc": r_abc, "r_xbac": r_bac}
+        if m <= 8:
+            return (x,)
+        return x, table[stream.choice(len(table), size=40, replace=False)]
 
-    return _sweep("eigen-bianchi", R, draw, samples=samples, seed=seed, tol=tol)
+    slot = _first_slot(Rf)
+
+    def compute(start, xs, triples=None):
+        S = len(xs)
+        if triples is None:
+            triples = np.broadcast_to(table, (S,) + table.shape)
+        vals, amb = _eigenbases(Rf, xs)
+        # c3[s, b, a, c] = R(X, A_a, B_b, C_c): each triple is a table lookup
+        c3 = _in_eigenbasis(slot, xs, amb) @ amb[:, None]
+        rows = np.arange(S)[:, None]
+        ia, ib, ic = triples[..., 0], triples[..., 1], triples[..., 2]
+        r_abc, r_bac = c3[rows, ib, ia, ic], c3[rows, ia, ib, ic]
+        la, lb, lc = vals[rows, ia], vals[rows, ib], vals[rows, ic]
+        lhs = r_abc * (lc - 2 * lb + la) + r_bac * (lc + lb - 2 * la)
+        res = np.abs(lhs) / (1.0 + np.abs(r_abc) + np.abs(r_bac))
+        return res, lambda s, c: {
+            "x": list(xs[s]), "triple": [int(v) for v in triples[s, c]],
+            "eigenvalues": [float(vals[s, v]) for v in triples[s, c]],
+            "r_xabc": float(r_abc[s, c]), "r_xbac": float(r_bac[s, c])}
+
+    return _sweep("eigen-bianchi", R, draw, compute, samples=samples, seed=seed,
+                  tol=tol)
+
+
+def _polarization_residuals(jx, jy, jp, jm, x, y):
+    """(r1, r2, r3, J_X Y, J_Y X) of the three identities, for one sample
+    or a stack of them."""
+    jxy, jyx = _mv(jx, y), _mv(jy, x)
+    r1 = _mv(jp, x - y) - 2 * (jyx - jxy)
+    r2 = _mv(jm, x + y) - 2 * (jyx + jxy)
+    return r1, r2, jp + jm - 2 * jx - 2 * jy, jxy, jyx
 
 
 def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
@@ -369,32 +513,35 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
     Jacobi numerators, which all share the denominator of the tensor.
     """
     exact = R.mode == RATIONAL
+    n = R.dim
 
-    def draw(i, stream):
+    def draw(stream):
         if exact:
-            x = random_int_vector(R.dim, stream)
-            y = random_int_vector(R.dim, stream)
-            # the matrix identity adds six of these matrices at most
-            jx, jy, jp, jm = (int_array(_jacobi_numerators(R, v)[0], 6)
-                              for v in (x, y, x + y, x - y))
-        else:
-            x = stream.standard_normal(R.dim)
-            y = stream.standard_normal(R.dim)
-            jx, jy = jacobi_matrix(R, x), jacobi_matrix(R, y)
-            jp, jm = jacobi_matrix(R, x + y), jacobi_matrix(R, x - y)
-        r1 = jp.dot(x - y) - 2 * (jy.dot(x) - jx.dot(y))
-        r2 = jm.dot(x + y) - 2 * (jy.dot(x) + jx.dot(y))
-        r3 = jp + jm - 2 * jx - 2 * jy
-        if exact:
-            res = Fraction(max(max_abs(r1), max_abs(r2), max_abs(r3)),
-                           R.denominator)
-        else:
-            scale = 1.0 + _norm(jx.dot(y)) + _norm(jy.dot(x))
-            res = max(_norm(r1), _norm(r2), float(np.abs(r3).max())) / scale
-        yield res, lambda: {"x": list(x), "y": list(y)}
+            return random_int_vector(n, stream), random_int_vector(n, stream)
+        return stream.standard_normal(n), stream.standard_normal(n)
 
-    return _sweep("polarization", R, draw, samples=samples, seed=seed, tol=tol,
-                  mode=R.mode)
+    def compute(start, xs, ys):
+        if exact:
+            res = np.empty((len(xs), 1), dtype=object)
+            for s, (x, y) in enumerate(zip(xs, ys)):
+                # the matrix identity adds six of these matrices at most
+                jx, jy, jp, jm = (int_array(_jacobi_numerators(R, v)[0], 6)
+                                  for v in (x, y, x + y, x - y))
+                r1, r2, r3, _, _ = _polarization_residuals(jx, jy, jp, jm, x, y)
+                res[s, 0] = Fraction(max(max_abs(r1), max_abs(r2), max_abs(r3)),
+                                     R.denominator)
+        else:
+            j = jacobi_matrices(R, np.stack([xs, ys, xs + ys, xs - ys], axis=1)
+                                .reshape(-1, n))
+            r1, r2, r3, jxy, jyx = _polarization_residuals(
+                j[0::4], j[1::4], j[2::4], j[3::4], xs, ys)
+            worst = np.maximum.reduce([_norm(r1), _norm(r2),
+                                       np.abs(r3).max(axis=(1, 2))])
+            res = (worst / (1.0 + _norm(jxy) + _norm(jyx)))[:, None]
+        return res, lambda s, c: {"x": list(xs[s]), "y": list(ys[s])}
+
+    return _sweep("polarization", R, draw, compute, samples=samples, seed=seed,
+                  tol=tol, mode=R.mode)
 
 
 def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None) -> CheckReport:

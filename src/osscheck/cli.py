@@ -28,6 +28,7 @@ from .linalg import (
     FLOAT64,
     RATIONAL,
     PreconditionError,
+    charpoly,
     cluster_eigenvalues,
     default_cluster_tol,
     eigvalsh,
@@ -211,13 +212,16 @@ def _cmd_spectrum(args):
         x = x / nx
     else:
         x = random_unit_vector(R.dim, sample_stream(args.seed))
-    red = reduced_jacobi(R.to_float(), x)
-    vals = eigvalsh(red.matrix)
-    centers, mults = cluster_eigenvalues(list(vals), default_cluster_tol(vals))
+    vals = eigvalsh(reduced_jacobi(R.to_float(), x).matrix)
+    coeffs = charpoly(vals)
+    for label, values in (("reduced Jacobi spectrum", vals),
+                          ("characteristic polynomial", coeffs)):
+        if not np.isfinite(values).all():
+            raise PreconditionError(f"the {label} is not finite at this direction")
+    centers, mults = cluster_eigenvalues(vals, default_cluster_tol(vals))
     print("eigenvalues:", ", ".join(
         f"{c:g} x{m}" for c, m in zip(centers, mults)))
-    print("char poly coefficients:",
-          ", ".join(f"{c:.12g}" for c in np.poly(vals)))
+    print("char poly coefficients:", ", ".join(f"{c:.12g}" for c in coeffs))
     return EXIT_PASS
 
 

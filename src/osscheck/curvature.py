@@ -28,8 +28,10 @@ from .linalg import (
     RATIONAL,
     UNIT_TOL,
     PreconditionError,
+    block_product,
     clear_denominators,
     default_tol,
+    householder_frame,
     int64_safe,
     int_array,
     max_abs,
@@ -219,42 +221,47 @@ def jacobi_matrix(R: CurvatureTensor, x):
     return _jacobi(R._matrix, x.astype(np.float64, copy=False))
 
 
-def _first_slot(R: CurvatureTensor, x):
-    """t[w, j, k] = R(x, e_j, e_k, e_w) for a float64 tensor: one batched
-    matrix-vector product on the stored matrix.  J_y x is then
-    ``t.reshape(n, n * n) @ vec(y y^T)``."""
+def jacobi_matrices(R: CurvatureTensor, X):
+    """Float Jacobi matrices at the rows of ``X[S, n]``, shape (S, n, n):
+    the rows vec(x x^T) times the stored matrix of R, in fixed-shape blocks
+    (:func:`linalg.block_product`)."""
+    n, Rf = R.dim, R.to_float()
+    X = np.asarray(X, dtype=np.float64)
+    outer = (X[:, :, None] * X[:, None, :]).reshape(-1, n * n)
+    return block_product(outer, Rf._matrix.T).reshape(-1, n, n)
+
+
+def _first_slot(R: CurvatureTensor):
+    """The scalars of a float64 tensor rearranged to rows i and columns
+    (k, j, l): for the rows of X, ``X @ _first_slot(R)`` holds
+    t[s, k, j, l] = R(x_s, e_j, e_k, e_l), R contracted with x_s in its
+    first slot, and J_y x_s is ``y @ (y @ t[s])``."""
     n = R.dim
-    return (x @ R._matrix.reshape(n, n, n * n)).reshape(n, n, n)
-
-
-def _complement_frame(x):
-    """Deterministic orthonormal basis of x-perp (float), columns of shape (n, n-1)."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    m = np.empty((n, n + 1))
-    m[:, 0] = x
-    m[:, 1:] = np.eye(n)
-    q, _ = np.linalg.qr(m)
-    return q[:, 1:]
+    return np.ascontiguousarray(
+        R._matrix.reshape((n,) * 4).transpose(1, 3, 2, 0)).reshape(n, n**3)
 
 
 @dataclass(frozen=True)
 class ReducedJacobi:
-    """Jacobi operator restricted to base-perp, in an orthonormal frame."""
+    """Jacobi operator restricted to base-perp, in an orthonormal frame; for
+    a stack of bases ``base[..., n]`` every field carries the same leading
+    axes."""
 
     base: np.ndarray
-    frame: np.ndarray   # (n, n-1), orthonormal columns spanning base-perp
-    matrix: np.ndarray  # (n-1, n-1)
+    frame: np.ndarray   # (..., n, n-1), orthonormal columns spanning base-perp
+    matrix: np.ndarray  # (..., n-1, n-1)
 
 
 def reduced_jacobi(R: CurvatureTensor, x) -> ReducedJacobi:
+    """Reduced Jacobi operator at the unit vector ``x[n]``, or at each row of
+    ``x[S, n]``, in the Householder frame of the base."""
     x = np.asarray(x, dtype=np.float64)
-    if abs(np.linalg.norm(x) - 1.0) > UNIT_TOL:
+    if np.any(np.abs(np.linalg.norm(x, axis=-1) - 1.0) > UNIT_TOL):
         raise PreconditionError("reduced_jacobi requires a unit base vector")
-    frame = _complement_frame(x)
-    full = jacobi_matrix(R.to_float(), x)
-    red = frame.T @ full @ frame
-    return ReducedJacobi(x, frame, 0.5 * (red + red.T))
+    frame = householder_frame(x)
+    full = jacobi_matrices(R, x.reshape(-1, R.dim)).reshape(x.shape + (R.dim,))
+    red = np.swapaxes(frame, -1, -2) @ full @ frame
+    return ReducedJacobi(x, frame, 0.5 * (red + np.swapaxes(red, -1, -2)))
 
 
 def ricci_operator(R: CurvatureTensor):

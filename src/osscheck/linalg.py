@@ -67,29 +67,58 @@ def gram_schmidt(vs):
     return out
 
 
-def cluster_eigenvalues(values, cluster_tol):
-    """Greedy left-to-right clustering of a sorted value list.
+def cluster_rows(values, cluster_tol):
+    """Greedy left-to-right clustering of each row of ``values[S, m]``,
+    every row sorted ascending.
 
-    A value joins the current cluster iff it lies within ``cluster_tol`` of
-    the cluster's running mean; centers are the cluster means.
+    A value joins the current cluster iff it lies within ``cluster_tol`` (a
+    scalar or one per row) of the cluster's running mean; centers are the
+    cluster means.  Returns ``(labels, centers, mults)``: ``labels[s, j]`` is
+    the cluster of value j, and ``centers[s, q]``, ``mults[s, q]`` describe
+    cluster q of row s, with center 0 and multiplicity 0 past the last one.
     """
-    centers, mults = [], []
-    for v in values:
-        if centers and abs(v - centers[-1]) <= cluster_tol:
-            mults[-1] += 1
-            centers[-1] += (v - centers[-1]) / mults[-1]
-        else:
-            centers.append(v if isinstance(v, Fraction) else float(v))
-            mults.append(1)
-    return centers, mults
+    v = np.asarray(values, dtype=np.float64).T   # value by value, all rows
+    m, rows = v.shape
+    tol = np.asarray(cluster_tol, dtype=np.float64)
+    labels = np.zeros((m, rows), dtype=np.intp)
+    # running[j], sizes[j]: mean and size of the cluster of value j as it
+    # stands once value j has joined it
+    running, sizes = v.copy(), np.ones((m, rows))
+    for j in range(1, m):
+        gap = v[j] - running[j - 1]
+        join = np.abs(gap) <= tol
+        sizes[j][join] += sizes[j - 1][join]
+        running[j][join] = running[j - 1][join] + gap[join] / sizes[j][join]
+        labels[j] = labels[j - 1] + ~join
+    labels, running, sizes = labels.T, running.T, sizes.T
+    # a cluster's center and size are those after its last value
+    last = np.ones((rows, m), dtype=bool)
+    last[:, :-1] = labels[:, 1:] != labels[:, :-1]
+    centers, mults = np.zeros((rows, m)), np.zeros((rows, m), dtype=np.intp)
+    row_of = np.broadcast_to(np.arange(rows)[:, None], (rows, m))
+    centers[row_of[last], labels[last]] = running[last]
+    mults[row_of[last], labels[last]] = sizes[last]
+    return labels, centers, mults
+
+
+def cluster_eigenvalues(values, cluster_tol):
+    """:func:`cluster_rows` of one sorted value list, as the lists
+    ``(centers, multiplicities)``."""
+    _, centers, mults = cluster_rows(np.asarray(values, dtype=np.float64)[None],
+                                     cluster_tol)
+    k = int(np.count_nonzero(mults[0]))
+    return centers[0, :k].tolist(), mults[0, :k].tolist()
 
 
 def default_cluster_tol(values):
-    """Spec'd default: 1e-6 times the spectral diameter (1 if nearly zero)."""
-    if len(values) == 0:
+    """Spec'd default: 1e-6 times the spectral diameter (1 if nearly zero),
+    over the last axis of ``values``."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.shape[-1] == 0:
         return 1e-6
-    diam = float(max(values)) - float(min(values))
-    return 1e-6 * (diam if diam >= 1e-12 else 1.0)
+    diam = v.max(axis=-1) - v.min(axis=-1)
+    tol = 1e-6 * np.where(diam >= 1e-12, diam, 1.0)
+    return float(tol) if tol.ndim == 0 else tol
 
 
 @dataclass(frozen=True)
@@ -113,29 +142,97 @@ class SpectralData:
         return self.eigenbasis[:, start : start + self.multiplicities[index]]
 
 
+def _zero_non_finite(m):
+    """``(m, bad)``: the symmetric float matrices ``m[..., k, k]`` with each
+    matrix that has an entry that is not finite, on which LAPACK does not
+    converge, replaced by 0, and which ones those are."""
+    m = np.asarray(m, dtype=np.float64)
+    bad = ~np.isfinite(m).all(axis=(-2, -1))
+    return (np.where(bad[..., None, None], 0.0, m) if bad.any() else m), bad
+
+
 def eigvalsh(m):
-    """Ascending eigenvalues of a symmetric float matrix; all NaN when an
-    entry is not finite, on which LAPACK does not converge."""
-    if not np.isfinite(m).all():
-        return np.full(m.shape[0], np.nan)
-    return np.linalg.eigvalsh(m)
+    """Ascending eigenvalues of the symmetric float matrices ``m[..., k, k]``;
+    all NaN for a matrix with an entry that is not finite."""
+    m, bad = _zero_non_finite(m)
+    vals = np.linalg.eigvalsh(m)
+    vals[bad] = np.nan
+    return vals
+
+
+def eigh_stack(m):
+    """``(eigenvalues, eigenvectors)`` of the symmetric float matrices
+    ``m[..., k, k]``, ascending, eigenvectors in columns; all NaN for a
+    matrix with an entry that is not finite."""
+    m, bad = _zero_non_finite(m)
+    vals, vecs = np.linalg.eigh(m)
+    vals[bad], vecs[bad] = np.nan, np.nan
+    return vals, vecs
 
 
 def eigh(m, cluster_tol=None):
-    """Self-adjoint eigensolver (float mode only).  A matrix with an entry
-    that is not finite has NaN eigenvalues and a NaN eigenbasis."""
+    """Clustered spectrum of one self-adjoint float matrix.  A matrix with an
+    entry that is not finite has NaN eigenvalues and a NaN eigenbasis."""
     m = np.asarray(m)
     if m.dtype == object:
         raise PreconditionError("eigh is float-only; eigenvalues are irrational in general")
     require_symmetric(m)
-    if not np.isfinite(m).all():
-        vals, vecs = np.full(m.shape[0], np.nan), np.full(m.shape, np.nan)
-    else:
-        vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    vals, vecs = eigh_stack(0.5 * (m + m.T))
     if cluster_tol is None:
         cluster_tol = default_cluster_tol(vals)
-    centers, mults = cluster_eigenvalues(list(vals), cluster_tol)
+    centers, mults = cluster_eigenvalues(vals, cluster_tol)
     return SpectralData(tuple(centers), tuple(mults), vecs, vals)
+
+
+def charpoly(roots):
+    """Coefficients, highest degree first, of prod_i (z - roots[..., i]) for
+    each row of ``roots``: signed elementary symmetric functions, built one
+    root at a time in the order of ``np.poly``."""
+    r = np.asarray(roots, dtype=np.float64)
+    c = np.zeros(r.shape[:-1] + (r.shape[-1] + 1,))
+    c[..., 0] = 1.0
+    for j in range(r.shape[-1]):
+        c[..., 1:j + 2] -= r[..., j:j + 1] * c[..., :j + 1]
+    return c
+
+
+def householder_frame(x):
+    """Orthonormal basis of x-perp for each unit row ``x[..., n]``, as the
+    columns of a ``[..., n, n-1]`` array: columns 1..n-1 of the Householder
+    reflection that maps e_0 to -sign(x_0) x (sign(0) = 1), in closed form."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    sign = np.where(x[..., :1] < 0, -1.0, 1.0)
+    v = x.copy()
+    v[..., :1] += sign
+    # H = I - v v^T / (1 + |x_0|) for unit x, since v^T v = 2 (1 + |x_0|)
+    return np.eye(n)[:, 1:] - v[..., :, None] * (
+        x[..., None, 1:] / (1.0 + np.abs(x[..., :1]))[..., None])
+
+
+# ---------------------------------------------------------------------------
+# Fixed-shape products.
+#
+# BLAS picks its kernel by the shape of a product, and for a few rows it sums
+# in another order: a row of X[:S] @ B can change in its last bits with S.
+# Every product of a sample-dependent number of rows therefore runs in
+# chunks of exactly BLOCK rows, the last one zero-padded, so a row's result
+# depends only on the row and its position in its chunk.
+# ---------------------------------------------------------------------------
+
+BLOCK = 32
+
+
+def block_product(a, b):
+    """``a @ b`` for float64 ``a[rows, k]``, one product of BLOCK rows of
+    ``a`` at a time, each written straight into the result."""
+    rows, k = a.shape
+    padded = np.zeros((-(-rows // BLOCK) * BLOCK, k))
+    padded[:rows] = a
+    out = np.empty((padded.shape[0], b.shape[1]))
+    for lo in range(0, padded.shape[0], BLOCK):
+        np.matmul(padded[lo:lo + BLOCK], b, out=out[lo:lo + BLOCK])
+    return out[:rows]
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +246,29 @@ def eigh(m, cluster_tol=None):
 _KEY_MASK = (1 << 64) - 1
 
 
+def _sample_key(seed, index):
+    """Philox key of sample ``index`` of the run keyed by ``seed``, as its
+    two 64-bit words, low word first."""
+    return np.array([int(index) & _KEY_MASK, int(seed) & _KEY_MASK], dtype=np.uint64)
+
+
 def sample_stream(seed, index=0):
     """Generator for sample ``index`` of the run keyed by ``seed`` (Philox)."""
-    key = ((int(seed) & _KEY_MASK) << 64) | (int(index) & _KEY_MASK)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_sample_key(seed, index)))
+
+
+def sample_streams(seed, indices):
+    """``sample_stream(seed, i)`` for each i in ``indices``, in order, drawn
+    by re-keying one Philox generator: a fresh one spends most of its set-up
+    on an entropy pool that a keyed stream never reads.  Each generator is
+    valid until the next one is taken."""
+    bits = np.random.Philox(key=0)
+    stream = np.random.Generator(bits)
+    state = bits.state  # a fresh generator's: counter 0, no buffered bits
+    for i in indices:
+        state["state"]["key"] = _sample_key(seed, i)
+        bits.state = state
+        yield stream
 
 
 _MAX_RETRIES = 16

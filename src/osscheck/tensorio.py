@@ -13,6 +13,7 @@ components must be finite.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -91,9 +92,14 @@ def tensor_from_document(doc) -> CurvatureTensor:
         raise TensorFileError(
             f"expected {dim**4} components, found {len(comps)}")
     if mode == RATIONAL:
-        pairs = [_rational(index, v) for index, v in enumerate(comps)]
-        L = math.lcm(*{q for _, q in pairs})
-        nums = np.array([p * (L // q) for p, q in pairs], dtype=object)
+        # p0, q0, p1, q1, ... straight into one array, one pair at a time
+        pq = np.fromiter(itertools.chain.from_iterable(
+            map(_rational, itertools.count(), comps)), dtype=object, count=2 * len(comps))
+        nums, dens = pq[0::2], pq[1::2]
+        L = math.lcm(*set(dens))
+        if L != 1:
+            nums = np.fromiter((p * (L // q) for p, q in zip(nums, dens)),
+                               dtype=object, count=len(comps))
         return CurvatureTensor._from_numerators(nums.reshape((dim,) * 4), L, prov)
     try:
         arr = np.asarray(comps, dtype=np.float64).reshape((dim,) * 4)

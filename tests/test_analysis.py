@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,6 @@ from osscheck import (
     sample_stream,
 )
 from osscheck import analysis
-from osscheck.analysis import _eigenvectors_with_values
 from osscheck.curvature import CurvatureTensor
 from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError, eigh
 
@@ -185,8 +185,10 @@ class TestTwoRootDecomposition:
         # X2 = 0 makes the right-hand side vanish term by term
         Rf = quaternionic8.to_float()
         y = np.array([1.0] + [0.0] * 7)
-        spaces = _eigenvectors_with_values(Rf, y, cluster_tol=0.75)
-        (l1, v1), (l2, v2) = spaces
+        red = reduced_jacobi(Rf, y)
+        sd = eigh(red.matrix, cluster_tol=0.75)
+        assert len(sd.eigenvalues) == 2
+        v1, v2 = (red.frame @ sd.eigenspace(q) for q in (0, 1))
         x = v1[:, 0]
         b1 = jacobi_matrix(Rf, x).dot(y).dot(v2 @ (v2.T @ x))
         assert abs(b1) <= 1e-12
@@ -437,3 +439,96 @@ class TestSweep:
     def test_every_report_carries_the_sampling_note(self, name, quaternionic8):
         rep = analysis.run_check(name, quaternionic8, samples=3, seed=0, tol=None)
         assert rep.notes == "sampling check: pass means no counterexample found"
+
+
+@pytest.fixture(scope="module")
+def clifford16():
+    """Float dim-16 Clifford tensor with two roots, 1 x7 and 4 x8: every
+    sampling checker applies, eigen-Bianchi draws random triples, and
+    jacobi-dual has degenerate eigenspaces."""
+    return clifford_tensor(16, 8).to_float()
+
+
+def _per_sample(monkeypatch, name, R, samples):
+    """{(property, sample): (residuals, witness fields of every candidate)}
+    of one run, read from every block the engine computes."""
+    sweep, rows = analysis._sweep, {}
+
+    def spy(prop, R_, draw, compute, **options):
+        def recording(start, *arrays):
+            res, fields = compute(start, *arrays)
+            for s in range(res.shape[0]):
+                cands = [c for c in range(res.shape[1]) if res[s, c] != -np.inf]
+                rows[prop, start + s] = (
+                    [repr(float(res[s, c])) for c in cands],
+                    [json.dumps(fields(s, c)) for c in cands])
+            return res, fields
+        return sweep(prop, R_, draw, recording, **options)
+
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_sweep", spy)
+        analysis.run_check(name, R, samples=samples, seed=3, tol=None)
+    return rows
+
+
+def _loop_winner(values, reference):
+    """Witness index of the sequential rule: the first candidate (unless a
+    reference stands), then each value that _worse than the worst so far."""
+    worst, win = 0.0, None
+    for k, v in enumerate(values):
+        if (win is None and not reference) or analysis._worse(v, worst):
+            worst, win = v, k
+    return worst, win
+
+
+class TestEngine:
+    """The three-phase engine of analysis._sweep: draw, compute, witness."""
+
+    @pytest.mark.parametrize("name", SAMPLING)
+    def test_sample_fields_do_not_depend_on_the_sample_count(
+            self, name, clifford16, monkeypatch):
+        # samples = i + 1 ends a run at sample i, in a partial block; 300
+        # crosses block boundaries
+        runs = {samples: _per_sample(monkeypatch, name, clifford16, samples)
+                for samples in (2, 9, 34, 36, 300)}
+        assert len(runs[300]) >= 299
+        for samples, rows in runs.items():
+            assert rows, samples
+            for key, row in rows.items():
+                assert row == runs[300][key], (samples, key)
+
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_block_rule_equals_the_worse_loop(self, reference):
+        rng = np.random.default_rng(11)
+        R = make_constant_curvature(2, 1)
+        samples = 2 * analysis.BLOCK + 5
+        ties = rng.integers(0, 4, (samples, 3)).astype(float)
+        nans = ties.copy()
+        nans[rng.random(nans.shape) < 0.02] = np.nan
+        late_nan = np.zeros((samples, 3))
+        late_nan[analysis.BLOCK + 1, 2] = np.nan
+        no_candidate = rng.random((samples, 3))
+        no_candidate[:, 1:][rng.random((samples, 2)) < 0.5] = -np.inf
+        exact = np.array([[Fraction(int(v), 3) for v in row] for row in ties],
+                         dtype=object)
+        cases = [np.zeros((samples, 3)), ties, nans, late_nan, no_candidate,
+                 rng.random((samples, 1)), exact]
+        for values in cases:
+            def compute(start, unused, values=values):
+                res = values[start:start + len(unused)]
+                return res, lambda s, c: {"candidate": c}
+
+            rep = analysis._sweep("rule", R, lambda stream: (np.zeros(1),),
+                                  compute, samples=samples, seed=0, tol=1,
+                                  reference={"reference": 0} if reference else None)
+            first = 1 if reference else 0
+            worst, win = _loop_winner(values[first:].reshape(-1), reference)
+            if win is None:
+                assert rep.witness == {"reference": 0} and rep.worst_residual == 0
+                continue
+            i, c = divmod(win, values.shape[1])
+            assert rep.witness == {"sample": first + i, "candidate": c}
+            if isinstance(worst, Fraction):
+                assert rep.worst_residual == worst
+            else:  # bit-equal, NaN included
+                assert repr(float(rep.worst_residual)) == repr(float(worst))

@@ -351,3 +351,23 @@ class TestNonFiniteSpectrum:
                                  "components": [1e308] * 256}))
         assert main(["check", "all", "--in", str(p), "--samples", "5"]) == 1
         assert "Warning" not in capsys.readouterr().err
+
+    def test_spectrum_names_a_non_finite_result(self, tmp_path, capsys):
+        # at (1, 1, 1, 1)/2 the Jacobi matrix of 1e308 components overflows,
+        # which gives a NaN spectrum; eigenvalues of 1e200 are finite, but
+        # their characteristic polynomial is not
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"dim": 4, "mode": "float64",
+                                    "components": [1e308] * 256}))
+        large = tmp_path / "large.json"
+        assert main(["build", "constant", "--dim", "4", "--kappa", "1e200",
+                     "--mode", "float64", "--out", str(large)]) == 0
+        capsys.readouterr()
+        for argv, what in (([huge, "--direction", "1,1,1,1"], "reduced Jacobi spectrum"),
+                           ([huge], "characteristic polynomial"),
+                           ([large], "characteristic polynomial")):
+            assert main(["spectrum", "--in", *map(str, argv)]) == 2
+            captured = capsys.readouterr()
+            assert f"the {what} is not finite" in captured.err
+            assert "nan" not in captured.out and "inf" not in captured.out
+            assert "Warning" not in captured.err

@@ -7,16 +7,20 @@ from hypothesis import strategies as st
 
 from osscheck.linalg import (
     PreconditionError,
+    charpoly,
     cluster_eigenvalues,
+    cluster_rows,
     default_cluster_tol,
     eigh,
     gram_schmidt,
+    householder_frame,
     int64_safe,
     int_array,
     random_int_vector,
     random_orthonormal_pair,
     random_unit_vector,
     sample_stream,
+    sample_streams,
 )
 
 
@@ -152,6 +156,22 @@ class TestRandomness:
         v = random_int_vector(6, sample_stream(3, 0))
         assert any(c != 0 for c in v)
 
+    def test_rekeyed_streams_equal_sample_stream(self):
+        # seeds and indices are masked to 64 bits: 2**64 + 5 keys like 5
+        seeds = [0, 1, 7, 2**63, 2**64 - 1, 2**64, 2**64 + 5, -1, -(2**70)]
+        indices = [0, 1, 2, 31, 32, 1000, 2**64 + 3, -4]
+        for seed in seeds:
+            for i, stream in zip(indices, sample_streams(seed, indices)):
+                ref = sample_stream(seed, i)
+                # an odd count of 32-bit draws leaves half a word buffered,
+                # which the next key must not inherit
+                draws = [(g.integers(0, 5, size=3, dtype=np.int32),
+                          g.standard_normal(7),
+                          g.choice(455, size=40, replace=False))
+                         for g in (stream, ref)]
+                for a, b in zip(*draws):
+                    assert np.array_equal(a, b), (seed, i)
+
 
 @given(st.tuples(*(st.integers(-10**6, 10**6) for _ in range(2)),
                  *(st.integers(1, 10**6) for _ in range(2)),
@@ -167,3 +187,47 @@ def test_rational_arithmetic_exact(args):
     if z != 0:
         assert (x / z) * z == x
     assert x - y == Fraction(a * d - c * b, b * d)
+
+
+class TestSpectralHelpers:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_householder_frame_is_an_orthonormal_complement(self, n):
+        rng = np.random.default_rng(n)
+        xs = rng.standard_normal((6, n))
+        xs[1, 0] = 0.0                      # x_0 = 0: the sign convention
+        xs = np.vstack([xs / np.linalg.norm(xs, axis=1)[:, None],
+                        e(0, n), -e(0, n), e(n - 1, n)])
+        frames = householder_frame(xs)
+        assert frames.shape == (len(xs), n, n - 1)
+        for x, f in zip(xs, frames):
+            assert np.abs(f.T @ f - np.eye(n - 1)).max() <= 1e-14
+            assert np.abs(x @ f).max() <= 1e-14
+            assert np.array_equal(householder_frame(x), f)
+
+    def test_charpoly_matches_np_poly(self):
+        rng = np.random.default_rng(4)
+        for n in range(1, 17):
+            roots = rng.standard_normal((10, n)) * rng.choice([1e-3, 1.0, 30.0])
+            for r, got in zip(roots, charpoly(roots)):
+                want = np.poly(r)
+                assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(want).max())
+
+    def test_cluster_rows_is_the_greedy_rule_per_row(self):
+        rng = np.random.default_rng(6)
+        vals = np.sort(rng.integers(0, 5, (40, 9)) + 1e-9 * rng.random((40, 9)), axis=1)
+        vals[3] = np.nan
+        tol = default_cluster_tol(vals)
+        labels, centers, mults = cluster_rows(vals, tol)
+        for row, t, lab, c, m in zip(vals, tol, labels, centers, mults):
+            want_c, want_m = [], []   # the greedy running-mean rule, by hand
+            for v in row:
+                if want_c and abs(v - want_c[-1]) <= t:
+                    want_m[-1] += 1
+                    want_c[-1] += (v - want_c[-1]) / want_m[-1]
+                else:
+                    want_c.append(float(v))
+                    want_m.append(1)
+            k = len(want_m)
+            assert m[:k].tolist() == want_m and not m[k:].any()
+            assert np.array_equal(c[:k], want_c, equal_nan=True)
+            assert np.array_equal(np.bincount(lab), want_m)

@@ -19,9 +19,10 @@ import numpy as np
 from .curvature import (
     CurvatureTensor,
     _first_slot,
-    _jacobi_numerators,
+    _rounded_quotient,
     jacobi_matrices,
     jacobi_matrix,
+    jacobi_numerator_rows,
     reduced_jacobi,
     ricci_operator,
     validate_symmetries,  # run by name through CHECKERS
@@ -87,7 +88,7 @@ def _blocks(seed, first, samples, draw):
 
 
 def _sweep(name, R, draw, compute, *, samples, seed, tol, mode=FLOAT64,
-           reference=None):
+           reference=None, denominator=None, notes=""):
     """The sampling engine and report of every sampling checker.
 
     Samples run in blocks of BLOCK, each in three phases:
@@ -104,7 +105,10 @@ def _sweep(name, R, draw, compute, *, samples, seed, tol, mode=FLOAT64,
        ``{"sample": i, **fields(s, c)}``.
 
     Osserman's ``reference`` witness (its sample 0) stands instead until a
-    residual exceeds 0, from sample 1 on.
+    residual exceeds 0, from sample 1 on.  An exact checker's residuals are
+    integer numerators over one common ``denominator``, so the rule compares
+    plain integers; the report's worst residual is their quotient.
+    ``notes`` adds to the sampling note what the check certifies.
     """
     first = 0 if reference is None else 1
     _require_samples(first + 1, samples=samples)
@@ -112,18 +116,19 @@ def _sweep(name, R, draw, compute, *, samples, seed, tol, mode=FLOAT64,
     worst, winner = 0.0, None
     for start, arrays in _blocks(seed, first, samples, draw):
         res, fields = compute(start, *arrays)
-        if res.size == 0:  # eigen-bianchi has no triples when n - 1 < 3
-            continue
         s, c = divmod(_first_worst(res), res.shape[1])
-        value = res[s, c] if res.dtype == object else float(res[s, c])
+        value = res.item(s, c)  # a Python float, int or Fraction
         if (winner is None and reference is None) or _worse(value, worst):
             worst, winner = value, (start + s, fields, s, c)
     witness = reference or {}
     if winner is not None:
         i, fields, s, c = winner
         witness = {"sample": i, **fields(s, c)}
+    if denominator is not None:
+        worst = Fraction(worst, denominator)
+    note = "sampling check: pass means no counterexample found"
     return make_report(name, worst, witness, samples, seed, tol, mode,
-                       notes="sampling check: pass means no counterexample found",
+                       notes=f"{note}; {notes}" if notes else note,
                        provenance=R.provenance)
 
 
@@ -155,13 +160,12 @@ def _eigenbases(Rf, X):
 
 
 def _exact_orthogonal_pair(n, stream):
-    """Exact rational pair (x, y) with g(x, y) = 0 via projection."""
+    """Integer pair (x, y), int64, with g(x, y) = 0 via projection."""
     for _ in range(16):
         x = random_int_vector(n, stream)
         y = random_int_vector(n, stream)
-        eps_x = x.dot(x)
-        y = eps_x * y - y.dot(x) * x
-        if np.any(y != 0):
+        y = x.dot(x) * y - y.dot(x) * x
+        if y.any():
             return x, y
     raise RuntimeError("degenerate rational draws")
 
@@ -170,34 +174,39 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
                             tol=None) -> CheckReport:
     """J_X Y perpendicular to J_Y X over random orthogonal pairs.
 
-    A rational tensor is checked exactly: pairs are forced orthogonal by
-    projection and the residual is the exact inner product (tolerance 0).
+    A rational tensor is checked exactly: pairs of integer vectors are
+    forced orthogonal by projection and the residual is the exact inner
+    product (tolerance 0).  Its numerator is an integer over L^2, for L the
+    denominator of the tensor.
     """
     if R.dim < 2:
         raise PreconditionError("need dimension >= 2")
+    n = R.dim
     exact = R.mode == RATIONAL
+    if exact:
+        numerators = jacobi_numerator_rows(R)
 
     def draw(stream):
         if exact:
-            return _exact_orthogonal_pair(R.dim, stream)
-        return random_orthonormal_pair(R.dim, stream)
+            return _exact_orthogonal_pair(n, stream)
+        return random_orthonormal_pair(n, stream)
 
     def compute(start, xs, ys):
+        v = np.stack([xs, ys], axis=1).reshape(-1, n)
         if exact:
-            res = np.empty((len(xs), 1), dtype=object)
-            for s, (x, y) in enumerate(zip(xs, ys)):
-                mx, dx = _jacobi_numerators(R, x)
-                my, dy = _jacobi_numerators(R, y)
-                num = mx.dot(y).dot(my.dot(x))  # y and x hold Python ints
-                res[s, 0] = abs(Fraction(num, dx * dy))
+            j = int_array(numerators(v), n, max_abs(v))
+            jxy, jyx = _mv(j[0::2], ys), _mv(j[1::2], xs)
+            jxy = int_array(jxy, n, max_abs(jyx))
+            res = np.abs((jxy * jyx).sum(axis=1))[:, None]
         else:
-            j = jacobi_matrices(R, np.stack([xs, ys], axis=1).reshape(-1, R.dim))
+            j = jacobi_matrices(R, v)
             jxy, jyx = _mv(j[0::2], ys), _mv(j[1::2], xs)
             res = (np.abs(_dot(jxy, jyx)) / (_norm(jxy) * _norm(jyx) + 1.0))[:, None]
-        return res, lambda s, c: {"x": list(xs[s]), "y": list(ys[s])}
+        return res, lambda s, c: {"x": xs[s].tolist(), "y": ys[s].tolist()}
 
     return _sweep("jacobi-orthogonal", R, draw, compute, samples=samples,
-                  seed=seed, tol=tol, mode=R.mode)
+                  seed=seed, tol=tol, mode=R.mode,
+                  denominator=R.denominator**2 if exact else None)
 
 
 def _in_eigenbasis(slot, xs, amb):
@@ -445,9 +454,13 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
         R(X,A,B,C)(lC - 2 lB + lA) + R(X,B,A,C)(lC + lB - 2 lA) = 0.
 
     Triples are exhaustive over the eigenbasis when n-1 <= 8, otherwise 40
-    distinct random ones per sample, drawn at once.  Precondition: the
-    tensor samples as Osserman.
+    distinct random ones per sample, drawn at once.  Preconditions: n-1 >= 3,
+    so that there are triples at all, and the tensor samples as Osserman.
     """
+    if R.dim < 4:
+        raise PreconditionError(
+            f"eigen-Bianchi identity needs three eigenvectors orthogonal to X: "
+            f"dimension must be at least 4, found {R.dim}")
     # checked before the precheck spends samples (the sweep checks again)
     _require_samples(1, samples=samples)
     _require_samples(2, precheck_samples=precheck_samples)
@@ -511,9 +524,15 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
 
     A rational tensor is checked exactly, on integer X, Y and the integer
     Jacobi numerators, which all share the denominator of the tensor.
+
+    The identities follow from J being quadratic in X and from
+    R(X, Y, ., .) = -R(Y, X, ., .), so they hold for every tensor skew in
+    its first pair: the check tests the library's Jacobi contractions.
     """
     exact = R.mode == RATIONAL
     n = R.dim
+    if exact:
+        numerators = jacobi_numerator_rows(R)
 
     def draw(stream):
         if exact:
@@ -521,50 +540,55 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
         return stream.standard_normal(n), stream.standard_normal(n)
 
     def compute(start, xs, ys):
+        v = np.stack([xs, ys, xs + ys, xs - ys], axis=1).reshape(-1, n)
         if exact:
-            res = np.empty((len(xs), 1), dtype=object)
-            for s, (x, y) in enumerate(zip(xs, ys)):
-                # the matrix identity adds six of these matrices at most
-                jx, jy, jp, jm = (int_array(_jacobi_numerators(R, v)[0], 6)
-                                  for v in (x, y, x + y, x - y))
-                r1, r2, r3, _, _ = _polarization_residuals(jx, jy, jp, jm, x, y)
-                res[s, 0] = Fraction(max(max_abs(r1), max_abs(r2), max_abs(r3)),
-                                     R.denominator)
+            # the residuals add five matrix-vector products of these
+            # matrices with vectors no larger than v at most
+            j = int_array(numerators(v), 6, n, max_abs(v))
+            r1, r2, r3, _, _ = _polarization_residuals(
+                j[0::4], j[1::4], j[2::4], j[3::4], xs, ys)
+            res = np.abs(np.concatenate([r1, r2, r3.reshape(len(xs), -1)], axis=1))
+            res = res.max(axis=1)[:, None]
         else:
-            j = jacobi_matrices(R, np.stack([xs, ys, xs + ys, xs - ys], axis=1)
-                                .reshape(-1, n))
+            j = jacobi_matrices(R, v)
             r1, r2, r3, jxy, jyx = _polarization_residuals(
                 j[0::4], j[1::4], j[2::4], j[3::4], xs, ys)
             worst = np.maximum.reduce([_norm(r1), _norm(r2),
                                        np.abs(r3).max(axis=(1, 2))])
             res = (worst / (1.0 + _norm(jxy) + _norm(jyx)))[:, None]
-        return res, lambda s, c: {"x": list(xs[s]), "y": list(ys[s])}
+        return res, lambda s, c: {"x": xs[s].tolist(), "y": ys[s].tolist()}
 
     return _sweep("polarization", R, draw, compute, samples=samples, seed=seed,
-                  tol=tol, mode=R.mode)
+                  tol=tol, mode=R.mode,
+                  denominator=R.denominator if exact else None,
+                  notes="the identities hold for every tensor skew in its first "
+                        "pair: this checks the library's Jacobi contractions")
 
 
 def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None) -> CheckReport:
     """Ricci operator equals the sum of Jacobi operators over any
     orthonormal basis; checked on the standard basis (independent route)
     and three random orthonormal bases (float).  Default tolerance 1e-12.
+
+    Both sides are traces of R, so the identity holds for every 4-tensor:
+    the check tests the library's contractions.
     """
     bases = 3
     tol = 1e-12 if tol is None else tol
     n = R.dim
-    ric = ricci_operator(R)
     if R.mode == RATIONAL:
-        # numerators over the denominator of R; each Jacobi numerator at a
-        # basis vector is one numerator of R, so the n-term sums and the
-        # trace of the numerators stay inside the int64 rule of R
-        eye = np.eye(n, dtype=np.int64)
-        acc = sum(_jacobi_numerators(R, eye[:, i])[0] for i in range(n))
+        # numerators over the denominator of R.  The Jacobi numerators at
+        # e_i are the columns (i, i) of the stored matrix, so their sum is
+        # one trace of it; it and the trace of the numerators add n
+        # numerators of R each, inside the int64 rule of R
+        acc = np.trace(R._matrix.reshape(n * n, n, n), axis1=1, axis2=2).reshape(n, n)
         ric_nums = np.trace(R.numerators, axis1=1, axis2=2).T
         worst_std = Fraction(max_abs(acc - ric_nums), R.denominator)
+        ric_f = _rounded_quotient(ric_nums, R.denominator, n * R._max_numerator)
     else:
+        ric_f = ricci_operator(R)
         acc = sum(jacobi_matrix(R, np.eye(n)[:, i]) for i in range(n))
-        worst_std = float(np.abs(acc - ric).max())
-    ric_f = np.asarray(ric, dtype=np.float64)
+        worst_std = float(np.abs(acc - ric_f).max())
     Rf = R.to_float()
     worst_rand = 0.0
     for b in range(bases):
@@ -579,6 +603,8 @@ def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None) -> CheckReport:
                        {"standard_basis_residual": worst_std,
                         "random_basis_residual": worst_rand},
                        samples=bases + 1, seed=seed, tol=tol, mode=R.mode,
+                       notes="the identity holds for every 4-tensor: this "
+                             "checks the library's contractions",
                        provenance=R.provenance)
 
 

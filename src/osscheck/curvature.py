@@ -31,6 +31,7 @@ from .linalg import (
     block_product,
     clear_denominators,
     default_tol,
+    exact_product,
     householder_frame,
     int64_safe,
     int_array,
@@ -38,6 +39,17 @@ from .linalg import (
     require_symmetric,
 )
 from .report import make_report
+
+
+def _rounded_quotient(nums, denom, bound):
+    """The float64 array ``nums / denom`` of an integer array and a positive
+    int, each entry correctly rounded; ``bound`` bounds its entries."""
+    if denom == 1 or (bound <= 2**53 and denom <= 2**53):
+        # one rounding: in the conversion when denom is 1, otherwise in the
+        # division of two operands that binary64 holds exactly
+        return nums.astype(np.float64) / denom
+    return np.array([v / denom for v in nums.reshape(-1).tolist()],
+                    dtype=np.float64).reshape(nums.shape)
 
 
 def _exact_matrix(nums, denom):
@@ -157,14 +169,8 @@ class CurvatureTensor:
         exact ones."""
         if self.mode == FLOAT64:
             return self
-        m, L = self._matrix, self.denominator
-        if L == 1 or (self._max_numerator <= 2**53 and L <= 2**53):
-            # one rounding: in the conversion when L is 1, otherwise in the
-            # division of two operands that binary64 holds exactly
-            comp = m.astype(np.float64) / L
-        else:
-            comp = np.array([v / L for v in m.reshape(-1).tolist()],
-                            dtype=np.float64).reshape(m.shape)
+        comp = _rounded_quotient(self._matrix, self.denominator,
+                                 self._max_numerator)
         return CurvatureTensor(self.dim, FLOAT64, _as_tensor(comp, self.dim),
                                self.provenance)
 
@@ -229,6 +235,21 @@ def jacobi_matrices(R: CurvatureTensor, X):
     X = np.asarray(X, dtype=np.float64)
     outer = (X[:, :, None] * X[:, None, :]).reshape(-1, n * n)
     return block_product(outer, Rf._matrix.T).reshape(-1, n, n)
+
+
+def jacobi_numerator_rows(R: CurvatureTensor):
+    """Exact Jacobi matrices of a rational tensor as a function of the
+    integer rows of ``V[S, n]``: their numerators over ``R.denominator``,
+    shape (S, n, n), from one exact product of the rows vec(v v^T) with the
+    stored matrix of R (:func:`linalg.exact_product`)."""
+    n = R.dim
+    product = exact_product(R._matrix.T)
+
+    def numerators(V):
+        outer = (V[:, :, None] * V[:, None, :]).reshape(-1, n * n)
+        return product(outer).reshape(-1, n, n)
+
+    return numerators
 
 
 def _first_slot(R: CurvatureTensor):

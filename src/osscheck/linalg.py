@@ -3,8 +3,12 @@
 Float-mode quantities live in ordinary ``float64`` numpy arrays.  Exact
 integer work runs on int64 arrays when :func:`int64_safe` proves that it
 cannot overflow, and on ``dtype=object`` arrays of Python ints otherwise;
-exact scalars are :class:`fractions.Fraction` or int.  All spectral
-operations are float-only; identity checks may run in either mode.
+exact scalars are :class:`fractions.Fraction` or int.  An exact integer
+matrix product (:func:`exact_product`) takes one of three arithmetic paths:
+one float64 product when every partial sum stays below 2^53, one float64
+product per limb of the matrix above that, and Python ints only when the
+entries themselves do not fit int64.  All spectral operations are
+float-only; identity checks may run in either mode.
 """
 
 from __future__ import annotations
@@ -307,11 +311,12 @@ def random_orthogonal_matrix(n, stream):
 
 
 def random_int_vector(n, stream):
-    """Nonzero vector of integers in [-9, 9] (integers are exact rationals)."""
+    """Nonzero int64 vector of integers in [-9, 9] (integers are exact
+    rationals)."""
     for _ in range(_MAX_RETRIES):
         v = stream.integers(-9, 10, size=n)
-        if np.any(v != 0):
-            return np.array([int(c) for c in v], dtype=object)
+        if v.any():
+            return v
     raise RuntimeError("random_int_vector: degenerate draws")
 
 
@@ -342,14 +347,29 @@ def clear_denominators(arr):
 
 
 # ---------------------------------------------------------------------------
-# The one int64 overflow rule.
+# The one int64 overflow rule, and the exact integer product.
 #
 # Exact integer arrays are int64 only while an a-priori bound on every
 # entry and partial sum of the work ahead, given as a product of factors,
 # stays below 2^62 with a 10% margin; otherwise they hold Python ints.
+#
+# An exact product a @ b of integer matrices a[rows, k] and b[k, m] bounds
+# every partial sum by k max|a| max|b| and takes one of three paths:
+#
+# - float64: below 2^53 every partial sum is an integer that binary64 holds
+#   exactly, whatever order BLAS sums in, so one float64 product cast to
+#   int64 is exact;
+# - limbs: above 2^53, b is split into int64 limbs of c bits,
+#   b = sum_t b_t 2^(c t), with c chosen so that k max|a| 2^c < 2^53.  Each
+#   limb takes one exact float64 product, and the small results are
+#   recombined in int64 when the rule admits the total, in Python ints
+#   otherwise;
+# - Python ints: only when the entries of a or b do not fit int64, or a is
+#   too large for a limb of one bit.
 # ---------------------------------------------------------------------------
 
 _INT64_SAFE = 2**62
+_FLOAT64_EXACT_BITS = 53
 
 
 def int64_safe(*factors):
@@ -371,3 +391,59 @@ def int_array(a, *growth):
     if int64_safe(max_abs(a), *growth):
         return a.astype(np.int64)
     return a if a.dtype == object else a.astype(object)
+
+
+def exact_product(b):
+    """The exact integer product ``a @ b`` as a function of ``a``.
+
+    ``b[k, m]`` is an integer matrix (int64 or Python ints), prepared once:
+    the returned function takes an integer ``a[rows, k]``, picks its path
+    from the bound k max|a| max|b| (see above) and returns ``a @ b``: int64
+    when the entries fit int64 and the int64 rule admits twice that bound,
+    Python ints otherwise.
+    """
+    k = b.shape[0]
+    try:
+        b = b.astype(np.int64, copy=False)
+    except OverflowError:  # an entry does not fit int64
+        b = b.astype(object)
+    bmax = max_abs(b)
+    # b is its own single limb whenever a limb of c <= 52 bits holds it: the
+    # float64 path, which every block of small entries takes, converts it once
+    whole = b.astype(np.float64) if b.dtype != object and bmax < 2**52 else None
+
+    def limbs(c):
+        """The float64 limbs of c bits of b, low limb first, each made in
+        one buffer as large as b once the previous one has been used."""
+        count = max(1, -(-bmax.bit_length() // c))
+        if count == 1:
+            yield whole
+            return
+        # the low limbs (b >> c t) & (2^c - 1) lie in [0, 2^c), the top
+        # limb b >> c (count - 1), an arithmetic shift, in [-2^c, 2^c)
+        shifted, limb = np.empty_like(b), np.empty(b.shape)
+        for t in range(count):
+            np.right_shift(b, c * t, out=shifted)
+            if t < count - 1:
+                shifted &= (1 << c) - 1
+            limb[...] = shifted
+            yield limb
+
+    def product(a):
+        a = int_array(a)
+        amax = max_abs(a)
+        c = _FLOAT64_EXACT_BITS - (k * amax).bit_length()  # k max|a| 2^c < 2^53
+        if b.dtype == object or a.dtype == object or c < 1:
+            return a.astype(object) @ b.astype(object, copy=False)
+        af = a.astype(np.float64)
+        parts = [(af @ limb).astype(np.int64) for limb in limbs(c)]
+        # Horner from the top limb: the partial result after limb t is
+        # a @ (b >> c t), at most twice the bound of the total
+        acc = parts.pop()
+        if not int64_safe(2, k, amax, bmax):
+            acc = acc.astype(object)
+        for part in reversed(parts):
+            acc = acc * (1 << c) + part
+        return acc
+
+    return product

@@ -212,6 +212,16 @@ class TestEigenBianchi:
         with pytest.raises(PreconditionError):
             check_eigen_bianchi_identity(R, samples=5)
 
+    def test_dimension_three_has_no_triples(self, monkeypatch):
+        # n - 1 = 2 eigenvectors make no triple: no residual, no verdict
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Osserman precheck ran")
+
+        monkeypatch.setattr(analysis, "check_osserman", refuse)
+        for n in (2, 3):
+            with pytest.raises(PreconditionError, match="at least 4, found"):
+                check_eigen_bianchi_identity(make_constant_curvature(n, 1), samples=5)
+
     def test_cross_check_derivation_line(self, quaternionic8):
         # g(J_X(A+B+C), J_{A+B+C}X) must equal the eigenvalue-weighted sum
         # of curvature components; both sides computed independently
@@ -280,6 +290,12 @@ class TestRicciSum:
         rep = check_ricci_sum(random4)
         assert rep.passed
         assert float(rep.worst_residual) <= 1e-12
+
+    def test_notes_say_what_it_certifies(self, quaternionic8):
+        for R in (quaternionic8, quaternionic8.to_float()):
+            assert check_ricci_sum(R).notes == (
+                "the identity holds for every 4-tensor: this checks the "
+                "library's contractions")
 
 
 class TestScalingEquivariance:
@@ -438,7 +454,11 @@ class TestSweep:
     @pytest.mark.parametrize("name", SAMPLING)
     def test_every_report_carries_the_sampling_note(self, name, quaternionic8):
         rep = analysis.run_check(name, quaternionic8, samples=3, seed=0, tol=None)
-        assert rep.notes == "sampling check: pass means no counterexample found"
+        want = "sampling check: pass means no counterexample found"
+        if name == "polarization":
+            want += ("; the identities hold for every tensor skew in its first "
+                     "pair: this checks the library's Jacobi contractions")
+        assert rep.notes == want
 
 
 @pytest.fixture(scope="module")

@@ -275,6 +275,15 @@ class TestExactEndToEnd:
         assert "osserman: fail" in out
         assert "eigen-bianchi: skipped" in out
 
+    def test_check_all_skips_eigen_bianchi_in_dim_3(self, tmp_path, capsys):
+        p = tmp_path / "r3.json"
+        dump_tensor(make_constant_curvature(3, 1, mode="rational"), p)
+        out = tmp_path / "reports.json"
+        assert main(["check", "all", "--in", str(p), "--samples", "5",
+                     "--out", str(out)]) == 0
+        assert "eigen-bianchi: skipped" in capsys.readouterr().out
+        assert json.loads(out.read_text())["reports"]["eigen-bianchi"]["verdict"] == "skipped"
+
     def test_check_all_order(self, tensor_files, capsys):
         assert main(["check", "all", "--in", str(tensor_files["quat"]),
                      "--samples", "5"]) == 0

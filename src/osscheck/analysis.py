@@ -18,10 +18,10 @@ import numpy as np
 
 from .curvature import (
     CurvatureTensor,
+    _as_tensor,
     _first_slot,
     _rounded_quotient,
     jacobi_matrices,
-    jacobi_matrix,
     jacobi_numerator_rows,
     reduced_jacobi,
     ricci_operator,
@@ -37,7 +37,7 @@ from .linalg import (
     cluster_rows,
     default_cluster_tol,
     default_tol,
-    eigh_stack,
+    eigh,
     eigvalsh,
     int_array,
     max_abs,
@@ -75,20 +75,19 @@ def _require_samples(least, **counts):
             raise PreconditionError(f"{name} must be at least {least}, found {count}")
 
 
-def _blocks(seed, first, samples, draw):
+def _blocks(seed, samples, draw):
     """Phase 1 of the sampling engine.  For each block of up to BLOCK
-    consecutive samples from ``first`` on, ``(start, arrays)``: sample i
-    takes all it uses, the tuple of arrays ``draw(stream)``, from its own
-    ``(seed, i)`` stream, and ``arrays`` stacks the block's tuples field by
-    field."""
-    streams = sample_streams(seed, range(first, samples))
-    for start in range(first, samples, BLOCK):
+    consecutive samples, ``(start, arrays)``: sample i takes all it uses,
+    the tuple of arrays ``draw(stream)``, from its own ``(seed, i)`` stream,
+    and ``arrays`` stacks the block's tuples field by field."""
+    streams = sample_streams(seed, range(samples))
+    for start in range(0, samples, BLOCK):
         drawn = [draw(next(streams)) for _ in range(min(BLOCK, samples - start))]
         yield start, [np.stack(field) for field in zip(*drawn)]
 
 
 def _sweep(name, R, draw, compute, *, samples, seed, tol, mode=FLOAT64,
-           reference=None, denominator=None, notes=""):
+           denominator=None, notes=""):
     """The sampling engine and report of every sampling checker.
 
     Samples run in blocks of BLOCK, each in three phases:
@@ -104,26 +103,22 @@ def _sweep(name, R, draw, compute, *, samples, seed, tol, mode=FLOAT64,
        across blocks).  Only the winner builds its witness
        ``{"sample": i, **fields(s, c)}``.
 
-    Osserman's ``reference`` witness (its sample 0) stands instead until a
-    residual exceeds 0, from sample 1 on.  An exact checker's residuals are
-    integer numerators over one common ``denominator``, so the rule compares
-    plain integers; the report's worst residual is their quotient.
-    ``notes`` adds to the sampling note what the check certifies.
+    An exact checker's residuals are integer numerators over one common
+    ``denominator``, so the rule compares plain integers; the report's worst
+    residual is their quotient.  ``notes`` adds to the sampling note what
+    the check certifies.
     """
-    first = 0 if reference is None else 1
-    _require_samples(first + 1, samples=samples)
+    _require_samples(1, samples=samples)
     tol = default_tol(tol, mode)
     worst, winner = 0.0, None
-    for start, arrays in _blocks(seed, first, samples, draw):
+    for start, arrays in _blocks(seed, samples, draw):
         res, fields = compute(start, *arrays)
         s, c = divmod(_first_worst(res), res.shape[1])
         value = res.item(s, c)  # a Python float, int or Fraction
-        if (winner is None and reference is None) or _worse(value, worst):
+        if winner is None or _worse(value, worst):
             worst, winner = value, (start + s, fields, s, c)
-    witness = reference or {}
-    if winner is not None:
-        i, fields, s, c = winner
-        witness = {"sample": i, **fields(s, c)}
+    i, fields, s, c = winner
+    witness = {"sample": i, **fields(s, c)}
     if denominator is not None:
         worst = Fraction(worst, denominator)
     note = "sampling check: pass means no counterexample found"
@@ -155,7 +150,7 @@ def _eigenbases(Rf, X):
     """Ascending reduced Jacobi eigenvalues at the unit rows of ``X[S, n]``
     and their ambient eigenvectors, the columns of an (S, n, n-1) array."""
     red = reduced_jacobi(Rf, X)
-    vals, vecs = eigh_stack(red.matrix)
+    vals, vecs = eigh(red.matrix)
     return vals, red.frame @ vecs
 
 
@@ -304,31 +299,35 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
                    tol=None) -> CheckReport:
     """Constancy of the reduced Jacobi characteristic polynomial over unit X.
 
-    Coefficients are taken for the spectrally normalized operator (eigenvalues
-    divided by the reference spectral radius): without this, a coefficient
-    whose exact value is 0 drowns in the float noise of the large ones and no
-    uniform tolerance works across dimensions.
+    The reference is sample 0, the first row of the first block, so its own
+    residual is 0.  Coefficients are taken for the spectrally normalized
+    operator (eigenvalues divided by the reference spectral radius): without
+    this, a coefficient whose exact value is 0 drowns in the float noise of
+    the large ones and no uniform tolerance works across dimensions.
     """
+    _require_samples(2, samples=samples)  # sample 0 compares only to itself
     Rf = R.to_float()
     n = R.dim
-    x0 = random_unit_vector(n, sample_stream(seed, 0))
-    vals0 = _spectra(Rf, x0[None])[0]
-    spectral_scale = max(1.0, float(np.abs(vals0).max()))
-    ref = charpoly(vals0 / spectral_scale)
-    scale = 1.0 + np.abs(ref)
-    reference = {"reference_x": list(x0), "reference_coefficients": list(ref)}
+    ref = {}  # sample 0's, set by the first block
 
     def draw(stream):
         return (random_unit_vector(n, stream),)
 
     def compute(start, xs):
-        coeffs = charpoly(_spectra(Rf, xs) / spectral_scale)
-        res = (np.abs(coeffs - ref) / scale).max(axis=1, keepdims=True)
-        return res, lambda s, c: {"x": list(xs[s]), "coefficients": list(coeffs[s]),
-                                  **reference}
+        vals = _spectra(Rf, xs)
+        if start == 0:
+            radius = max(1.0, float(np.abs(vals[0]).max()))
+            ref.update(radius=radius, x=list(xs[0]),
+                       coefficients=charpoly(vals[0] / radius))
+        coeffs = charpoly(vals / ref["radius"])
+        res = (np.abs(coeffs - ref["coefficients"])
+               / (1.0 + np.abs(ref["coefficients"]))).max(axis=1, keepdims=True)
+        return res, lambda s, c: {
+            "x": list(xs[s]), "coefficients": list(coeffs[s]),
+            "reference_x": ref["x"], "reference_coefficients": list(ref["coefficients"])}
 
     return _sweep("osserman", R, draw, compute, samples=samples, seed=seed,
-                  tol=tol, reference=reference)
+                  tol=tol)
 
 
 def check_einstein(R: CurvatureTensor, *, tol=None) -> CheckReport:
@@ -371,7 +370,7 @@ def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0) -> RootClassific
     Rf = R.to_float()
     n = R.dim
     ref, agree = None, True
-    for _, (xs,) in _blocks(seed, 0, samples,
+    for _, (xs,) in _blocks(seed, samples,
                             lambda stream: (random_unit_vector(n, stream),)):
         vals = _spectra(Rf, xs)
         ct = default_cluster_tol(vals)
@@ -575,28 +574,24 @@ def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None) -> CheckReport:
     """
     bases = 3
     tol = 1e-12 if tol is None else tol
-    n = R.dim
+    n, m = R.dim, R._matrix
+    # both standard-basis sides are traces of the stored scalars (integer
+    # numerators for a rational R): the Jacobi matrices at e_i are the
+    # columns (i, i) of the stored matrix, so their sum is one trace of it.
+    # Each trace adds n scalars of R, inside the int64 rule of R
+    acc = np.trace(m.reshape(n * n, n, n), axis1=1, axis2=2).reshape(n, n)
+    ric = np.trace(_as_tensor(m, n), axis1=1, axis2=2).T
     if R.mode == RATIONAL:
-        # numerators over the denominator of R.  The Jacobi numerators at
-        # e_i are the columns (i, i) of the stored matrix, so their sum is
-        # one trace of it; it and the trace of the numerators add n
-        # numerators of R each, inside the int64 rule of R
-        acc = np.trace(R._matrix.reshape(n * n, n, n), axis1=1, axis2=2).reshape(n, n)
-        ric_nums = np.trace(R.numerators, axis1=1, axis2=2).T
-        worst_std = Fraction(max_abs(acc - ric_nums), R.denominator)
-        ric_f = _rounded_quotient(ric_nums, R.denominator, n * R._max_numerator)
+        worst_std = Fraction(max_abs(acc - ric), R.denominator)
+        ric = _rounded_quotient(ric, R.denominator, n * R._max_numerator)
     else:
-        ric_f = ricci_operator(R)
-        acc = sum(jacobi_matrix(R, np.eye(n)[:, i]) for i in range(n))
-        worst_std = float(np.abs(acc - ric_f).max())
-    Rf = R.to_float()
-    worst_rand = 0.0
-    for b in range(bases):
-        q = random_orthogonal_matrix(n, sample_stream(seed, b))
-        acc = sum(jacobi_matrix(Rf, q[:, i]) for i in range(n))
-        scale = 1.0 + float(np.abs(ric_f).max())
-        res = float(np.abs(acc - ric_f).max()) / scale
-        worst_rand = res if _worse(res, worst_rand) else worst_rand
+        worst_std = float(np.abs(acc - ric).max())
+    # the columns of the three random bases, summed basis by basis
+    q = np.concatenate([random_orthogonal_matrix(n, sample_stream(seed, b)).T
+                        for b in range(bases)])
+    acc = jacobi_matrices(R, q).reshape(bases, n, n, n).sum(axis=1)
+    # the largest residual, or NaN when there is one
+    worst_rand = float(np.abs(acc - ric).max()) / (1.0 + float(np.abs(ric).max()))
     worst_std_f = float(worst_std)
     worst = worst_rand if _worse(worst_rand, worst_std_f) else worst_std_f
     return make_report("ricci-sum", worst,

@@ -29,7 +29,7 @@ from .linalg import (
     RATIONAL,
     PreconditionError,
     charpoly,
-    cluster_eigenvalues,
+    cluster_rows,
     default_cluster_tol,
     eigvalsh,
     random_unit_vector,
@@ -218,9 +218,9 @@ def _cmd_spectrum(args):
                           ("characteristic polynomial", coeffs)):
         if not np.isfinite(values).all():
             raise PreconditionError(f"the {label} is not finite at this direction")
-    centers, mults = cluster_eigenvalues(vals, default_cluster_tol(vals))
+    _, centers, mults = cluster_rows(vals[None], default_cluster_tol(vals))
     print("eigenvalues:", ", ".join(
-        f"{c:g} x{m}" for c, m in zip(centers, mults)))
+        f"{c:g} x{m}" for c, m in zip(centers[0], mults[0]) if m))
     print("char poly coefficients:", ", ".join(f"{c:.12g}" for c in coeffs))
     return EXIT_PASS
 

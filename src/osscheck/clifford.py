@@ -102,30 +102,17 @@ def _minimal_dimension(m):
     raise ValueError(f"rank {m} families need dimension > 16")
 
 
-def build_clifford_family(n, m, stream=None) -> CliffordFamily:
-    """Canonical integer Clifford family of rank m on R^n.
-
-    Deterministic for fixed (n, m).  Pass a stream to conjugate the whole
-    family by a random orthogonal matrix (float entries; relations then hold
-    to roundoff instead of exactly).
-    """
+def build_clifford_family(n, m) -> CliffordFamily:
+    """Canonical integer Clifford family of rank m on R^n, deterministic
+    for fixed (n, m)."""
     bound = radon_hurwitz_bound(n)
     if not 1 <= m <= bound:
         raise ValueError(
             f"rank {m} exceeds Radon-Hurwitz bound {bound} for n={n}")
     d = _minimal_dimension(m)
     assert n % d == 0, "bound check guarantees divisibility"
-    reps = n // d
-    structures = []
-    for J in _maximal_family(d)[:m]:
-        big = np.kron(np.eye(reps, dtype=np.int64), J)
-        structures.append(big)
-    if stream is not None:
-        from .linalg import random_orthogonal_matrix
-
-        q = random_orthogonal_matrix(n, stream)
-        structures = [q @ J @ q.T for J in structures]
-    return CliffordFamily(n, tuple(structures))
+    eye = np.eye(n // d, dtype=np.int64)
+    return CliffordFamily(n, tuple(np.kron(eye, J) for J in _maximal_family(d)[:m]))
 
 
 def validate_hurwitz(family: CliffordFamily):

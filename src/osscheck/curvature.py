@@ -61,7 +61,8 @@ def _exact_matrix(nums, denom):
 # The storage layout, shared by both scalar modes.  A tensor keeps its
 # scalars (float64 components or integer numerators) as one C-contiguous
 # (n^2, n^2) matrix whose row (l, i) and column (j, k) hold R[i, j, k, l],
-# so the Jacobi operator is one matrix-vector product (see _jacobi).  The
+# so the Jacobi matrices at the rows of X are one product of the rows
+# vec(x x^T) with its transpose (see jacobi_matrices).  The
 # constructors build R1, R^J and R^S in this memory order, and elementwise
 # numpy operations on the [i, j, k, l] view keep it, so sums, scalings and
 # dtype conversions of stored tensors reach _as_matrix already laid out and
@@ -82,11 +83,12 @@ def _as_tensor(m, n):
     return m.reshape((n,) * 4).transpose(1, 2, 3, 0)
 
 
-def _jacobi(m, x):
-    """M[w, i] = sum_jk R[i, j, k, w] x_j x_k: the stored matrix times
-    vec(x x^T), in float or integer arithmetic alike."""
-    n = x.shape[0]
-    return (m @ np.outer(x, x).reshape(-1)).reshape(n, n)
+def _require_mode(mode):
+    """``mode``, or ValueError when it is not one of the two scalar modes."""
+    if mode not in (FLOAT64, RATIONAL):
+        raise ValueError(f"unknown scalar mode {mode!r}: expected "
+                         f"{FLOAT64!r} or {RATIONAL!r}")
+    return mode
 
 
 class CurvatureTensor:
@@ -111,12 +113,12 @@ class CurvatureTensor:
         array of exact scalars (ints or Fractions)."""
         if components.shape != (dim,) * 4:
             raise ValueError("components must be an n^4 array")
-        if mode == RATIONAL:
+        if _require_mode(mode) == RATIONAL:
             if components.dtype != object:
                 raise ValueError("rational mode requires object components")
             self._set_exact(*clear_denominators(components), provenance)
             return
-        if mode == FLOAT64 and components.dtype != np.float64:
+        if components.dtype != np.float64:
             raise ValueError("float64 mode requires float64 components")
         components.setflags(write=False)
         self._set(dim=dim, mode=mode, provenance=provenance, denominator=None,
@@ -199,7 +201,8 @@ def eval_tensor(R: CurvatureTensor, X, Y, Z, W):
 
 def _jacobi_numerators(R: CurvatureTensor, x):
     """Exact Jacobi matrix of a rational tensor at the exact vector ``x``,
-    as ``(numerators, denominator)``.
+    as ``(numerators, denominator)``: the stored matrix times vec(x x^T)
+    for the integer numerators of ``x``.
 
     ``numerators / denominator`` equals the Jacobi matrix exactly; the
     numerator array is int64 when the int64 overflow rule admits the
@@ -212,19 +215,19 @@ def _jacobi_numerators(R: CurvatureTensor, x):
         xn = xn.astype(np.int64)
     else:
         m = m.astype(object, copy=False)
-    return _jacobi(m, xn), R.denominator * Lx * Lx
+    return (m @ np.outer(xn, xn).reshape(-1)).reshape(n, n), R.denominator * Lx * Lx
 
 
 def jacobi_matrix(R: CurvatureTensor, x):
     """Matrix of the Jacobi operator J_x: M[w, i] = R(e_i, x, x, e_w).
 
     Exact scalars in rational mode (``x`` must then hold exact rationals),
-    float64 otherwise.
+    float64 otherwise: the row of ``x`` in :func:`jacobi_matrices`.
     """
     x = _check_vector(R, x)
     if R.mode == RATIONAL:
         return _exact_matrix(*_jacobi_numerators(R, x))
-    return _jacobi(R._matrix, x.astype(np.float64, copy=False))
+    return jacobi_matrices(R, x[None])[0]
 
 
 def jacobi_matrices(R: CurvatureTensor, X):
@@ -265,10 +268,9 @@ def _first_slot(R: CurvatureTensor):
 @dataclass(frozen=True)
 class ReducedJacobi:
     """Jacobi operator restricted to base-perp, in an orthonormal frame; for
-    a stack of bases ``base[..., n]`` every field carries the same leading
+    a stack of bases ``x[..., n]`` every field carries the same leading
     axes."""
 
-    base: np.ndarray
     frame: np.ndarray   # (..., n, n-1), orthonormal columns spanning base-perp
     matrix: np.ndarray  # (..., n-1, n-1)
 
@@ -282,7 +284,7 @@ def reduced_jacobi(R: CurvatureTensor, x) -> ReducedJacobi:
     frame = householder_frame(x)
     full = jacobi_matrices(R, x.reshape(-1, R.dim)).reshape(x.shape + (R.dim,))
     red = np.swapaxes(frame, -1, -2) @ full @ frame
-    return ReducedJacobi(x, frame, 0.5 * (red + np.swapaxes(red, -1, -2)))
+    return ReducedJacobi(frame, 0.5 * (red + np.swapaxes(red, -1, -2)))
 
 
 def ricci_operator(R: CurvatureTensor):
@@ -325,7 +327,7 @@ def _r1(n) -> CurvatureTensor:
 
 def _combine(weights, tensors, mode, provenance) -> CurvatureTensor:
     """sum_i w_i T_i in ``mode``; exact in rational mode."""
-    if mode == FLOAT64:
+    if _require_mode(mode) == FLOAT64:
         acc = tensors[0].to_float().components * float(weights[0])
         for w, T in zip(weights[1:], tensors[1:]):
             acc = acc + T.to_float().components * float(w)
@@ -373,7 +375,7 @@ def make_rj(J, mode=FLOAT64) -> CurvatureTensor:
     J = _require_skew(J)
     n = J.shape[0]
     prov = f"rj(n={n})"
-    if mode == FLOAT64:
+    if _require_mode(mode) == FLOAT64:
         comp = _rj_components(np.asarray(J, dtype=np.float64))
         return CurvatureTensor(n, mode, comp, prov)
     if J.dtype == object:
@@ -415,6 +417,7 @@ def _clifford_provenance(n, mu0, mus, Js):
 
 def make_from_symmetric(S_list, coeffs, mode=FLOAT64, n=None) -> CurvatureTensor:
     """Spanning generator: sum_t c_t (g(SX,W)g(SY,Z) - g(SX,Z)g(SY,W))."""
+    _require_mode(mode)
     if len(S_list) != len(coeffs):
         raise ValueError("one coefficient per matrix required")
     if not S_list:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -42,17 +41,21 @@ class PreconditionError(ValueError):
 
 
 def require_symmetric(m):
+    """``m``, a square matrix or a stack ``m[..., k, k]`` of them, or
+    ValueError when one is not symmetric (exactly, or in float to SYM_TOL
+    relative to its largest entry)."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
+    mt = np.swapaxes(m, -1, -2)
     if m.dtype == object:
-        if np.any(m != m.T):
+        if np.any(m != mt):
             raise ValueError("matrix is not symmetric (rational mode, exact)")
         return m
-    scale = max(1.0, float(np.abs(m).max()))
-    worst = float(np.abs(m - m.T).max())
-    if worst > SYM_TOL * scale:
-        raise ValueError(f"matrix is not symmetric: residual {worst:.3e}")
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    worst = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
+    if np.any(worst > SYM_TOL * scale):
+        raise ValueError(f"matrix is not symmetric: residual {float(worst.max()):.3e}")
     return m
 
 
@@ -105,15 +108,6 @@ def cluster_rows(values, cluster_tol):
     return labels, centers, mults
 
 
-def cluster_eigenvalues(values, cluster_tol):
-    """:func:`cluster_rows` of one sorted value list, as the lists
-    ``(centers, multiplicities)``."""
-    _, centers, mults = cluster_rows(np.asarray(values, dtype=np.float64)[None],
-                                     cluster_tol)
-    k = int(np.count_nonzero(mults[0]))
-    return centers[0, :k].tolist(), mults[0, :k].tolist()
-
-
 def default_cluster_tol(values):
     """Spec'd default: 1e-6 times the spectral diameter (1 if nearly zero),
     over the last axis of ``values``."""
@@ -123,27 +117,6 @@ def default_cluster_tol(values):
     diam = v.max(axis=-1) - v.min(axis=-1)
     tol = 1e-6 * np.where(diam >= 1e-12, diam, 1.0)
     return float(tol) if tol.ndim == 0 else tol
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Clustered spectrum of a self-adjoint operator.
-
-    ``eigenvalues`` are the distinct clustered centers in ascending order,
-    ``multiplicities`` the cluster sizes, and ``eigenbasis`` an orthonormal
-    matrix whose columns are grouped to match the clusters.  ``raw`` keeps
-    the unclustered ascending eigenvalues.
-    """
-
-    eigenvalues: tuple
-    multiplicities: tuple
-    eigenbasis: np.ndarray
-    raw: np.ndarray
-
-    def eigenspace(self, index):
-        """Columns of the eigenbasis spanning cluster ``index``."""
-        start = sum(self.multiplicities[:index])
-        return self.eigenbasis[:, start : start + self.multiplicities[index]]
 
 
 def _zero_non_finite(m):
@@ -164,28 +137,18 @@ def eigvalsh(m):
     return vals
 
 
-def eigh_stack(m):
+def eigh(m):
     """``(eigenvalues, eigenvectors)`` of the symmetric float matrices
     ``m[..., k, k]``, ascending, eigenvectors in columns; all NaN for a
     matrix with an entry that is not finite."""
-    m, bad = _zero_non_finite(m)
-    vals, vecs = np.linalg.eigh(m)
-    vals[bad], vecs[bad] = np.nan, np.nan
-    return vals, vecs
-
-
-def eigh(m, cluster_tol=None):
-    """Clustered spectrum of one self-adjoint float matrix.  A matrix with an
-    entry that is not finite has NaN eigenvalues and a NaN eigenbasis."""
     m = np.asarray(m)
     if m.dtype == object:
         raise PreconditionError("eigh is float-only; eigenvalues are irrational in general")
+    m, bad = _zero_non_finite(m)
     require_symmetric(m)
-    vals, vecs = eigh_stack(0.5 * (m + m.T))
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(vals)
-    centers, mults = cluster_eigenvalues(vals, cluster_tol)
-    return SpectralData(tuple(centers), tuple(mults), vecs, vals)
+    vals, vecs = np.linalg.eigh(m)
+    vals[bad], vecs[bad] = np.nan, np.nan
+    return vals, vecs
 
 
 def charpoly(roots):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .linalg import RATIONAL
 
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 
 def _jsonable(v):

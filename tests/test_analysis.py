@@ -27,7 +27,7 @@ from osscheck import (
 )
 from osscheck import analysis
 from osscheck.curvature import CurvatureTensor
-from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError, eigh
+from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError, cluster_rows, eigh
 
 
 def clifford_tensor(n, m, mode=RATIONAL, mus=None, mu0=1):
@@ -116,6 +116,22 @@ class TestOsserman:
         rep = check_osserman(random4, samples=50)
         assert not rep.passed
 
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_reference_is_sample_zero(self, n, monkeypatch):
+        from osscheck.linalg import charpoly, eigvalsh, random_unit_vector
+
+        for R in (clifford_tensor(n, 3).to_float(),
+                  random_curvature(n, 2, sample_stream(60 + n))):
+            rows = _per_sample(monkeypatch, "osserman", R, 40)
+            rep = check_osserman(R, samples=40, seed=3)
+            # the standalone spectrum of sample 0, alone in its product
+            x0 = random_unit_vector(n, sample_stream(3, 0))
+            vals0 = eigvalsh(reduced_jacobi(R, x0[None]).matrix)[0]
+            ref = charpoly(vals0 / max(1.0, float(np.abs(vals0).max())))
+            assert rep.witness["reference_x"] == list(x0)
+            assert np.array_equal(rep.witness["reference_coefficients"], ref)
+            assert rows["osserman", 0][0] == [repr(0.0)]
+
 
 class TestEinstein:
     def test_constant(self):
@@ -186,9 +202,10 @@ class TestTwoRootDecomposition:
         Rf = quaternionic8.to_float()
         y = np.array([1.0] + [0.0] * 7)
         red = reduced_jacobi(Rf, y)
-        sd = eigh(red.matrix, cluster_tol=0.75)
-        assert len(sd.eigenvalues) == 2
-        v1, v2 = (red.frame @ sd.eigenspace(q) for q in (0, 1))
+        vals, vecs = eigh(red.matrix)
+        labels, _, mults = cluster_rows(vals[None], 0.75)
+        assert np.count_nonzero(mults) == 2
+        v1, v2 = (red.frame @ vecs[:, labels[0] == q] for q in (0, 1))
         x = v1[:, 0]
         b1 = jacobi_matrix(Rf, x).dot(y).dot(v2 @ (v2.T @ x))
         assert abs(b1) <= 1e-12
@@ -291,6 +308,32 @@ class TestRicciSum:
         assert rep.passed
         assert float(rep.worst_residual) <= 1e-12
 
+    @pytest.mark.parametrize("n", [4, 6, 8, 16])
+    def test_random_route_is_the_per_vector_loop(self, n, monkeypatch):
+        from osscheck.linalg import random_orthogonal_matrix
+
+        original, calls = analysis.jacobi_matrices, []
+
+        def spy(R, X):
+            calls.append((X, original(R, X)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(analysis, "jacobi_matrices", spy)
+        Rf = (random_curvature(n, 3, sample_stream(n)) if n < 16
+              else clifford_tensor(n, 8).to_float())
+        rep = check_ricci_sum(Rf, seed=4)
+        (X, J), = calls  # one product over the three bases
+        ric = ricci_operator(Rf)
+        worst = 0.0
+        for b in range(3):
+            q = random_orthogonal_matrix(n, sample_stream(4, b))
+            assert np.array_equal(X[b * n:(b + 1) * n], q.T)
+            loop = sum(jacobi_matrix(Rf, q[:, i]) for i in range(n))
+            batched = J[b * n:(b + 1) * n].sum(axis=0)
+            assert np.abs(batched - loop).max() <= 1e-13 * np.abs(loop).max()
+            worst = max(worst, np.abs(loop - ric).max() / (1 + np.abs(ric).max()))
+        assert abs(rep.witness["random_basis_residual"] - worst) <= 1e-13
+
     def test_notes_say_what_it_certifies(self, quaternionic8):
         for R in (quaternionic8, quaternionic8.to_float()):
             assert check_ricci_sum(R).notes == (
@@ -341,7 +384,8 @@ class TestToleranceAndNaN:
             rep = check_osserman(R, samples=5)
             assert not rep.passed
             assert np.isnan(rep.worst_residual)
-            assert rep.witness["sample"] == 1
+            # the reference, sample 0, is the first NaN
+            assert rep.witness["sample"] == 0
 
     def test_nan_spectrum_fails_jacobi_dual_and_k_root(self):
         R = CurvatureTensor(4, FLOAT64, np.full((4,) * 4, np.nan), "nan")
@@ -403,12 +447,14 @@ class TestCheckerTable:
             assert "mode" not in takes
 
     def test_exact_checkers_read_integers(self, quaternionic8, monkeypatch):
-        # no rational Jacobi matrix of Fractions is built by any checker
-        def refuse(R, x):
-            assert R.mode == FLOAT64, "jacobi_matrix called on a rational tensor"
-            return jacobi_matrix(R, x)
+        # no rational Jacobi matrix of Fractions is built by any checker:
+        # jacobi_matrix on a rational tensor goes through _jacobi_numerators
+        from osscheck import curvature
 
-        monkeypatch.setattr(analysis, "jacobi_matrix", refuse)
+        def refuse(R, x):
+            raise AssertionError("exact Jacobi matrix built at a single vector")
+
+        monkeypatch.setattr(curvature, "_jacobi_numerators", refuse)
         for name in analysis.CHECKERS:
             assert analysis.run_check(name, quaternionic8, samples=4, seed=1,
                                       tol=None).passed, name
@@ -448,8 +494,8 @@ class TestSweep:
         except PreconditionError:
             return
         assert not rep.passed and np.isnan(float(rep.worst_residual))
-        # osserman compares against sample 0, so its first sample is 1
-        assert rep.witness["sample"] == (1 if name == "osserman" else 0)
+        # osserman's too: its reference, sample 0, has a residual like the rest
+        assert rep.witness["sample"] == 0
 
     @pytest.mark.parametrize("name", SAMPLING)
     def test_every_report_carries_the_sampling_note(self, name, quaternionic8):
@@ -491,12 +537,12 @@ def _per_sample(monkeypatch, name, R, samples):
     return rows
 
 
-def _loop_winner(values, reference):
-    """Witness index of the sequential rule: the first candidate (unless a
-    reference stands), then each value that _worse than the worst so far."""
+def _loop_winner(values):
+    """Witness index of the sequential rule: the first candidate, then each
+    value that _worse than the worst so far."""
     worst, win = 0.0, None
     for k, v in enumerate(values):
-        if (win is None and not reference) or analysis._worse(v, worst):
+        if win is None or analysis._worse(v, worst):
             worst, win = v, k
     return worst, win
 
@@ -517,8 +563,7 @@ class TestEngine:
             for key, row in rows.items():
                 assert row == runs[300][key], (samples, key)
 
-    @pytest.mark.parametrize("reference", [False, True])
-    def test_block_rule_equals_the_worse_loop(self, reference):
+    def test_block_rule_equals_the_worse_loop(self):
         rng = np.random.default_rng(11)
         R = make_constant_curvature(2, 1)
         samples = 2 * analysis.BLOCK + 5
@@ -539,15 +584,10 @@ class TestEngine:
                 return res, lambda s, c: {"candidate": c}
 
             rep = analysis._sweep("rule", R, lambda stream: (np.zeros(1),),
-                                  compute, samples=samples, seed=0, tol=1,
-                                  reference={"reference": 0} if reference else None)
-            first = 1 if reference else 0
-            worst, win = _loop_winner(values[first:].reshape(-1), reference)
-            if win is None:
-                assert rep.witness == {"reference": 0} and rep.worst_residual == 0
-                continue
+                                  compute, samples=samples, seed=0, tol=1)
+            worst, win = _loop_winner(values.reshape(-1))
             i, c = divmod(win, values.shape[1])
-            assert rep.witness == {"sample": first + i, "candidate": c}
+            assert rep.witness == {"sample": i, "candidate": c}
             if isinstance(worst, Fraction):
                 assert rep.worst_residual == worst
             else:  # bit-equal, NaN included

@@ -84,8 +84,15 @@ class TestValidateHurwitz:
         assert rep.worst_residual == 2
 
     def test_conjugated_family_float(self):
-        fam = build_clifford_family(8, 7, stream=sample_stream(42))
+        from osscheck.linalg import random_orthogonal_matrix
+
+        # conjugated by a random orthogonal matrix, the family has float
+        # entries and its relations hold to roundoff instead of exactly
+        q = random_orthogonal_matrix(8, sample_stream(42))
+        fam = CliffordFamily(8, tuple(q @ J @ q.T for J in
+                                      build_clifford_family(8, 7).structures))
         rep = validate_hurwitz(fam)
+        assert rep.mode == "float64"
         assert rep.passed
         assert float(rep.worst_residual) <= 1e-12
 

@@ -473,6 +473,18 @@ class TestStorageLayout:
         for w, i in itertools.product(range(n), repeat=2):
             assert abs(got[w, i] - eval_tensor(Rf, e[i], xf, xf, e[w])) <= 1e-12
 
+    @pytest.mark.parametrize("n", [3, 4, 8, 16])
+    def test_float_jacobi_is_its_row_of_the_block(self, n):
+        from osscheck.curvature import jacobi_matrices
+
+        Rf = random_curvature(n, 3, sample_stream(90 + n))
+        X = sample_stream(91 + n).standard_normal((5, n))
+        for k, x in enumerate(X):
+            assert np.array_equal(jacobi_matrix(Rf, x), jacobi_matrices(Rf, x[None])[0])
+            # the row sits first in its product here, k-th in the stack
+            assert np.abs(jacobi_matrix(Rf, x) - jacobi_matrices(Rf, X)[k]).max() \
+                <= 1e-13 * np.abs(jacobi_matrix(Rf, x)).max()
+
     def test_both_modes_share_one_layout(self):
         from osscheck.curvature import _as_matrix, _rj_components
 
@@ -487,3 +499,38 @@ class TestStorageLayout:
             assert np.shares_memory(_as_matrix(t), t)
         c = np.ascontiguousarray(Rf.components)
         assert not np.shares_memory(_as_matrix(c), c)
+
+
+class TestScalarMode:
+    """Every constructor takes one of the two scalar modes, and names any
+    other mode it is given."""
+
+    def test_curvature_tensor(self):
+        with pytest.raises(ValueError, match="'float32'"):
+            CurvatureTensor(4, "float32", np.zeros((4,) * 4))
+
+    def test_constant_curvature(self):
+        with pytest.raises(ValueError, match="'float32'"):
+            make_constant_curvature(4, 1, "float32")
+
+    def test_rj(self):
+        J = build_clifford_family(4, 1).structures[0]
+        with pytest.raises(ValueError, match="'x'"):
+            make_rj(J, "x")
+
+    def test_clifford(self):
+        fam = build_clifford_family(4, 3)
+        for terms in ([(-1, J) for J in fam.structures], []):
+            with pytest.raises(ValueError, match="'Rational'"):
+                make_clifford(4, 1, terms, mode="Rational")
+
+    def test_from_symmetric(self):
+        with pytest.raises(ValueError, match="'Float64'"):
+            make_from_symmetric([np.eye(3)], [1.0], mode="Float64")
+        with pytest.raises(ValueError, match="'Float64'"):
+            make_from_symmetric([], [], mode="Float64", n=3)
+
+    def test_both_modes_still_build(self):
+        for mode in (FLOAT64, RATIONAL):
+            assert make_constant_curvature(3, 1, mode).mode == mode
+            assert make_from_symmetric([np.eye(3)], [1], mode=mode).mode == mode

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from osscheck.linalg import (
     PreconditionError,
     charpoly,
-    cluster_eigenvalues,
     cluster_rows,
     default_cluster_tol,
     eigh,
@@ -66,20 +65,30 @@ class TestInt64Rule:
         assert (big * 2**40).tolist() == [3 * 2**40, -2**80]
 
 
+def clusters(values, cluster_tol):
+    """:func:`cluster_rows` of one sorted value list, as the lists
+    ``(centers, multiplicities)`` of its clusters."""
+    _, centers, mults = cluster_rows(np.asarray(values, dtype=np.float64)[None],
+                                     cluster_tol)
+    k = int(np.count_nonzero(mults[0]))
+    return centers[0, :k].tolist(), mults[0, :k].tolist()
+
+
 class TestEigh:
     def test_identity(self):
-        sd = eigh(np.eye(3))
-        assert sd.eigenvalues == (1.0,)
-        assert sd.multiplicities == (3,)
+        vals, _ = eigh(np.eye(3))
+        assert clusters(vals, default_cluster_tol(vals)) == ([1.0], [3])
 
     def test_diag(self):
-        sd = eigh(np.diag([2.0, -1.0]))
-        assert sd.eigenvalues == (-1.0, 2.0)
-        assert sd.multiplicities == (1, 1)
+        vals, _ = eigh(np.diag([2.0, -1.0]))
+        assert clusters(vals, default_cluster_tol(vals)) == ([-1.0, 2.0], [1, 1])
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # one nonsymmetric matrix of a stack is enough
+        with pytest.raises(ValueError):
+            eigh(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
     def test_rejects_rational(self):
         with pytest.raises(PreconditionError):
@@ -91,34 +100,39 @@ class TestEigh:
         g = sample_stream(7, n)
         a = g.standard_normal((n, n))
         m = 0.5 * (a + a.T)
-        sd = eigh(m)
-        q, lam = sd.eigenbasis, sd.raw
+        lam, q = eigh(m)
         recon = q @ np.diag(lam) @ q.T
         scale = np.abs(m).max()
         assert np.abs(recon - m).max() <= 1e-12 * max(scale, 1.0)
         assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-10
         for i in range(n):
             assert np.linalg.norm(m @ q[:, i] - lam[i] * q[:, i]) <= 1e-10 * max(scale, 1.0)
+        # a stack is decomposed matrix by matrix, a non-finite one as NaN
+        bad = m.copy()
+        bad[0, -1] = bad[-1, 0] = np.inf
+        vals, vecs = eigh(np.stack([m, bad, m]))
+        assert np.array_equal(vals[0], lam) and np.array_equal(vecs[2], q)
+        assert np.isnan(vals[1]).all() and np.isnan(vecs[1]).all()
 
 
 class TestClusterEigenvalues:
     def test_near_duplicates(self):
-        centers, mults = cluster_eigenvalues([1.0, 1.0 + 1e-12, 4.0], 1e-9)
+        centers, mults = clusters([1.0, 1.0 + 1e-12, 4.0], 1e-9)
         assert mults == [2, 1]
         assert abs(centers[0] - 1.0) < 1e-12 and centers[1] == 4.0
 
     def test_singleton(self):
-        assert cluster_eigenvalues([5.0], 0.1) == ([5.0], [1])
+        assert clusters([5.0], 0.1) == ([5.0], [1])
 
     def test_running_mean_rule(self):
         # hand-run of the greedy rule on the spec example
-        centers, mults = cluster_eigenvalues([0.9999, 1.0001, 1.9], 1e-3)
+        centers, mults = clusters([0.9999, 1.0001, 1.9], 1e-3)
         assert mults == [2, 1]
         assert abs(centers[0] - 1.0) <= 1e-12
         assert centers[1] == 1.9
 
     def test_empty(self):
-        assert cluster_eigenvalues([], 1.0) == ([], [])
+        assert clusters([], 1.0) == ([], [])
 
     def test_default_tol(self):
         assert default_cluster_tol([1.0, 4.0]) == pytest.approx(3e-6)

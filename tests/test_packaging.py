@@ -1,0 +1,23 @@
+"""The package has one version number: the artifact version of its reports."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import osscheck
+from osscheck.report import ARTIFACT_VERSION
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_pyproject_takes_the_version_from_the_artifact_version():
+    import tomllib
+
+    meta = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "osscheck.report.ARTIFACT_VERSION"
+    assert osscheck.__version__ == ARTIFACT_VERSION == "0.5.0"

@@ -8,6 +8,7 @@ only via --out.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from fractions import Fraction
@@ -50,6 +51,17 @@ def _scalar(text, mode):
 
 def _scalar_list(text, mode):
     return [_scalar(part, mode) for part in text.split(",") if part.strip()]
+
+
+def _residual(r):
+    """Residual ``r`` to four digits; an exact one beyond float range is
+    rounded without passing through float."""
+    try:
+        return f"{float(r):.3e}"
+    except OverflowError:
+        r = Fraction(r)
+        with decimal.localcontext(prec=4, Emax=decimal.MAX_EMAX):
+            return f"{decimal.Decimal(r.numerator) / r.denominator:.3e}"
 
 
 def _build_parser():
@@ -181,7 +193,7 @@ def _cmd_check(args):
                 continue
             all_pass = all_pass and rep.passed
             print(f"{name:>24}: {rep.verdict}  worst residual "
-                  f"{float(rep.worst_residual):.3e}")
+                  f"{_residual(rep.worst_residual)}")
             reports[name] = rep.to_dict()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -192,7 +204,7 @@ def _cmd_check(args):
 
     rep = analysis.run_check(args.property, R, **options)
     print(f"{rep.name}: {rep.verdict}  worst residual "
-          f"{float(rep.worst_residual):.3e}  (samples={rep.samples}, "
+          f"{_residual(rep.worst_residual)}  (samples={rep.samples}, "
           f"seed={rep.seed}, tol={float(rep.tolerance):g}, mode={rep.mode})")
     if args.out:
         dump_report(rep, args.out)

@@ -43,13 +43,25 @@ from .report import make_report
 
 def _rounded_quotient(nums, denom, bound):
     """The float64 array ``nums / denom`` of an integer array and a positive
-    int, each entry correctly rounded; ``bound`` bounds its entries."""
+    int, each entry correctly rounded (to +-inf beyond float range);
+    ``bound`` bounds its entries."""
     if denom == 1 or (bound <= 2**53 and denom <= 2**53):
         # one rounding: in the conversion when denom is 1, otherwise in the
         # division of two operands that binary64 holds exactly
-        return nums.astype(np.float64) / denom
-    return np.array([v / denom for v in nums.reshape(-1).tolist()],
+        try:
+            return nums.astype(np.float64) / denom
+        except OverflowError:  # an int beyond float range
+            pass
+    return np.array([_quotient(v, denom) for v in nums.reshape(-1).tolist()],
                     dtype=np.float64).reshape(nums.shape)
+
+
+def _quotient(p, q):
+    """The int ``p / q`` correctly rounded, +-inf beyond float range."""
+    try:
+        return p / q
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
 
 
 def _exact_matrix(nums, denom):
@@ -137,7 +149,9 @@ class CurvatureTensor:
         if nums.shape != (dim,) * 4:
             raise ValueError("numerators must be an n^4 array")
         if L != 1:
-            g = math.gcd(L, *nums.reshape(-1).tolist())
+            flat = nums.reshape(-1)
+            g = math.gcd(L, *(flat.tolist() if nums.dtype == object
+                              else [int(np.gcd.reduce(flat))]))
             if g != 1:
                 nums, L = nums.astype(object) // g, L // g
         m = _as_matrix(int_array(nums, dim, dim))

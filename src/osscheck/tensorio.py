@@ -8,15 +8,17 @@ A tensor file is a single JSON document:
 
 Rational components are "p/q" strings (or plain integer strings) and
 round-trip bit-exactly.  ``dim`` must be an integer >= 2 and float
-components must be finite.
+components must be finite JSON numbers.  A rational tensor has n^4
+components but, for the Clifford corpus, a few dozen distinct values, so
+both directions work on a table of the distinct values.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -39,37 +41,75 @@ def tensor_to_document(R: CurvatureTensor) -> dict:
     if R.mode == RATIONAL:
         L = R.denominator
         nums = R.numerators.reshape(-1).tolist()
-        comps = [str(v) for v in nums] if L == 1 else [str(Fraction(v, L)) for v in nums]
+        text = {v: str(v) if L == 1 else str(Fraction(v, L)) for v in set(nums)}
+        comps = list(map(text.__getitem__, nums))
     else:
-        comps = [float(v) for v in R.components.reshape(-1)]
+        comps = R.components.reshape(-1).tolist()
     return {"dim": R.dim, "mode": R.mode, "components": comps,
             "provenance": R.provenance}
 
 
 def dump_tensor(R: CurvatureTensor, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tensor_to_document(R), fh)
-        fh.write("\n")
+        fh.write(json.dumps(tensor_to_document(R)) + "\n")
 
 
 # "p" or "p/q" in ASCII digits with q > 0
 _INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+# Fraction's decimal spelling with an exponent: integer digits, decimal
+# digits, exponent
+_EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+                       r"(?:\.(\d*|\d+(?:_\d+)*))?[eE]([-+]?\d+(?:_\d+)*)\s*")
 
 
-def _rational(index, v):
-    """Component ``v`` as ``(p, q)`` with ``v == p / q`` and ``q > 0``.
-    JSON integers and ``_INT_RATIO`` strings are read by ``int``; any other
-    spelling goes through ``Fraction(str(v))``, which decides what loads:
-    "0.5" does, "1/-2", "1 / 2" and JSON booleans do not."""
-    try:
-        m = _INT_RATIO.fullmatch(str(v))
-        if m:
-            return int(m[1]), int(m[2] or 1)
-        f = Fraction(str(v))
-    except (ValueError, ZeroDivisionError) as e:
-        raise TensorFileError(
-            f"field 'components': bad rational component at index {index}: {e}") from e
+def _rational(spelling):
+    """``spelling`` as ``(p, q)`` with ``spelling == p / q`` and ``q > 0``.
+    ``_INT_RATIO`` spellings are read by ``int``; any other goes through
+    ``Fraction``, which decides what loads: "0.5" does, "1/-2", "1 / 2" and
+    "True" do not.  Either way ``p`` and ``q`` obey ``int``'s digit limit
+    (``sys.get_int_max_str_digits()``); an exponent is checked against it
+    before ``Fraction`` expands it.  Raises ValueError or
+    ZeroDivisionError."""
+    m = _INT_RATIO.fullmatch(spelling)
+    if m:
+        return int(m[1]), int(m[2] or 1)
+    m = _EXPONENT.fullmatch(spelling)
+    limit = sys.get_int_max_str_digits()
+    if m and limit:
+        # Fraction makes int(whole + decimals) * 10**shift
+        whole, decimals = m[1].replace("_", ""), (m[2] or "").replace("_", "")
+        shift = int(m[3]) - len(decimals)
+        longest = max(len(whole + decimals) + shift, 1 - shift)
+        if longest > limit:
+            raise ValueError(f"Exceeds the limit ({limit} digits) for integer "
+                             f"string conversion: value has {longest} digits")
+    f = Fraction(spelling)
     return f.numerator, f.denominator
+
+
+def _rational_numerators(comps):
+    """Integer numerators (int64 when they fit) and common denominator of
+    the rational ``comps``.  Each distinct spelling ``str(v)`` is parsed
+    once; ``str`` also keeps JSON ``true`` apart from ``1``."""
+    spellings = list(map(str, comps))
+    code = {s: i for i, s in enumerate(dict.fromkeys(spellings))}
+    table = []
+    for spelling in code:
+        try:
+            table.append(_rational(spelling))
+        except (ValueError, ZeroDivisionError) as e:
+            raise TensorFileError(
+                f"field 'components': bad rational component at index "
+                f"{spellings.index(spelling)}: {e}") from e
+    L = math.lcm(*(q for _, q in table))
+    values = [p * (L // q) for p, q in table]
+    try:
+        values = np.array(values, dtype=np.int64)
+    except OverflowError:
+        values = np.array(values, dtype=object)
+    codes = np.fromiter(map(code.__getitem__, spellings), dtype=np.intp,
+                        count=len(spellings))
+    return values[codes], L
 
 
 def tensor_from_document(doc) -> CurvatureTensor:
@@ -92,19 +132,22 @@ def tensor_from_document(doc) -> CurvatureTensor:
         raise TensorFileError(
             f"expected {dim**4} components, found {len(comps)}")
     if mode == RATIONAL:
-        # p0, q0, p1, q1, ... straight into one array, one pair at a time
-        pq = np.fromiter(itertools.chain.from_iterable(
-            map(_rational, itertools.count(), comps)), dtype=object, count=2 * len(comps))
-        nums, dens = pq[0::2], pq[1::2]
-        L = math.lcm(*set(dens))
-        if L != 1:
-            nums = np.fromiter((p * (L // q) for p, q in zip(nums, dens)),
-                               dtype=object, count=len(comps))
+        nums, L = _rational_numerators(comps)
         return CurvatureTensor._from_numerators(nums.reshape((dim,) * 4), L, prov)
+    if not set(map(type, comps)) <= {int, float}:
+        i = next(i for i, v in enumerate(comps) if type(v) not in (int, float))
+        raise TensorFileError(f"field 'components': float component at index "
+                              f"{i} is not a JSON number: {comps[i]!r}")
     try:
         arr = np.asarray(comps, dtype=np.float64).reshape((dim,) * 4)
-    except (TypeError, ValueError) as e:
-        raise TensorFileError(f"field 'components': bad float component: {e}") from e
+    except OverflowError:  # a JSON integer beyond float range
+        for i, v in enumerate(comps):
+            try:
+                float(v)
+            except OverflowError:
+                raise TensorFileError(
+                    f"field 'components': float component at index {i} "
+                    f"is beyond float range") from None
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         raise TensorFileError(
@@ -113,12 +156,19 @@ def tensor_from_document(doc) -> CurvatureTensor:
 
 
 def load_tensor(path) -> CurvatureTensor:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise TensorFileError(f"not UTF-8 text: {e.reason}", offset=e.start) from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        raise TensorFileError(f"invalid JSON: {e.msg}", offset=e.pos) from e
+        raise TensorFileError(f"invalid JSON: {e.msg}",
+                              offset=len(text[:e.pos].encode("utf-8"))) from e
+    except ValueError as e:  # an integer beyond int's digit limit
+        raise TensorFileError(f"invalid JSON: {e}") from e
     return tensor_from_document(doc)
 
 

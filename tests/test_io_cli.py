@@ -1,12 +1,18 @@
+import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from osscheck import load_tensor, make_clifford, make_constant_curvature
 from osscheck.cli import main
+from osscheck.curvature import CurvatureTensor, random_curvature
+from osscheck.linalg import sample_stream
 from osscheck.tensorio import TensorFileError, dump_tensor, tensor_to_document
 from osscheck import build_clifford_family
 
@@ -206,6 +212,28 @@ class TestLoadValidation:
         assert main(["check", "osserman", "--in", str(p)]) == 3
         assert "field 'components'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [True, "1e3", "0.5", None, [1.0], 10**400])
+    def test_float_component_must_be_a_json_number(self, tmp_path, capsys, bad):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"dim": 2, "mode": "float64",
+                                 "components": [1.0] * 5 + [bad] + [0] * 10}))
+        assert main(["check", "einstein", "--in", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert "field 'components'" in err and "index 5" in err
+
+    def test_undecodable_file(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"dim": 2, "provenance": "\xff"}')
+        assert main(["check", "osserman", "--in", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert "UTF-8" in err and "byte offset 26" in err
+
+    def test_json_error_offset_counts_bytes(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"provenance": "\u00e9\u00e9", ???}', encoding="utf-8")
+        with pytest.raises(TensorFileError, match="byte offset 23"):
+            load_tensor(p)
+
 
 class TestRationalSpellings:
     @staticmethod
@@ -231,6 +259,54 @@ class TestRationalSpellings:
                      str(self._write(tmp_path, first))]) == 3
         err = capsys.readouterr().err
         assert "field 'components'" in err and "index 5" in err
+
+    @pytest.mark.parametrize("first", ["1" * 5000, "1/" + "3" * 5000, "1e5000",
+                                       "1e-5000", "-2.5E+4300", "1e100000000",
+                                       " 1_0e4_299"])
+    def test_digit_limit(self, tmp_path, capsys, first):
+        # one limit, int's, for the numerator and denominator of every spelling
+        assert main(["check", "symmetries", "--in",
+                     str(self._write(tmp_path, first))]) == 3
+        err = capsys.readouterr().err
+        assert "index 5" in err and "limit (4300 digits)" in err
+
+    @pytest.mark.parametrize("first, value", [
+        ("1e4299", Fraction(10**4299)), ("1.5e4299", Fraction(15 * 10**4298)),
+        ("1e-4299", Fraction(1, 10**4299))])
+    def test_digit_limit_admits(self, tmp_path, first, value):
+        assert load_tensor(self._write(tmp_path, first)).components[0, 1, 0, 1] == value
+
+    def test_json_integer_beyond_digit_limit(self, tmp_path, capsys):
+        p = tmp_path / "r.json"
+        p.write_text('{"dim": 2, "mode": "rational", "components": [%s]}'
+                     % ", ".join(["0"] * 15 + ["1" * 5000]))
+        assert main(["check", "symmetries", "--in", str(p)]) == 3
+        assert "limit (4300 digits)" in capsys.readouterr().err
+
+
+class TestResidualBeyondFloatRange:
+    @pytest.fixture
+    def huge(self, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"dim": 2, "mode": "rational",
+                                 "components": ["0"] + ["1e400"] + ["0"] * 14}))
+        return str(p)
+
+    @pytest.mark.parametrize("prop, residual", [("einstein", "1.000e+400"),
+                                                ("symmetries", "3.000e+400")])
+    def test_printed_exactly(self, huge, capsys, prop, residual):
+        assert main(["check", prop, "--in", huge]) == 1
+        assert f"worst residual {residual}" in capsys.readouterr().out
+
+    def test_check_all(self, huge, capsys, tmp_path):
+        # the float checks see the tensor rounded to inf
+        out = tmp_path / "all.json"
+        assert main(["check", "all", "--in", huge, "--samples", "3",
+                     "--out", str(out)]) == 1
+        reports = json.loads(out.read_text())["reports"]
+        assert reports["einstein"]["worst_residual"] == str(10**400)
+        assert reports["osserman"]["verdict"] == "fail"
+        assert np.isinf(load_tensor(huge).to_float().components[0, 0, 0, 1])
 
 
 class TestExactEndToEnd:
@@ -380,3 +456,144 @@ class TestNonFiniteSpectrum:
             assert f"the {what} is not finite" in captured.err
             assert "nan" not in captured.out and "inf" not in captured.out
             assert "Warning" not in captured.err
+
+
+# The per-component codec that the value table replaced, kept as the
+# oracle: it formats and parses every component on its own.
+
+def _oracle_document(R):
+    if R.mode == "rational":
+        L = R.denominator
+        nums = R.numerators.reshape(-1).tolist()
+        comps = [str(v) for v in nums] if L == 1 else [str(Fraction(v, L)) for v in nums]
+    else:
+        comps = [float(v) for v in R.components.reshape(-1)]
+    return {"dim": R.dim, "mode": R.mode, "components": comps,
+            "provenance": R.provenance}
+
+
+def _oracle_dump(R, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(_oracle_document(R), fh)
+        fh.write("\n")
+
+
+_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?")
+
+
+def _oracle_rational(index, v):
+    try:
+        m = _INT_RATIO.fullmatch(str(v))
+        if m:
+            return int(m[1]), int(m[2] or 1)
+        f = Fraction(str(v))
+    except (ValueError, ZeroDivisionError) as e:
+        raise TensorFileError(
+            f"field 'components': bad rational component at index {index}: {e}") from e
+    return f.numerator, f.denominator
+
+
+def _oracle_load(path):
+    doc = json.loads(open(path, encoding="utf-8").read())
+    comps, dim = doc["components"], doc["dim"]
+    pq = np.fromiter(itertools.chain.from_iterable(
+        map(_oracle_rational, itertools.count(), comps)), dtype=object, count=2 * len(comps))
+    nums, dens = pq[0::2], pq[1::2]
+    L = math.lcm(*set(dens))
+    if L != 1:
+        nums = np.fromiter((p * (L // q) for p, q in zip(nums, dens)),
+                           dtype=object, count=len(comps))
+    return CurvatureTensor._from_numerators(nums.reshape((dim,) * 4), L,
+                                            str(doc.get("provenance", "")))
+
+
+def _same_tensor(a, b):
+    assert a.denominator == b.denominator
+    assert a.numerators.dtype == b.numerators.dtype
+    assert np.array_equal(a.numerators, b.numerators)
+    assert a.provenance == b.provenance
+
+
+def _load_error(load, path):
+    with pytest.raises(TensorFileError) as e:
+        load(path)
+    return str(e.value)
+
+
+def _clifford16(mu0, mus):
+    fam = build_clifford_family(16, len(mus))
+    return make_clifford(16, mu0, list(zip(mus, fam.structures)))
+
+
+@pytest.fixture(scope="module")
+def codec_tensors():
+    return {
+        "int": _clifford16(3, [1, -2, 3, 4, -5, 6, 7, 8]),
+        "frac": _clifford16(Fraction(1, 3), [Fraction(p, q) for p, q in
+                                             ((1, 2), (-2, 5), (3, 7), (4, 9),
+                                              (5, 2), (6, 5), (-7, 3), (8, 7))]),
+        # the lcm of the denominators exceeds int64
+        "huge": _clifford16(Fraction(1, 1000003),
+                            [Fraction(1, 1000033), Fraction(1, 1000037),
+                             Fraction(1, 1000039), 1, 1, 1, 1, 1]),
+        "float": random_curvature(6, 3, sample_stream(5)),
+    }
+
+
+class TestCodecParity:
+    @pytest.mark.parametrize("name", ["int", "frac", "huge", "float"])
+    def test_dump_byte_identical(self, codec_tensors, tmp_path, name):
+        R = codec_tensors[name]
+        dump_tensor(R, tmp_path / "new.json")
+        _oracle_dump(R, tmp_path / "old.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["int", "frac", "huge"])
+    def test_load_equal(self, codec_tensors, tmp_path, name):
+        p = tmp_path / "t.json"
+        dump_tensor(codec_tensors[name], p)
+        _same_tensor(load_tensor(p), _oracle_load(p))
+        _same_tensor(load_tensor(p), codec_tensors[name])
+
+    @staticmethod
+    def _write(tmp_path, comps):
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps({"dim": 2, "mode": "rational", "components": comps}))
+        return p
+
+    @pytest.mark.parametrize("comps", [
+        ["0"] * 3 + ["x"] + ["0"] * 5 + ["x"] + ["0"] * 6,   # first index named
+        [1] * 5 + [True] + [1] * 10,
+        [0] * 5 + [False] + [0] * 10,
+        ["1"] * 5 + [1.0] * 6 + [True] * 5,
+        [[1]] + ["0"] * 15,
+        ["0"] * 15 + [{"p": 1}],
+        ["1/2"] * 15 + ["1/0"]])
+    def test_errors_equal(self, tmp_path, comps):
+        p = self._write(tmp_path, comps)
+        assert _load_error(load_tensor, p) == _load_error(_oracle_load, p)
+
+    @pytest.mark.parametrize("comps", [
+        [7] * 8 + ["7"] * 8,
+        ["2/4"] * 5 + ["1/2"] * 5 + [0.5] * 6,
+        ["1/3", "-2/6", "0", "+1/3", " 3", "1e-3", "0.25", 1.0] * 2,
+        [1.0] * 8 + [1] * 8])
+    def test_loads_equal(self, tmp_path, comps):
+        p = self._write(tmp_path, comps)
+        _same_tensor(load_tensor(p), _oracle_load(p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
+                              st.integers(-10**40, 10**40)),
+                    min_size=16, max_size=16),
+           st.integers(1, 10**30))
+    def test_round_trip(self, tmp_path_factory, nums, L):
+        d = tmp_path_factory.mktemp("rt")
+        R = CurvatureTensor._from_numerators(
+            np.array(nums, dtype=object).reshape((2,) * 4), L, "rt")
+        dump_tensor(R, d / "new.json")
+        _oracle_dump(R, d / "old.json")
+        assert (d / "new.json").read_bytes() == (d / "old.json").read_bytes()
+        back = load_tensor(d / "new.json")
+        _same_tensor(back, R)
+        _same_tensor(back, _oracle_load(d / "new.json"))

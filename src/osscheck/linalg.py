@@ -371,9 +371,12 @@ def exact_product(b):
     except OverflowError:  # an entry does not fit int64
         b = b.astype(object)
     bmax = max_abs(b)
-    # b is its own single limb whenever a limb of c <= 52 bits holds it: the
-    # float64 path, which every block of small entries takes, converts it once
-    whole = b.astype(np.float64) if b.dtype != object and bmax < 2**52 else None
+    # b is its own single limb whenever a limb of c <= 53 bits holds it (c is
+    # 53 when a is zero): the float64 path, which every block of small
+    # entries takes, converts it once
+    whole = (b.astype(np.float64)
+             if b.dtype != object and bmax.bit_length() <= _FLOAT64_EXACT_BITS
+             else None)
 
     def limbs(c):
         """The float64 limbs of c bits of b, low limb first, each made in

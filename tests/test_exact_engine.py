@@ -245,3 +245,10 @@ class TestExactProduct:
         b = np.array([[2**61], [2**61]], dtype=object)
         assert exact_product(b)(np.array([[1, 1]])).dtype == object
         assert exact_product(b // 8)(np.array([[1, 1]])).dtype == np.int64
+
+    @pytest.mark.parametrize("bmax", [2**52 - 1, 2**52, 2**53 - 1, 2**53])
+    def test_zero_a_against_b_near_the_float64_limit(self, bmax):
+        # a zero a leaves a 53-bit limb: b up to 2^53 - 1 is one limb
+        b = np.array([[0], [bmax]], dtype=object)
+        for a in (np.zeros((1, 2), dtype=np.int64), np.array([[1, 1]])):
+            assert exact_product(b)(a).tolist() == (a.astype(object) @ b).tolist()

@@ -37,7 +37,7 @@ from .linalg import (
     sample_stream,
 )
 from .report import ARTIFACT_VERSION
-from .tensorio import TensorFileError, dump_report, dump_tensor, load_tensor
+from .tensorio import TensorFileError, _rational, dump_report, dump_tensor, load_tensor
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -45,12 +45,19 @@ EXIT_PRECONDITION = 2
 EXIT_IO = 3
 
 
-def _scalar(text, mode):
-    return Fraction(text) if mode == RATIONAL else float(Fraction(text))
+def _scalar(text, mode, option):
+    """The value of ``option``: ``text`` read as a rational tensor file
+    component (under its digit limit), exact in rational mode and a float
+    otherwise; PreconditionError naming the option when it is not one."""
+    try:
+        value = Fraction(*_rational(text))
+        return value if mode == RATIONAL else float(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        raise PreconditionError(f"{option} {text!r}: {e}") from None
 
 
-def _scalar_list(text, mode):
-    return [_scalar(part, mode) for part in text.split(",") if part.strip()]
+def _scalar_list(text, mode, option):
+    return [_scalar(part, mode, option) for part in text.split(",") if part.strip()]
 
 
 def _residual(r):
@@ -115,12 +122,12 @@ def _cmd_build(args):
         mode = RATIONAL
     n = args.dim
     if args.kind == "constant":
-        R = make_constant_curvature(n, _scalar(args.kappa, mode), mode)
+        R = make_constant_curvature(n, _scalar(args.kappa, mode, "--kappa"), mode)
     elif args.kind == "rj":
         fam = build_clifford_family(n, 1)
         R = make_rj(fam.structures[0], mode)
     elif args.kind == "clifford":
-        mus = _scalar_list(args.mu, mode)
+        mus = _scalar_list(args.mu, mode, "--mu")
         m = args.m if args.m is not None else len(mus)
         if m != len(mus):
             raise PreconditionError(f"--m {m} does not match {len(mus)} weights")
@@ -130,7 +137,7 @@ def _cmd_build(args):
                 f"rank {m} exceeds Radon-Hurwitz bound {bound} for n={n}")
         fam = build_clifford_family(n, m) if m else None
         terms = list(zip(mus, fam.structures)) if m else []
-        R = make_clifford(n, _scalar(args.mu0, mode), terms, mode)
+        R = make_clifford(n, _scalar(args.mu0, mode, "--mu0"), terms, mode)
     elif args.kind == "random":
         R = random_curvature(n, args.k_terms, sample_stream(args.seed))
     else:  # from-symmetric

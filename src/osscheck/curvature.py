@@ -35,6 +35,7 @@ from .linalg import (
     householder_frame,
     int64_safe,
     int_array,
+    limbs,
     max_abs,
     require_symmetric,
 )
@@ -154,9 +155,12 @@ class CurvatureTensor:
                               else [int(np.gcd.reduce(flat))]))
             if g != 1:
                 nums, L = nums.astype(object) // g, L // g
-        m = _as_matrix(int_array(nums, dim, dim))
+        # int_array(nums, dim, dim), with max_abs taken once
+        top = max_abs(nums)
+        nums = (nums.astype(np.int64) if int64_safe(top, dim, dim)
+                else nums.astype(object, copy=False))
         self._set(dim=dim, mode=RATIONAL, provenance=provenance, denominator=L,
-                  _matrix=m, _max_numerator=max_abs(m))
+                  _matrix=_as_matrix(nums), _max_numerator=top)
 
     def _set(self, **fields):
         for key, value in fields.items():
@@ -340,7 +344,20 @@ def _r1(n) -> CurvatureTensor:
 
 
 def _combine(weights, tensors, mode, provenance) -> CurvatureTensor:
-    """sum_i w_i T_i in ``mode``; exact in rational mode."""
+    """sum_i w_i T_i in ``mode``; exact in rational mode.
+
+    Over the common denominator L the numerators are sum_i c_i T_i for
+    integer coefficients c_i, summed one term at a time.  When the bound
+    sum_i |c_i| max|T_i| passes the int64 rule, the sum runs in int64.
+    When it does not but every T_i is int64, the c_i are split into s-bit
+    limbs (:func:`linalg.limbs`), with s such that sum_i max|T_i| 2^s < 2^61
+    passes the rule: each limb's sum_i c_{i,t} T_i runs in int64, and only
+    the Horner step over the limbs, top limb first, in Python ints.  That
+    step makes two Python-int passes over the entries per limb, so the
+    limbs are taken only when there are no more of them than terms.
+    Otherwise, and for terms with Python-int numerators, the terms are
+    summed in Python ints.
+    """
     if _require_mode(mode) == FLOAT64:
         acc = tensors[0].to_float().components * float(weights[0])
         for w, T in zip(weights[1:], tensors[1:]):
@@ -351,9 +368,33 @@ def _combine(weights, tensors, mode, provenance) -> CurvatureTensor:
     coeffs = [w.numerator * (L // (w.denominator * T.denominator))
               for w, T in zip(ws, tensors)]
     bound = sum(abs(c) * T._max_numerator for c, T in zip(coeffs, tensors))
-    dtype = np.int64 if int64_safe(bound) else object
-    acc = sum(c * T.numerators.astype(dtype) for c, T in zip(coeffs, tensors))
+    total = sum(T._max_numerator for T in tensors)
+    s = 61 - total.bit_length()  # total 2^s < 2^61, which the int64 rule admits
+    width = max(abs(c) for c in coeffs).bit_length()
+    if int64_safe(bound):
+        acc = _int64_sum(coeffs, tensors)
+    elif (s < 1 or width > s * len(tensors)
+          or any(T._matrix.dtype == object for T in tensors)):
+        acc = sum(c * T.numerators.astype(object) for c, T in zip(coeffs, tensors))
+    else:
+        rows = list(limbs(np.array(coeffs, dtype=object), s))
+        acc = _int64_sum(rows.pop().tolist(), tensors).astype(object)
+        for row in reversed(rows):
+            acc *= 1 << s
+            acc += _int64_sum(row.tolist(), tensors)
     return CurvatureTensor._from_numerators(acc, L, provenance)
+
+
+def _int64_sum(coeffs, tensors):
+    """sum_i c_i T_i in int64, one term at a time, for int coefficients
+    whose bound sum_i |c_i| max|T_i| passes the int64 rule."""
+    acc = np.zeros_like(tensors[0].numerators, dtype=np.int64)
+    term = np.empty_like(acc)
+    for c, T in zip(coeffs, tensors):
+        if c * T._max_numerator:  # a zero term, whatever c, adds nothing
+            acc += np.multiply(T.numerators.astype(np.int64, copy=False), c,
+                               out=term)
+    return acc
 
 
 def make_constant_curvature(n, kappa, mode=FLOAT64) -> CurvatureTensor:

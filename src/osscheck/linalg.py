@@ -6,9 +6,11 @@ cannot overflow, and on ``dtype=object`` arrays of Python ints otherwise;
 exact scalars are :class:`fractions.Fraction` or int.  An exact integer
 matrix product (:func:`exact_product`) takes one of three arithmetic paths:
 one float64 product when every partial sum stays below 2^53, one float64
-product per limb of the matrix above that, and Python ints only when the
-entries themselves do not fit int64.  All spectral operations are
-float-only; identity checks may run in either mode.
+product per limb (:func:`limbs`) of the right factor above that, whether
+its entries fit int64 or not, and Python ints only when the entries of the
+left factor do not fit int64 or the limbs would be too many to keep.  All
+spectral operations are float-only; identity checks may run in either
+mode.
 """
 
 from __future__ import annotations
@@ -310,11 +312,16 @@ def clear_denominators(arr):
 
 
 # ---------------------------------------------------------------------------
-# The one int64 overflow rule, and the exact integer product.
+# The one int64 overflow rule, limbs, and the exact integer product.
 #
 # Exact integer arrays are int64 only while an a-priori bound on every
 # entry and partial sum of the work ahead, given as a product of factors,
 # stays below 2^62 with a 10% margin; otherwise they hold Python ints.
+#
+# An integer too wide for the work ahead is split into limbs of s bits,
+# x = sum_t x_t 2^(s t) (see limbs), so that the work runs on each small
+# limb and only the final Horner step x = (... x_top 2^s + ...) 2^s + x_0
+# may need Python ints.
 #
 # An exact product a @ b of integer matrices a[rows, k] and b[k, m] bounds
 # every partial sum by k max|a| max|b| and takes one of three paths:
@@ -322,17 +329,22 @@ def clear_denominators(arr):
 # - float64: below 2^53 every partial sum is an integer that binary64 holds
 #   exactly, whatever order BLAS sums in, so one float64 product cast to
 #   int64 is exact;
-# - limbs: above 2^53, b is split into int64 limbs of c bits,
-#   b = sum_t b_t 2^(c t), with c chosen so that k max|a| 2^c < 2^53.  Each
-#   limb takes one exact float64 product, and the small results are
-#   recombined in int64 when the rule admits the total, in Python ints
-#   otherwise;
-# - Python ints: only when the entries of a or b do not fit int64, or a is
-#   too large for a limb of one bit.
+# - limbs: above 2^53, b is split into limbs of c bits, with c chosen so
+#   that k max|a| 2^c < 2^53.  Each limb takes one exact float64 product,
+#   and the small results are recombined in int64 when the rule admits the
+#   total, in Python ints otherwise.  This holds whether the entries of b
+#   fit int64 or not;
+# - Python ints: only when the entries of a do not fit int64, or a is too
+#   large for a limb of one bit, or b would need more than _MAX_LIMBS limbs.
 # ---------------------------------------------------------------------------
 
 _INT64_SAFE = 2**62
 _FLOAT64_EXACT_BITS = 53
+# exact_product keeps the float64 limbs of b, each as large as b: past this
+# many, the Python-int product, which keeps no copy, runs instead.  A limb
+# product costs under a hundredth of a Python-int one, so the cap bounds
+# memory, not time.
+_MAX_LIMBS = 16
 
 
 def int64_safe(*factors):
@@ -356,6 +368,24 @@ def int_array(a, *growth):
     return a if a.dtype == object else a.astype(object)
 
 
+def limbs(a, bits, top=None):
+    """The limbs of ``bits`` bits (1 to 63) of the integer array ``a``
+    (int64 or Python ints), low limb first, as int64 arrays:
+    ``a == sum_t limb_t 2^(bits t)``.  The low limbs
+    ``(a >> bits t) & (2^bits - 1)`` lie in [0, 2^bits), the top limb
+    ``a >> bits (count - 1)``, an arithmetic shift, in [-2^bits, 2^bits),
+    with ``count`` as small as these ranges allow for entries up to ``top``
+    in absolute value (by default ``max_abs(a)``); a single limb is ``a``
+    itself when ``a`` is int64."""
+    top = max_abs(a) if top is None else top
+    count = max(1, -(-top.bit_length() // bits))
+    for t in range(count):
+        shifted = a >> (bits * t) if t else a
+        if t < count - 1:
+            shifted = shifted & ((1 << bits) - 1)
+        yield shifted.astype(np.int64, copy=False)
+
+
 def exact_product(b):
     """The exact integer product ``a @ b`` as a function of ``a``.
 
@@ -363,7 +393,11 @@ def exact_product(b):
     the returned function takes an integer ``a[rows, k]``, picks its path
     from the bound k max|a| max|b| (see above) and returns ``a @ b``: int64
     when the entries fit int64 and the int64 rule admits twice that bound,
-    Python ints otherwise.
+    Python ints otherwise.  The limbs of b are cut once for the narrowest
+    limb width that a call has needed so far (b is one limb while it fits
+    that width).  Python ints run the product only for an ``a`` whose
+    entries do not fit int64, that leaves no limb of one bit, or against
+    which b needs more than ``_MAX_LIMBS`` limbs.
     """
     k = b.shape[0]
     try:
@@ -371,38 +405,23 @@ def exact_product(b):
     except OverflowError:  # an entry does not fit int64
         b = b.astype(object)
     bmax = max_abs(b)
-    # b is its own single limb whenever a limb of c <= 53 bits holds it (c is
-    # 53 when a is zero): the float64 path, which every block of small
-    # entries takes, converts it once
-    whole = (b.astype(np.float64)
-             if b.dtype != object and bmax.bit_length() <= _FLOAT64_EXACT_BITS
-             else None)
-
-    def limbs(c):
-        """The float64 limbs of c bits of b, low limb first, each made in
-        one buffer as large as b once the previous one has been used."""
-        count = max(1, -(-bmax.bit_length() // c))
-        if count == 1:
-            yield whole
-            return
-        # the low limbs (b >> c t) & (2^c - 1) lie in [0, 2^c), the top
-        # limb b >> c (count - 1), an arithmetic shift, in [-2^c, 2^c)
-        shifted, limb = np.empty_like(b), np.empty(b.shape)
-        for t in range(count):
-            np.right_shift(b, c * t, out=shifted)
-            if t < count - 1:
-                shifted &= (1 << c) - 1
-            limb[...] = shifted
-            yield limb
+    cut = None  # (w, the float64 limbs of w bits of b)
 
     def product(a):
+        nonlocal cut
         a = int_array(a)
         amax = max_abs(a)
         c = _FLOAT64_EXACT_BITS - (k * amax).bit_length()  # k max|a| 2^c < 2^53
-        if b.dtype == object or a.dtype == object or c < 1:
+        if a.dtype == object or c < 1 or bmax.bit_length() > _MAX_LIMBS * c:
             return a.astype(object) @ b.astype(object, copy=False)
+        if cut is None or cut[0] > c:
+            # limbs of w <= c bits keep k max|a| 2^w below 2^53 for every
+            # later block whose c is at least w
+            w = max(1, min(c, bmax.bit_length()))
+            cut = w, [limb.astype(np.float64) for limb in limbs(b, w, bmax)]
+        c, b_limbs = cut
         af = a.astype(np.float64)
-        parts = [(af @ limb).astype(np.int64) for limb in limbs(c)]
+        parts = [(af @ limb).astype(np.int64) for limb in b_limbs]
         # Horner from the top limb: the partial result after limb t is
         # a @ (b >> c t), at most twice the bound of the total
         acc = parts.pop()

@@ -7,11 +7,12 @@ checkers must give the same reports (verdict, worst residual, witness) on
 each of the product's three arithmetic paths.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from osscheck import (
@@ -23,9 +24,16 @@ from osscheck import (
     make_from_symmetric,
     sample_stream,
 )
+from osscheck import curvature, linalg
 from osscheck.analysis import _exact_orthogonal_pair, _worse
-from osscheck.curvature import CurvatureTensor, _jacobi_numerators
-from osscheck.linalg import RATIONAL, exact_product, random_int_vector
+from osscheck.curvature import (
+    CurvatureTensor,
+    _combine,
+    _jacobi_numerators,
+    _r1,
+    make_rj,
+)
+from osscheck.linalg import RATIONAL, exact_product, limbs, random_int_vector
 
 
 def _int_vector(n, stream):
@@ -217,34 +225,60 @@ class TestOracle:
 
 @st.composite
 def _operands(draw):
+    """A right factor b[k, cols] with entries of up to about 2^200, of both
+    signs, and some zero rows, and left factors of several sizes for one
+    prepared product."""
     k = draw(st.integers(1, 12))
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    a_bits, b_bits = draw(st.integers(0, 40)), draw(st.integers(0, 70))
+    cols = draw(st.integers(1, 5))
     entry = lambda bits: st.integers(-(2**bits), 2**bits)
-    a = draw(st.lists(entry(a_bits), min_size=rows * k, max_size=rows * k))
-    b = draw(st.lists(entry(b_bits), min_size=k * cols, max_size=k * cols))
-    return (np.array(a, dtype=object).reshape(rows, k),
-            np.array(b, dtype=object).reshape(k, cols))
+
+    def matrix(rows, width, bits):
+        m = draw(st.lists(entry(bits), min_size=rows * width,
+                          max_size=rows * width))
+        m = np.array(m, dtype=object).reshape(rows, width)
+        m[draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0
+        return m
+
+    b = matrix(k, cols, draw(st.integers(0, 200)))
+    a_list = [matrix(draw(st.integers(1, 5)), k, draw(st.integers(0, 40)))
+              for _ in range(draw(st.integers(1, 3)))]
+    return a_list, b
 
 
 class TestExactProduct:
     @settings(max_examples=300, deadline=None)
     @given(_operands())
     def test_equals_the_python_int_product(self, operands):
-        a, b = operands
-        want = a @ b
-        if all(abs(v) < 2**62 for v in a.reshape(-1).tolist()):
-            a = a.astype(np.int64)  # the draws of a block are int64
-        got = exact_product(b)(a)
-        assert got.shape == want.shape
-        assert got.tolist() == want.tolist()
-        if got.dtype == object:
-            assert all(type(v) is int for v in got.reshape(-1).tolist())
+        a_list, b = operands
+        product = exact_product(b)  # one product, blocks of several sizes
+        for a in a_list:
+            want = a @ b
+            if all(abs(v) < 2**62 for v in a.reshape(-1).tolist()):
+                a = a.astype(np.int64)  # the draws of a block are int64
+            got = product(a)
+            assert got.shape == want.shape
+            assert got.tolist() == want.tolist()
+            if got.dtype == object:
+                assert all(type(v) is int for v in got.reshape(-1).tolist())
 
     def test_int64_result_only_under_the_rule(self):
         b = np.array([[2**61], [2**61]], dtype=object)
         assert exact_product(b)(np.array([[1, 1]])).dtype == object
         assert exact_product(b // 8)(np.array([[1, 1]])).dtype == np.int64
+
+    @pytest.mark.parametrize("bits, cuts", [(100, 1), (2000, 0)])
+    def test_limbs_of_b_are_cut_once(self, monkeypatch, bits, cuts):
+        # 100-bit entries take the limb path, cut once for blocks of one
+        # size; 2000-bit ones would need more limbs than are kept
+        b = np.array([[2**bits - 1, 0], [-(2**bits), 3]], dtype=object)
+        seen = []
+        monkeypatch.setattr(linalg, "limbs",
+                            lambda a, c, top: seen.append(c) or limbs(a, c, top))
+        product = exact_product(b)
+        for a in ([[1, 2]], [[-3, 1], [0, 1]], [[2, 2]]):
+            a = np.array(a)
+            assert product(a).tolist() == (a.astype(object) @ b).tolist()
+        assert len(seen) == cuts
 
     @pytest.mark.parametrize("bmax", [2**52 - 1, 2**52, 2**53 - 1, 2**53])
     def test_zero_a_against_b_near_the_float64_limit(self, bmax):
@@ -252,3 +286,127 @@ class TestExactProduct:
         b = np.array([[0], [bmax]], dtype=object)
         for a in (np.zeros((1, 2), dtype=np.int64), np.array([[1, 1]])):
             assert exact_product(b)(a).tolist() == (a.astype(object) @ b).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Exact combinations sum_i w_i T_i against a sum of Fraction components.
+# ---------------------------------------------------------------------------
+
+# primes just below 2^32: the product of two of them exceeds 2^63
+_PRIMES = (4294967291, 4294967279, 4294967231, 4294967197, 4294967189,
+           4294967161, 4294967143, 4294967111)
+
+
+def _oracle_combination(weights, tensors):
+    """sum_i w_i T_i, one Fraction component at a time, as a tensor."""
+    comps = sum(Fraction(w) * T.components.astype(object)
+                for w, T in zip(weights, tensors))
+    return CurvatureTensor(tensors[0].dim, RATIONAL, comps)
+
+
+def _assert_same_tensor(got, want):
+    assert got.denominator == want.denominator
+    assert got._matrix.dtype == want._matrix.dtype
+    assert got._max_numerator == want._max_numerator
+    assert got.numerators.tolist() == want.numerators.tolist()
+
+
+@st.composite
+def _int64_terms(draw):
+    """1 to 9 int64 tensors at one n in 2..6: R1, R^J of integer skew J,
+    and a from-symmetric tensor with a denominator."""
+    n = draw(st.integers(2, 6))
+    small = st.integers(-3, 3)
+
+    def square():
+        return np.array(draw(st.lists(small, min_size=n * n, max_size=n * n)),
+                        dtype=np.int64).reshape(n, n)
+
+    def skew():
+        a = square()
+        return a - a.T
+
+    def symmetric():
+        a = square()
+        return np.array((a + a.T).tolist(), dtype=object)
+
+    kinds = draw(st.lists(st.sampled_from(("r1", "rj", "sym")),
+                          min_size=1, max_size=9))
+    tensors = []
+    for kind in kinds:
+        if kind == "r1":
+            tensors.append(_r1(n))
+        elif kind == "rj":
+            tensors.append(make_rj(skew(), RATIONAL))
+        else:
+            tensors.append(make_from_symmetric(
+                [symmetric(), symmetric()],
+                [Fraction(draw(small), 2), Fraction(1, 3)], RATIONAL))
+    return tensors
+
+
+@st.composite
+def _weights(draw, count):
+    """Signed weights, the first over the product of two primes near 2^32,
+    so the lcm of the denominators exceeds 2^63."""
+    numerator = st.integers(-(2**70), 2**70)
+    denominator = st.one_of(st.integers(1, 60), st.sampled_from(_PRIMES),
+                            st.integers(1, 2**70))
+    first = draw(st.lists(st.sampled_from(_PRIMES), min_size=2, max_size=2,
+                          unique=True))
+    weights = [Fraction(draw(numerator.filter(bool)), first[0] * first[1])]
+    weights += [Fraction(draw(numerator), draw(denominator))
+                for _ in range(count - 1)]
+    assume(math.lcm(*(w.denominator for w in weights)) > 2**63)
+    return weights
+
+
+class TestCombine:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_equals_the_fraction_sum(self, data):
+        tensors = data.draw(_int64_terms())
+        weights = data.draw(_weights(len(tensors)))
+        assert all(T._matrix.dtype == np.int64 for T in tensors)
+        _assert_same_tensor(_combine(weights, tensors, RATIONAL, ""),
+                            _oracle_combination(weights, tensors))
+
+    def test_clifford_with_a_huge_common_denominator_takes_limbs(self, monkeypatch):
+        # the weights of the large-denominator dim-16 build, at n = 8
+        fam = build_clifford_family(8, 7)
+        weights = [Fraction(1, 1000003), Fraction(1, 1000033),
+                   Fraction(1, 1000037), Fraction(1, 1000039), 1, 1, 1, 1]
+        tensors = [_r1(8)] + [make_rj(J, RATIONAL) for J in fam.structures]
+        cut = []
+        monkeypatch.setattr(curvature, "limbs",
+                            lambda a, bits: cut.append(bits) or limbs(a, bits))
+        got = _combine(weights, tensors, RATIONAL, "")
+        assert cut and got._matrix.dtype == object
+        _assert_same_tensor(got, _oracle_combination(weights, tensors))
+
+    def test_coefficients_wider_than_the_terms_keep_the_python_int_sum(
+            self, monkeypatch):
+        # a weight of 10^100 needs more limbs than the two terms: the Horner
+        # step would take more Python-int passes than the sum
+        tensors = [_r1(4), make_rj(np.array(np.eye(4, k=1) - np.eye(4, k=-1),
+                                            dtype=np.int64), RATIONAL)]
+        weights = [Fraction(10**100, 3), Fraction(1, _PRIMES[0])]
+        monkeypatch.setattr(curvature, "limbs", None)
+        _assert_same_tensor(_combine(weights, tensors, RATIONAL, ""),
+                            _oracle_combination(weights, tensors))
+
+    @pytest.mark.parametrize("scale", [2**70, -(2**200)])
+    def test_a_python_int_term(self, scale):
+        R = _clifford(4, 3, Fraction(1, 3), [2, Fraction(-5, 7), 1])
+        huge = CurvatureTensor._from_numerators(
+            R.numerators.astype(object) * scale, R.denominator)
+        assert huge._matrix.dtype == object
+        tensors = [_r1(4), huge, R]
+        weights = [Fraction(3, _PRIMES[0] * _PRIMES[1]), Fraction(-1, 5), 2**64]
+        _assert_same_tensor(_combine(weights, tensors, RATIONAL, ""),
+                            _oracle_combination(weights, tensors))
+
+    def test_zero_term_with_a_coefficient_beyond_int64(self):
+        zero = make_from_symmetric([], [], RATIONAL, n=3)
+        got = zero.scaled(2**70)
+        assert got._max_numerator == 0 and got.denominator == 1

@@ -79,6 +79,36 @@ class TestCliBuild:
         err = capsys.readouterr().err
         assert "rank 2" in err and "bound 1" in err and "n=6" in err
 
+    @pytest.mark.parametrize("args, option", [
+        (["constant", "--kappa", "1e100000000"], "--kappa"),
+        (["constant", "--kappa", "1e5000", "--mode", "float64"], "--kappa"),
+        (["constant", "--kappa", "1e400", "--mode", "float64"], "--kappa"),
+        (["constant", "--kappa", "1/0"], "--kappa"),
+        (["clifford", "--mu0", "x", "--mu", "1"], "--mu0"),
+        (["clifford", "--mu", "1,1e100000000"], "--mu"),
+    ])
+    def test_bad_weight_names_the_option(self, tmp_path, capsys, args, option):
+        # weights are read like tensor file components, under the same
+        # digit limit: 10^(10^8) is rejected before it is built
+        out = tmp_path / "x.json"
+        assert main(["build", args[0], "--dim", "4", *args[1:],
+                     "--out", str(out)]) == 2
+        assert f"error: {option} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, component", [
+        (["constant", "--kappa", "1e200", "--mode", "float64"], 1e200),
+        (["constant", "--kappa", "1e4299"], 10**4299),
+        (["clifford", "--mu0", "1/1000003", "--mu=1/3"],
+         Fraction(1, 1000003) - 3 * Fraction(1, 3)),
+    ])
+    def test_weights_within_the_limit_build(self, tmp_path, args, component):
+        out = tmp_path / "x.json"
+        assert main(["build", args[0], "--dim", "4", *args[1:],
+                     "--out", str(out)]) == 0
+        # R(e_0, e_1, e_1, e_0), the weighted R1 and R^J terms
+        assert load_tensor(out).components[0, 1, 1, 0] == component
+
     def test_build_rj_and_random_and_symmetric(self, tmp_path):
         for args in (["build", "rj", "--dim", "4"],
                      ["build", "random", "--dim", "4", "--seed", "3"],

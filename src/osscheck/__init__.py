@@ -4,7 +4,6 @@ from .clifford import CliffordFamily, build_clifford_family, radon_hurwitz_bound
 from .curvature import (
     CurvatureTensor,
     ReducedJacobi,
-    eval_tensor,
     jacobi_matrix,
     make_clifford,
     make_constant_curvature,
@@ -55,7 +54,6 @@ __all__ = [
     "check_two_root_decomposition",
     "classify_k_root",
     "dump_tensor",
-    "eval_tensor",
     "jacobi_matrix",
     "load_tensor",
     "make_clifford",

@@ -23,6 +23,7 @@ from .curvature import (
     make_from_symmetric,
     make_rj,
     random_curvature,
+    random_generators,
     reduced_jacobi,
 )
 from .linalg import (
@@ -146,14 +147,10 @@ def _cmd_build(args):
             Ss, cs = [], []
             for _ in range(args.k_terms):
                 a = stream.integers(-5, 6, size=(n, n))
-                Ss.append(np.array((a + a.T).tolist(), dtype=object))
-                cs.append(Fraction(int(stream.integers(-5, 6))))
+                Ss.append(a + a.T)
+                cs.append(int(stream.integers(-5, 6)))
         else:
-            Ss, cs = [], []
-            for _ in range(args.k_terms):
-                a = stream.standard_normal((n, n))
-                Ss.append(0.5 * (a + a.T))
-                cs.append(float(stream.standard_normal()))
+            Ss, cs = random_generators(n, args.k_terms, stream)
         R = make_from_symmetric(Ss, cs, mode, n=n)
     dump_tensor(R, args.out)
     print(R.provenance if len(R.provenance) < 200 else R.provenance[:200] + "...")
@@ -203,10 +200,11 @@ def _cmd_check(args):
                   f"{_residual(rep.worst_residual)}")
             reports[name] = rep.to_dict()
         if args.out:
+            text = json.dumps({"artifact_version": ARTIFACT_VERSION,
+                               "provenance": R.provenance,
+                               "reports": reports}, indent=2)
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump({"artifact_version": ARTIFACT_VERSION,
-                           "provenance": R.provenance,
-                           "reports": reports}, fh, indent=2)
+                fh.write(text)
         return EXIT_PASS if all_pass else EXIT_FAIL
 
     rep = analysis.run_check(args.property, R, **options)
@@ -221,7 +219,8 @@ def _cmd_check(args):
 def _cmd_spectrum(args):
     R = load_tensor(args.path)
     if args.direction is not None:
-        x = np.array([float(Fraction(p)) for p in args.direction.split(",")])
+        x = np.array([_scalar(part, FLOAT64, "--direction")
+                      for part in args.direction.split(",")])
         if x.shape != (R.dim,):
             raise PreconditionError(
                 f"direction has {x.shape[0]} entries, expected {R.dim}")

@@ -205,18 +205,6 @@ def _check_vector(R, x):
     return x
 
 
-def eval_tensor(R: CurvatureTensor, X, Y, Z, W):
-    """R(X, Y, Z, W): full contraction of the components."""
-    X, Y, Z, W = (_check_vector(R, v) for v in (X, Y, Z, W))
-    c = R.components
-    if c.dtype == object:
-        t = np.tensordot(c, X, axes=([0], [0]))
-        t = np.tensordot(t, Y, axes=([0], [0]))
-        t = np.tensordot(t, Z, axes=([0], [0]))
-        return t.dot(W)
-    return float(np.einsum("ijkl,i,j,k,l->", c, X, Y, Z, W))
-
-
 def _jacobi_numerators(R: CurvatureTensor, x):
     """Exact Jacobi matrix of a rational tensor at the exact vector ``x``,
     as ``(numerators, denominator)``: the stored matrix times vec(x x^T)
@@ -332,15 +320,52 @@ def validate_symmetries(R: CurvatureTensor, *, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# Constructors.
+# Constructors.  R1, R^S and R^J are built from one square matrix by a rule
+# quadratic in it (_generated); weighted sums of them all go through _combine.
 # ---------------------------------------------------------------------------
 
+def _spanning_rule(S):
+    """R^S[i,j,k,l] = S[l,i] S[k,j] - S[k,i] S[l,j] for a symmetric S, built
+    in the stored order."""
+    require_symmetric(S)
+    return _as_tensor(np.einsum("li,kj->lijk", S, S, order="C")
+                      - np.einsum("ki,lj->lijk", S, S, order="C"), len(S))
+
+
+def _rj_rule(J):
+    """R^J[i,j,k,l] = J[k,i]J[l,j] - J[k,j]J[l,i] + 2 J[j,i]J[l,k] for a
+    skew-adjoint J (checked exactly on integer and object matrices), built
+    in the stored order."""
+    if J.dtype == object or J.dtype.kind in "iu":
+        if np.any(J != -J.T):
+            raise ValueError("J is not skew-adjoint (exact check)")
+    elif (float(np.abs(J + J.T).max())
+          > IDENTITY_TOL * max(1.0, float(np.abs(J).max()))):
+        raise ValueError("J is not skew-adjoint beyond tolerance")
+    Jt = J.T
+    lijk = (np.einsum("ik,jl->lijk", Jt, Jt, order="C")
+            - np.einsum("jk,il->lijk", Jt, Jt, order="C")
+            + 2 * np.einsum("ij,kl->lijk", Jt, Jt, order="C"))
+    return _as_tensor(lijk, len(J))
+
+
+def _generated(M, rule, mode, provenance="") -> CurvatureTensor:
+    """The tensor that ``rule`` builds from the square matrix ``M``, checking
+    the matrix it is given: from M in float64 mode, and in rational mode from
+    the integer numerators N of M over their denominator L, as rule(N) / L^2.
+    N is int64 when the int64 rule admits every component, a sum of at most
+    four products of two entries of N."""
+    if mode == FLOAT64:
+        comps = rule(np.asarray(M, dtype=np.float64))
+        return CurvatureTensor(len(comps), FLOAT64, comps, provenance)
+    N, L = clear_denominators(np.asarray(M))
+    nums = rule(int_array(N, 4, max_abs(N)))
+    return CurvatureTensor._from_numerators(nums, L * L, provenance)
+
+
 def _r1(n) -> CurvatureTensor:
-    """The unit constant-curvature tensor R1 (rational)."""
-    eye = np.eye(n, dtype=np.int64)
-    lijk = (np.einsum("il,jk->lijk", eye, eye, order="C")
-            - np.einsum("ik,jl->lijk", eye, eye, order="C"))
-    return CurvatureTensor._from_numerators(_as_tensor(lijk, n))
+    """The unit constant-curvature tensor R1 = R^S at S = I (rational)."""
+    return _generated(np.eye(n, dtype=np.int64), _spanning_rule, RATIONAL)
 
 
 def _combine(weights, tensors, mode, provenance) -> CurvatureTensor:
@@ -404,43 +429,16 @@ def make_constant_curvature(n, kappa, mode=FLOAT64) -> CurvatureTensor:
     return _combine([kappa], [_r1(n)], mode, f"constant(n={n}, kappa={kappa})")
 
 
-def _require_skew(J):
-    J = np.asarray(J)
-    if J.dtype == object or np.issubdtype(J.dtype, np.integer):
-        if np.any(J != -J.T):
-            raise ValueError("J is not skew-adjoint (exact check)")
-    elif (float(np.abs(J + J.T).max())
-          > IDENTITY_TOL * max(1.0, float(np.abs(J).max()))):
-        raise ValueError("J is not skew-adjoint beyond tolerance")
-    return J
-
-
-def _rj_components(J):
-    """R^J[i,j,k,l] = J[k,i]J[l,j] - J[k,j]J[l,i] + 2 J[j,i]J[l,k], built
-    in the stored order."""
-    Jt = J.T
-    lijk = (np.einsum("ik,jl->lijk", Jt, Jt, order="C")
-            - np.einsum("jk,il->lijk", Jt, Jt, order="C")
-            + 2 * np.einsum("ij,kl->lijk", Jt, Jt, order="C"))
-    return _as_tensor(lijk, J.shape[0])
-
-
 def make_rj(J, mode=FLOAT64) -> CurvatureTensor:
-    """Tensor generated by a skew-adjoint endomorphism J."""
-    J = _require_skew(J)
-    n = J.shape[0]
-    prov = f"rj(n={n})"
-    if _require_mode(mode) == FLOAT64:
-        comp = _rj_components(np.asarray(J, dtype=np.float64))
-        return CurvatureTensor(n, mode, comp, prov)
-    if J.dtype == object:
-        return CurvatureTensor(n, mode, _rj_components(J), prov)
-    Ji = np.asarray(J, dtype=np.int64)
-    if not np.array_equal(np.asarray(J, dtype=np.float64), Ji.astype(np.float64)):
-        raise ValueError("rational mode needs exact (integer/Fraction) J")
-    # entries of R^J are sums of three products of two entries of J
-    Ji = int_array(Ji, 4, max_abs(Ji))
-    return CurvatureTensor._from_numerators(_rj_components(Ji), 1, prov)
+    """Tensor generated by a skew-adjoint endomorphism J; in rational mode J
+    holds exact rationals, or floats that are integers."""
+    J = np.asarray(J)
+    if _require_mode(mode) == RATIONAL and J.dtype.kind == "f":
+        Ji = J.astype(np.int64)
+        if not np.array_equal(J, Ji):
+            raise ValueError("rational mode needs exact (integer/Fraction) J")
+        J = Ji
+    return _generated(J, _rj_rule, mode, f"rj(n={J.shape[0]})")
 
 
 def make_clifford(n, mu0, terms, mode=RATIONAL, validate=True) -> CurvatureTensor:
@@ -471,7 +469,8 @@ def _clifford_provenance(n, mu0, mus, Js):
 
 
 def make_from_symmetric(S_list, coeffs, mode=FLOAT64, n=None) -> CurvatureTensor:
-    """Spanning generator: sum_t c_t (g(SX,W)g(SY,Z) - g(SX,Z)g(SY,W))."""
+    """Spanning generator: sum_t c_t (g(SX,W)g(SY,Z) - g(SX,Z)g(SY,W)); in
+    rational mode a float S stands for its exact binary value."""
     _require_mode(mode)
     if len(S_list) != len(coeffs):
         raise ValueError("one coefficient per matrix required")
@@ -481,23 +480,24 @@ def make_from_symmetric(S_list, coeffs, mode=FLOAT64, n=None) -> CurvatureTensor
         zero = CurvatureTensor._from_numerators(np.zeros((n,) * 4, dtype=np.int64),
                                                1, "from_symmetric(empty)")
         return zero if mode == RATIONAL else zero.to_float()
-    acc = None
-    for S, c in zip(S_list, coeffs):
-        S = np.asarray(S)
-        require_symmetric(S)
-        if mode == RATIONAL and S.dtype != object:
-            S = np.array([[Fraction(v) for v in row] for row in S.tolist()],
-                         dtype=object)
-        elif mode == FLOAT64:
-            S = np.asarray(S, dtype=np.float64)
-        # R^S[i,j,k,l] = S[l,i] S[k,j] - S[k,i] S[l,j], in the stored order
-        term = _as_tensor(np.einsum("li,kj->lijk", S, S, order="C")
-                          - np.einsum("ki,lj->lijk", S, S, order="C"), S.shape[0])
-        cc = Fraction(c) if mode == RATIONAL else float(c)
-        acc = term * cc if acc is None else acc + term * cc
-    nn = acc.shape[0]
-    return CurvatureTensor(nn, mode, acc,
-                           f"from_symmetric(n={nn}, terms={len(S_list)})")
+    Ss = [np.asarray(S) for S in S_list]
+    if mode == RATIONAL:
+        Ss = [np.frompyfunc(Fraction, 1, 1)(S) if S.dtype.kind == "f" else S
+              for S in Ss]
+    terms = [_generated(S, _spanning_rule, mode) for S in Ss]
+    return _combine(coeffs, terms, mode,
+                    f"from_symmetric(n={terms[0].dim}, terms={len(terms)})")
+
+
+def random_generators(n, k_terms, stream):
+    """``(Ss, cs)``: k_terms symmetric float matrices (a + a^T) / 2 of
+    standard normal a, each with a standard normal weight."""
+    Ss, cs = [], []
+    for _ in range(k_terms):
+        a = stream.standard_normal((n, n))
+        Ss.append(0.5 * (a + a.T))
+        cs.append(float(stream.standard_normal()))
+    return Ss, cs
 
 
 def random_curvature(n, k_terms, stream) -> CurvatureTensor:
@@ -507,11 +507,6 @@ def random_curvature(n, k_terms, stream) -> CurvatureTensor:
     """
     if n < 2 or k_terms < 1:
         raise ValueError("need n >= 2 and k_terms >= 1")
-    Ss, cs = [], []
-    for _ in range(k_terms):
-        a = stream.standard_normal((n, n))
-        Ss.append(0.5 * (a + a.T))
-        cs.append(float(stream.standard_normal()))
-    R = make_from_symmetric(Ss, cs, mode=FLOAT64)
-    return CurvatureTensor(n, FLOAT64, R.components,
-                           f"random(n={n}, k_terms={k_terms})")
+    Ss, cs = random_generators(n, k_terms, stream)
+    return _combine(cs, [_generated(S, _spanning_rule, FLOAT64) for S in Ss],
+                    FLOAT64, f"random(n={n}, k_terms={k_terms})")

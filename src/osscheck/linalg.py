@@ -44,15 +44,15 @@ class PreconditionError(ValueError):
 
 def require_symmetric(m):
     """``m``, a square matrix or a stack ``m[..., k, k]`` of them, or
-    ValueError when one is not symmetric (exactly, or in float to SYM_TOL
-    relative to its largest entry)."""
+    ValueError when one is not symmetric (exactly for integer and object
+    matrices, in float to SYM_TOL relative to its largest entry)."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
     mt = np.swapaxes(m, -1, -2)
-    if m.dtype == object:
+    if m.dtype == object or m.dtype.kind in "iu":
         if np.any(m != mt):
-            raise ValueError("matrix is not symmetric (rational mode, exact)")
+            raise ValueError("matrix is not symmetric (exact check)")
         return m
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     worst = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
@@ -297,11 +297,13 @@ def _exact_scalar(index, e):
 def clear_denominators(arr):
     """Return ``(numerators, L)`` with ``arr == numerators / L`` exactly.
 
-    Every entry must be an exact rational (``numbers.Rational``); the first
-    one that is not raises ``ValueError``.  ``numerators`` is an object array
-    of Python ints, ``L`` the positive lcm of all reduced denominators (1 for
-    integer input).
+    An integer-dtype ``arr`` is returned as it is, with L = 1.  Otherwise
+    every entry must be an exact rational (``numbers.Rational``); the first
+    one that is not raises ``ValueError``.  ``numerators`` is then an object
+    array of Python ints, ``L`` the positive lcm of all reduced denominators.
     """
+    if arr.dtype.kind in "iu":
+        return arr, 1
     flat = arr.reshape(-1).tolist()
     if not set(map(type, flat)) <= {int, Fraction}:
         flat = [_exact_scalar(index, e) for index, e in enumerate(flat)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass, field
@@ -14,7 +15,9 @@ ARTIFACT_VERSION = "0.5.0"
 
 def _jsonable(v):
     if isinstance(v, Fraction):
-        return str(v)
+        # str(v), spelled by decimal past int's digit limit
+        p, q = decimal.Decimal(v.numerator), decimal.Decimal(v.denominator)
+        return f"{p}" if q == 1 else f"{p}/{q}"
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

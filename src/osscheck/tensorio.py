@@ -173,6 +173,6 @@ def load_tensor(path) -> CurvatureTensor:
 
 
 def dump_report(report, path):
+    text = report.to_json() + "\n"  # first, so a failure leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+        fh.write(text)

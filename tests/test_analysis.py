@@ -15,7 +15,6 @@ from osscheck import (
     check_ricci_sum,
     check_two_root_decomposition,
     classify_k_root,
-    eval_tensor,
     jacobi_matrix,
     make_clifford,
     make_constant_curvature,
@@ -28,6 +27,7 @@ from osscheck import (
 from osscheck import analysis
 from osscheck.curvature import CurvatureTensor
 from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError, cluster_rows, eigh
+from oracles import eval_tensor
 
 
 def clifford_tensor(n, m, mode=RATIONAL, mus=None, mu0=1):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ import pytest
 
 from osscheck import (
     build_clifford_family,
-    eval_tensor,
     jacobi_matrix,
     make_clifford,
     make_constant_curvature,
@@ -21,6 +21,7 @@ from osscheck import (
 )
 from osscheck.curvature import CurvatureTensor
 from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError
+from oracles import eval_tensor
 
 
 def basis(n, mode=FLOAT64):
@@ -486,7 +487,7 @@ class TestStorageLayout:
                 <= 1e-13 * np.abs(jacobi_matrix(Rf, x)).max()
 
     def test_both_modes_share_one_layout(self):
-        from osscheck.curvature import _as_matrix, _rj_components
+        from osscheck.curvature import _as_matrix, _rj_rule
 
         J = build_clifford_family(4, 1).structures[0]
         R = make_clifford(4, 1, [(-1, J)])
@@ -494,7 +495,7 @@ class TestStorageLayout:
         assert np.array_equal(Rf._matrix, R._matrix.astype(np.float64))
         # R^J is built in the layout, and sums, scalings and conversions of
         # stored tensors keep it, so _as_matrix hands them through uncopied
-        for t in (_rj_components(np.asarray(J)), Rf.components * 2.0,
+        for t in (_rj_rule(np.asarray(J)), Rf.components * 2.0,
                   R.numerators.astype(object) * 3, R.numerators + R.numerators):
             assert np.shares_memory(_as_matrix(t), t)
         c = np.ascontiguousarray(Rf.components)
@@ -534,3 +535,203 @@ class TestScalarMode:
         for mode in (FLOAT64, RATIONAL):
             assert make_constant_curvature(3, 1, mode).mode == mode
             assert make_from_symmetric([np.eye(3)], [1], mode=mode).mode == mode
+
+
+# ---------------------------------------------------------------------------
+# R1, R^S and R^J come from the integer numerators of their matrix.  The
+# oracle is the earlier construction: n^4 exact components, cleared entry by
+# entry (rational), or summed term by term (float).
+# ---------------------------------------------------------------------------
+
+def _oracle_rs(S):
+    """R^S[i,j,k,l] = S[l,i] S[k,j] - S[k,i] S[l,j]."""
+    return np.einsum("li,kj->ijkl", S, S) - np.einsum("ki,lj->ijkl", S, S)
+
+
+def _oracle_rj(J):
+    """R^J[i,j,k,l] = J[k,i]J[l,j] - J[k,j]J[l,i] + 2 J[j,i]J[l,k]."""
+    return (np.einsum("ki,lj->ijkl", J, J) - np.einsum("kj,li->ijkl", J, J)
+            + 2 * np.einsum("ji,lk->ijkl", J, J))
+
+
+def _oracle_from_symmetric(S_list, coeffs, mode):
+    acc = None
+    for S, c in zip(S_list, coeffs):
+        S = np.asarray(S)
+        if mode == RATIONAL:
+            S = np.array([[Fraction(v) for v in row] for row in S.tolist()],
+                         dtype=object)
+        else:
+            S = np.asarray(S, dtype=np.float64)
+        cc = Fraction(c) if mode == RATIONAL else float(c)
+        acc = _oracle_rs(S) * cc if acc is None else acc + _oracle_rs(S) * cc
+    n = acc.shape[0]
+    return CurvatureTensor(n, mode, acc, f"from_symmetric(n={n}, terms={len(S_list)})")
+
+
+def _oracle_make_rj(J, mode):
+    J = np.asarray(J)
+    J = (np.asarray(J, dtype=np.float64) if mode == FLOAT64
+         else np.array([[Fraction(v) for v in row] for row in J.tolist()],
+                       dtype=object))
+    return CurvatureTensor(J.shape[0], mode, _oracle_rj(J), f"rj(n={J.shape[0]})")
+
+
+def _assert_identical(got, want):
+    from osscheck.tensorio import tensor_to_document
+
+    assert (got.mode, got.dim, got.provenance) == (want.mode, want.dim, want.provenance)
+    assert got.denominator == want.denominator
+    assert got._matrix.dtype == want._matrix.dtype
+    if got.mode == RATIONAL:
+        assert got.numerators.tolist() == want.numerators.tolist()
+    else:  # bit for bit, the sign of zero included
+        assert got._matrix.tobytes() == want._matrix.tobytes()
+    assert (json.dumps(tensor_to_document(got))
+            == json.dumps(tensor_to_document(want)))
+
+
+def _symmetric_ints(n, seed, bound=5):
+    a = sample_stream(seed).integers(-bound, bound + 1, size=(n, n))
+    return a + a.T
+
+
+def _symmetric_cases():
+    """(name, S_list, coeffs): int64, object-int, Fraction and float S, and
+    entries and denominators beyond int64."""
+    n = 5
+    ints = [_symmetric_ints(n, s) for s in (1, 2, 3)]
+    fracs = [np.array(S.tolist(), dtype=object) * Fraction(1, d)
+             for S, d in zip(ints, (3, 7, 1))]
+    floats = [0.1 * S for S in ints]
+    huge = [np.array(S.tolist(), dtype=object) * 2**70 for S in ints[:2]]
+    wide = [np.array(S.tolist(), dtype=object) * Fraction(1, 2**65 + 1) for S in ints[1:]]
+    return [
+        ("int64", ints, [Fraction(1, 2), -3, Fraction(5, 7)]),
+        ("object ints", [np.array(S.tolist(), dtype=object) for S in ints], [1, 2, -1]),
+        ("fraction", fracs, [Fraction(2, 3), 1, Fraction(-1, 5)]),
+        ("float", floats, [1, Fraction(1, 3), 2]),
+        ("mixed", [ints[0], fracs[1], floats[2]], [Fraction(1, 3), 2, -1]),
+        ("beyond int64", huge, [Fraction(1, 3), 1]),
+        ("denominators beyond int64", wide, [1, Fraction(3, 2**64 + 13)]),
+    ]
+
+
+def _skew_cases():
+    J = build_clifford_family(8, 1).structures[0]
+    a = sample_stream(31).integers(-4, 5, size=(6, 6))
+    skew = a - a.T
+    return [
+        ("clifford int", J),
+        ("random int", skew),
+        ("int beyond int64 products", skew * 2**40),
+        ("clifford fraction", J.astype(object) * Fraction(1, 3)),
+        ("random fraction", np.array(
+            [[Fraction(int(v), 1 + (i + j) % 4) for j, v in enumerate(row)]
+             for i, row in enumerate(skew)], dtype=object)),
+        ("float integers", skew.astype(np.float64)),
+    ]
+
+
+class TestGeneratorParity:
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    @pytest.mark.parametrize("case", _symmetric_cases(), ids=lambda c: c[0])
+    def test_from_symmetric(self, case, mode):
+        _, S_list, coeffs = case
+        _assert_identical(make_from_symmetric(S_list, coeffs, mode),
+                          _oracle_from_symmetric(S_list, coeffs, mode))
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    @pytest.mark.parametrize("case", _skew_cases(), ids=lambda c: c[0])
+    def test_rj(self, case, mode):
+        _assert_identical(make_rj(case[1], mode), _oracle_make_rj(case[1], mode))
+
+    def test_dtypes_follow_the_int64_rule(self):
+        cases = dict((name, (S, c)) for name, S, c in _symmetric_cases())
+        assert make_from_symmetric(*cases["int64"], RATIONAL)._matrix.dtype == np.int64
+        assert make_from_symmetric(*cases["beyond int64"], RATIONAL)._matrix.dtype == object
+        big = dict(_skew_cases())["int beyond int64 products"]
+        assert make_rj(big, RATIONAL)._matrix.dtype == object
+
+    @pytest.mark.parametrize("n, k", [(4, 3), (7, 1)])
+    def test_random_curvature_is_its_from_symmetric_sum(self, n, k):
+        from osscheck.curvature import random_generators
+
+        got = random_curvature(n, k, sample_stream(40 + n))
+        want = _oracle_from_symmetric(
+            *random_generators(n, k, sample_stream(40 + n)), FLOAT64)
+        assert got.provenance == f"random(n={n}, k_terms={k})"
+        assert got._matrix.tobytes() == want._matrix.tobytes()
+
+
+class TestExactGeneratorChecks:
+    """In rational mode the symmetry of S and the skewness of J are checked
+    on the exact matrix the tensor is built from, not on its float input."""
+
+    def test_float_s_symmetric_only_within_tolerance(self):
+        S = np.array([[1.0, 0.5], [0.5 + 1e-12, 2.0]])
+        assert validate_symmetries(make_from_symmetric([S], [1], FLOAT64)).passed
+        with pytest.raises(ValueError, match="not symmetric"):
+            make_from_symmetric([S], [1], RATIONAL)
+
+    def test_integer_s_is_checked_exactly(self):
+        S = np.array([[0, 10**17], [10**17 + 1, 0]], dtype=np.int64)
+        with pytest.raises(ValueError, match="not symmetric"):
+            make_from_symmetric([S], [1], RATIONAL)
+
+    def test_integer_valued_float_j_skew_only_within_tolerance(self):
+        J = np.array([[0.0, -1e10], [1e10 + 1, 0.0]])
+        with pytest.raises(ValueError, match="not skew-adjoint"):
+            make_rj(J, RATIONAL)
+
+    def test_non_integer_float_j_keeps_its_error(self):
+        J = np.array([[0.0, -0.5], [0.5, 0.0]])
+        with pytest.raises(ValueError, match="needs exact"):
+            make_rj(J, RATIONAL)
+
+    def test_fraction_j_is_checked_exactly(self):
+        J = np.array([[0, Fraction(-1, 3)], [Fraction(1, 3) + Fraction(1, 10**30), 0]],
+                     dtype=object)
+        with pytest.raises(ValueError, match="not skew-adjoint"):
+            make_rj(J, RATIONAL)
+
+
+def test_rational_constructors_clear_only_their_matrices(monkeypatch, tmp_path):
+    # no constructor builds the n^4 exact components to clear them entry by
+    # entry: clear_denominators only ever sees an n x n matrix or less
+    from osscheck import curvature
+    from osscheck.tensorio import dump_tensor, load_tensor
+
+    n = 8
+    clear = curvature.clear_denominators
+
+    def refuse(arr):
+        assert np.asarray(arr).size <= n * n, "n^4 components cleared"
+        return clear(arr)
+
+    monkeypatch.setattr(curvature, "clear_denominators", refuse)
+    ints = [_symmetric_ints(n, s) for s in (5, 6)]
+    fam = build_clifford_family(n, 3)
+    J = fam.structures[0]
+    built = [
+        make_constant_curvature(n, Fraction(2, 3), RATIONAL),
+        make_constant_curvature(n, 0.5, FLOAT64),
+        make_rj(J, RATIONAL),
+        make_rj(J.astype(object) * Fraction(1, 3), RATIONAL),
+        make_rj(J.astype(np.float64), RATIONAL),
+        make_rj(J, FLOAT64),
+        make_clifford(n, Fraction(1, 3), [(Fraction(-1, 7), Jx) for Jx in fam.structures]),
+        make_clifford(n, 1, [(-1, Jx) for Jx in fam.structures], mode=FLOAT64),
+        make_from_symmetric(ints, [Fraction(1, 2), 3], RATIONAL),
+        make_from_symmetric([ints[0].astype(object) * Fraction(1, 5), 0.25 * ints[1]],
+                            [1, 2**70], RATIONAL),
+        make_from_symmetric(ints, [0.5, 3], FLOAT64),
+        make_from_symmetric([], [], RATIONAL, n=n),
+        random_curvature(n, 3, sample_stream(7)),
+    ]
+    built.append(built[6].scaled(Fraction(5, 2**70 + 1)))
+    dump_tensor(built[-1], tmp_path / "c.json")
+    built.append(load_tensor(tmp_path / "c.json"))
+    assert built[-1].denominator > 2**70
+    for R in built:
+        assert validate_symmetries(R).passed, R.provenance

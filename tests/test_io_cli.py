@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from osscheck import load_tensor, make_clifford, make_constant_curvature
+from osscheck import analysis, load_tensor, make_clifford, make_constant_curvature
 from osscheck.cli import main
 from osscheck.curvature import CurvatureTensor, random_curvature
 from osscheck.linalg import sample_stream
@@ -215,6 +216,14 @@ class TestCliSpectrum:
         assert main(["spectrum", "--in", str(tensor_files["quat"]),
                      "--direction", "0,0,0,0,0,0,0,0"]) == 2
 
+    @pytest.mark.parametrize("first", ["1e400", "1/0", "1e1000000"])
+    def test_bad_direction_names_the_option(self, tensor_files, capsys, first):
+        # entries are read like --kappa: beyond float range, a zero
+        # denominator and a spelling past the digit limit all exit 2
+        assert main(["spectrum", "--in", str(tensor_files["r1"]),
+                     "--direction", f"{first},1,0,0"]) == 2
+        assert f"error: --direction {first!r}: " in capsys.readouterr().err
+
 
 class TestLoadValidation:
     @pytest.mark.parametrize("dim", [0, 1, -2, 2.5, "4", True])
@@ -337,6 +346,81 @@ class TestResidualBeyondFloatRange:
         assert reports["einstein"]["worst_residual"] == str(10**400)
         assert reports["osserman"]["verdict"] == "fail"
         assert np.isinf(load_tensor(huge).to_float().components[0, 0, 0, 1])
+
+
+def _exact(spelling):
+    """The Fraction a report spells as "p" or "p/q", past int's digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(*map(int, spelling.split("/")))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestResidualBeyondTheDigitLimit:
+    """Exact residuals whose numerators have more digits than int's limit
+    are reported in full."""
+
+    @pytest.fixture
+    def digits(self, tmp_path):
+        comps = [str(i) for i in range(1, 17)]
+        comps[3] = "1e4299"
+        p = tmp_path / "digits.json"
+        p.write_text(json.dumps({"dim": 2, "mode": "rational", "components": comps}))
+        return p
+
+    def test_check_all(self, digits, capsys, tmp_path):
+        out = tmp_path / "all.json"
+        assert main(["check", "all", "--in", str(digits), "--samples", "4",
+                     "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9 and "symmetries: fail" in lines[0]
+        reports = json.loads(out.read_text())["reports"]
+        assert list(reports) == list(analysis.CHECKERS)
+        R = load_tensor(digits)
+        # 4300 digits, then past the limit
+        for name in ("symmetries", "polarization", "jacobi-orthogonal"):
+            want = analysis.run_check(name, R, samples=4, seed=0, tol=None)
+            assert want.worst_residual.numerator >= 10**4299, name
+            assert _exact(reports[name]["worst_residual"]) == want.worst_residual
+        assert want.worst_residual.numerator > 10**4300
+
+    def test_report_file(self, digits, tmp_path):
+        out = tmp_path / "jo.json"
+        assert main(["check", "jacobi-orthogonal", "--in", str(digits),
+                     "--samples", "4", "--out", str(out)]) == 1
+        rep = json.loads(out.read_text())
+        want = analysis.run_check("jacobi-orthogonal", load_tensor(digits),
+                                  samples=4, seed=0, tol=None)
+        assert _exact(rep["worst_residual"]) == want.worst_residual
+        assert rep["witness"] == want.to_dict()["witness"]
+
+    def test_failed_report_leaves_no_file(self, tensor_files, tmp_path, monkeypatch):
+        from osscheck.report import CheckReport
+
+        def fail(self, indent=2):
+            raise ValueError("not serializable")
+
+        monkeypatch.setattr(CheckReport, "to_json", fail)
+        out = tmp_path / "r.json"
+        assert main(["check", "symmetries", "--in", str(tensor_files["r1"]),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions())
+    def test_spelling_within_the_limit_is_str(self, v):
+        from osscheck.report import _jsonable
+
+        assert _jsonable(v) == str(v)
+
+    def test_spelling_at_and_past_the_limit(self):
+        from osscheck.report import _jsonable
+
+        assert _jsonable(Fraction(-(10**4299), 7)) == str(Fraction(-(10**4299), 7))
+        assert _jsonable(Fraction(10**4300 + 1, 3)) == "1" + "0" * 4299 + "1/3"
+        assert _jsonable(Fraction(3, 10**5000)) == "3/1" + "0" * 5000
 
 
 class TestExactEndToEnd:

@@ -320,125 +320,193 @@ def validate_symmetries(R: CurvatureTensor, *, tol=None):
 
 
 # ---------------------------------------------------------------------------
-# Constructors.  R1, R^S and R^J are built from one square matrix by a rule
-# quadratic in it (_generated); weighted sums of them all go through _combine.
+# Constructors.  R1, R^S and R^J are each a rule quadratic in one square
+# matrix M: a check of M and a table of signed index permutations of the
+# Gram tensor G[a, b, c, d] = M[a, b] M[c, d], each index of G a letter of
+# the stored order [l, i, j, k].  So a weighted sum of them is read off one
+# Gram tensor sum_t w_t vec(M_t) vec(M_t)^T (_generated).
 # ---------------------------------------------------------------------------
 
-def _spanning_rule(S):
-    """R^S[i,j,k,l] = S[l,i] S[k,j] - S[k,i] S[l,j] for a symmetric S, built
-    in the stored order."""
-    require_symmetric(S)
-    return _as_tensor(np.einsum("li,kj->lijk", S, S, order="C")
-                      - np.einsum("ki,lj->lijk", S, S, order="C"), len(S))
-
-
-def _rj_rule(J):
-    """R^J[i,j,k,l] = J[k,i]J[l,j] - J[k,j]J[l,i] + 2 J[j,i]J[l,k] for a
-    skew-adjoint J (checked exactly on integer and object matrices), built
-    in the stored order."""
+def _require_skew(J):
+    """``J``, or ValueError when it is not skew-adjoint: exactly for integer
+    and object matrices, in float to IDENTITY_TOL relative to its largest
+    entry."""
     if J.dtype == object or J.dtype.kind in "iu":
         if np.any(J != -J.T):
             raise ValueError("J is not skew-adjoint (exact check)")
     elif (float(np.abs(J + J.T).max())
           > IDENTITY_TOL * max(1.0, float(np.abs(J).max()))):
         raise ValueError("J is not skew-adjoint beyond tolerance")
-    Jt = J.T
-    lijk = (np.einsum("ik,jl->lijk", Jt, Jt, order="C")
-            - np.einsum("jk,il->lijk", Jt, Jt, order="C")
-            + 2 * np.einsum("ij,kl->lijk", Jt, Jt, order="C"))
-    return _as_tensor(lijk, len(J))
+    return J
 
 
-def _generated(M, rule, mode, provenance="") -> CurvatureTensor:
-    """The tensor that ``rule`` builds from the square matrix ``M``, checking
-    the matrix it is given: from M in float64 mode, and in rational mode from
-    the integer numerators N of M over their denominator L, as rule(N) / L^2.
-    N is int64 when the int64 rule admits every component, a sum of at most
-    four products of two entries of N."""
-    if mode == FLOAT64:
-        comps = rule(np.asarray(M, dtype=np.float64))
-        return CurvatureTensor(len(comps), FLOAT64, comps, provenance)
-    N, L = clear_denominators(np.asarray(M))
-    nums = rule(int_array(N, 4, max_abs(N)))
-    return CurvatureTensor._from_numerators(nums, L * L, provenance)
+# R^S[i,j,k,l] = S[l,i] S[k,j] - S[k,i] S[l,j] for a symmetric S
+_SPANNING = (require_symmetric, (("likj", 1), ("kilj", -1)))
+# R^J[i,j,k,l] = J[k,i] J[l,j] - J[k,j] J[l,i] + 2 J[j,i] J[l,k] for a skew J
+_RJ = (_require_skew, (("kilj", 1), ("kjli", -1), ("jilk", 2)))
+
+
+def _read_off(table, G, n, out=None):
+    """The n^4 array sum_t sign_t G[letters_t] in the stored order, of a
+    rule's ``table`` and a Gram tensor ``G`` of n^4 entries indexed
+    [a, b, c, d], summed term by term into ``out`` when it is given."""
+    G = G.reshape((n,) * 4)
+    for letters, sign in table:
+        term = G.transpose([letters.index(c) for c in "lijk"])
+        if out is None:
+            out = np.multiply(term, sign, order="C")
+        else:
+            out += sign * term
+    return out
+
+
+def _float_matrix(M):
+    """``M`` as a float64 array, or ValueError naming an entry beyond float
+    range."""
+    M = np.asarray(M)
+    if M.dtype == object:
+        for index, e in np.ndenumerate(M):
+            try:
+                float(e)
+            except OverflowError:
+                raise ValueError(f"entry {index} is beyond float range") from None
+    return M.astype(np.float64, copy=False)
+
+
+def _generated(weights, terms, mode, provenance="") -> CurvatureTensor:
+    """sum_t w_t rule_t(M_t) for the (rule, M_t) pairs ``terms`` of n x n
+    matrices, each checked by its rule: the float64 M_t in float64 mode, its
+    integer numerators N_t = L_t M_t in rational mode.
+
+    In float64 mode each term is read off the outer product of M_t (by
+    np.einsum, which gives a zero product as +0.0), and _combine sums the
+    terms.  In rational mode the terms of one rule are read off one Gram
+    tensor G = A^T diag(c) A, where the rows of A are the vec(N_t) and c
+    the integer weights of the N_t over one denominator, or one limb of them
+    (_exact_sum picks int64, limbs or Python ints).  G is one
+    linalg.exact_product with the wide side c A on the right: a float64
+    product, or one per float64 limb of c A, and Python ints only when A or
+    c A is too wide for that.
+    """
+    n, exact = len(terms[0][1]), _require_mode(mode) == RATIONAL
+    cleared = [(rule, *(clear_denominators(np.asarray(M)) if exact
+                        else (_float_matrix(M), 1))) for rule, M in terms]
+    for (check, _), N, _ in cleared:
+        if N.shape != (n, n):
+            raise ValueError(f"every matrix must be {n} x {n}")
+        check(int_array(N) if exact else N)
+    if not exact:
+        return _combine(weights, [
+            CurvatureTensor(n, FLOAT64, _as_tensor(_read_off(table, np.einsum(
+                "ab,cd->abcd", M, M), n), n)) for (_, table), M, _ in cleared],
+            FLOAT64, provenance)
+    groups = {}  # each rule once: its terms, and the int stack A of their N_t
+    for rule in dict.fromkeys(rule for rule, _ in terms):
+        ts = [t for t, (r, _) in enumerate(terms) if r == rule]
+        groups[rule] = ts, int_array(np.stack([cleared[t][1].reshape(-1)
+                                               for t in ts]))
+
+    def term_sum(cs, dtype):
+        acc = None
+        for (_, table), (ts, A) in groups.items():
+            c = int_array(np.array([cs[t] for t in ts], dtype=object)[:, None],
+                          max_abs(A))
+            G = exact_product(c * A)(A.T).astype(dtype, copy=False)
+            acc = _read_off(table, G, n, acc)
+        return _as_tensor(acc, n)
+
+    tops = [sum(abs(s) for _, s in table) * max_abs(N) ** 2
+            for (_, table), N, _ in cleared]
+    return CurvatureTensor._from_numerators(*_exact_sum(
+        weights, [L * L for *_, L in cleared], tops, term_sum), provenance)
 
 
 def _r1(n) -> CurvatureTensor:
     """The unit constant-curvature tensor R1 = R^S at S = I (rational)."""
-    return _generated(np.eye(n, dtype=np.int64), _spanning_rule, RATIONAL)
+    return _generated([1], [(_SPANNING, np.eye(n, dtype=np.int64))], RATIONAL)
+
+
+def _exact_sum(weights, denominators, tops, term_sum):
+    """``(numerators, L)`` of sum_i w_i X_i / d_i over the common
+    denominator L, for rational weights w_i, positive int denominators d_i
+    and integer terms |X_i| <= ``tops[i]``.
+
+    Over L the numerators are sum_i c_i X_i for integer c_i, which
+    ``term_sum(cs, dtype)`` computes in the integer dtype it is given.  When
+    the bound sum_i |c_i| tops_i passes the int64 rule, the sum runs in
+    int64.  Otherwise the c_i are split into s-bit limbs (linalg.limbs), with
+    sum_i tops_i 2^s < 2^61 (so every X_i is int64): each limb's sum runs in
+    int64, and only the Horner step over the limbs, top limb first, in
+    Python ints.  That step makes two Python-int passes over the entries per
+    limb, so with more limbs than terms, or no s >= 1, the sum runs in
+    Python ints.
+    """
+    ws = [Fraction(w) for w in weights]
+    L = math.lcm(*(w.denominator * d for w, d in zip(ws, denominators)))
+    # a zero term adds nothing, whatever its weight
+    coeffs = [w.numerator * (L // (w.denominator * d)) if top else 0
+              for w, d, top in zip(ws, denominators, tops)]
+    s = 61 - sum(tops).bit_length()  # sum(tops) 2^s < 2^61, which the rule admits
+    width = max(abs(c) for c in coeffs).bit_length()
+    if int64_safe(sum(abs(c) * top for c, top in zip(coeffs, tops))):
+        return term_sum(coeffs, np.int64), L
+    if s < 1 or width > s * len(coeffs):
+        return term_sum(coeffs, object), L
+    rows = list(limbs(np.array(coeffs, dtype=object), s))
+    acc = term_sum(rows.pop().tolist(), np.int64).astype(object)
+    for row in reversed(rows):
+        acc *= 1 << s
+        acc += term_sum(row.tolist(), np.int64)
+    return acc, L
 
 
 def _combine(weights, tensors, mode, provenance) -> CurvatureTensor:
-    """sum_i w_i T_i in ``mode``; exact in rational mode.
-
-    Over the common denominator L the numerators are sum_i c_i T_i for
-    integer coefficients c_i, summed one term at a time.  When the bound
-    sum_i |c_i| max|T_i| passes the int64 rule, the sum runs in int64.
-    When it does not but every T_i is int64, the c_i are split into s-bit
-    limbs (:func:`linalg.limbs`), with s such that sum_i max|T_i| 2^s < 2^61
-    passes the rule: each limb's sum_i c_{i,t} T_i runs in int64, and only
-    the Horner step over the limbs, top limb first, in Python ints.  That
-    step makes two Python-int passes over the entries per limb, so the
-    limbs are taken only when there are no more of them than terms.
-    Otherwise, and for terms with Python-int numerators, the terms are
-    summed in Python ints.
-    """
+    """sum_i w_i T_i in ``mode``: in float64 one term at a time, and in
+    rational mode exactly, over the terms' numerators, through _exact_sum
+    (int64, int64 per limb of the weights, or Python ints).  Weighted sums
+    of generated tensors take one Gram tensor instead (_generated)."""
     if _require_mode(mode) == FLOAT64:
         acc = tensors[0].to_float().components * float(weights[0])
         for w, T in zip(weights[1:], tensors[1:]):
             acc = acc + T.to_float().components * float(w)
         return CurvatureTensor(acc.shape[0], FLOAT64, acc, provenance)
-    ws = [Fraction(w) for w in weights]
-    L = math.lcm(*(w.denominator * T.denominator for w, T in zip(ws, tensors)))
-    coeffs = [w.numerator * (L // (w.denominator * T.denominator))
-              for w, T in zip(ws, tensors)]
-    bound = sum(abs(c) * T._max_numerator for c, T in zip(coeffs, tensors))
-    total = sum(T._max_numerator for T in tensors)
-    s = 61 - total.bit_length()  # total 2^s < 2^61, which the int64 rule admits
-    width = max(abs(c) for c in coeffs).bit_length()
-    if int64_safe(bound):
-        acc = _int64_sum(coeffs, tensors)
-    elif (s < 1 or width > s * len(tensors)
-          or any(T._matrix.dtype == object for T in tensors)):
-        acc = sum(c * T.numerators.astype(object) for c, T in zip(coeffs, tensors))
-    else:
-        rows = list(limbs(np.array(coeffs, dtype=object), s))
-        acc = _int64_sum(rows.pop().tolist(), tensors).astype(object)
-        for row in reversed(rows):
-            acc *= 1 << s
-            acc += _int64_sum(row.tolist(), tensors)
-    return CurvatureTensor._from_numerators(acc, L, provenance)
 
+    def term_sum(cs, dtype):
+        acc = np.zeros_like(tensors[0].numerators, dtype=dtype)
+        for c, T in zip(cs, tensors):
+            if c:
+                acc += T.numerators.astype(dtype, copy=False) * c
+        return acc
 
-def _int64_sum(coeffs, tensors):
-    """sum_i c_i T_i in int64, one term at a time, for int coefficients
-    whose bound sum_i |c_i| max|T_i| passes the int64 rule."""
-    acc = np.zeros_like(tensors[0].numerators, dtype=np.int64)
-    term = np.empty_like(acc)
-    for c, T in zip(coeffs, tensors):
-        if c * T._max_numerator:  # a zero term, whatever c, adds nothing
-            acc += np.multiply(T.numerators.astype(np.int64, copy=False), c,
-                               out=term)
-    return acc
+    return CurvatureTensor._from_numerators(*_exact_sum(
+        weights, [T.denominator for T in tensors],
+        [T._max_numerator for T in tensors], term_sum), provenance)
 
 
 def make_constant_curvature(n, kappa, mode=FLOAT64) -> CurvatureTensor:
     """Constant sectional curvature kappa: J_X Y = kappa (eps_X Y - g(Y,X) X)."""
     if n < 2:
         raise ValueError("dimension must be >= 2")
-    return _combine([kappa], [_r1(n)], mode, f"constant(n={n}, kappa={kappa})")
+    return _generated([kappa], [(_SPANNING, np.eye(n, dtype=np.int64))], mode,
+                      f"constant(n={n}, kappa={kappa})")
+
+
+def _rj_matrix(J, mode):
+    """``J`` as an array; in rational mode a float J must hold integers,
+    which it is converted to exactly."""
+    J = np.asarray(J)
+    if _require_mode(mode) == RATIONAL and J.dtype.kind == "f":
+        if not (np.isfinite(J).all() and (J == np.trunc(J)).all()):
+            raise ValueError("rational mode needs exact (integer/Fraction) J")
+        J = np.frompyfunc(int, 1, 1)(J)
+    return J
 
 
 def make_rj(J, mode=FLOAT64) -> CurvatureTensor:
     """Tensor generated by a skew-adjoint endomorphism J; in rational mode J
     holds exact rationals, or floats that are integers."""
-    J = np.asarray(J)
-    if _require_mode(mode) == RATIONAL and J.dtype.kind == "f":
-        Ji = J.astype(np.int64)
-        if not np.array_equal(J, Ji):
-            raise ValueError("rational mode needs exact (integer/Fraction) J")
-        J = Ji
-    return _generated(J, _rj_rule, mode, f"rj(n={J.shape[0]})")
+    J = _rj_matrix(J, mode)
+    return _generated([1], [(_RJ, J)], mode, f"rj(n={J.shape[0]})")
 
 
 def make_clifford(n, mu0, terms, mode=RATIONAL, validate=True) -> CurvatureTensor:
@@ -456,8 +524,9 @@ def make_clifford(n, mu0, terms, mode=RATIONAL, validate=True) -> CurvatureTenso
         if not rep.passed:
             raise PreconditionError(
                 f"not a valid Clifford family: worst residual {rep.worst_residual}")
-    return _combine([mu0, *mus], [_r1(n), *(make_rj(J, mode) for J in Js)],
-                    mode, _clifford_provenance(n, mu0, mus, Js))
+    return _generated([mu0, *mus], [(_SPANNING, np.eye(n, dtype=np.int64)),
+                                    *((_RJ, _rj_matrix(J, mode)) for J in Js)],
+                      mode, _clifford_provenance(n, mu0, mus, Js))
 
 
 def _clifford_provenance(n, mu0, mus, Js):
@@ -477,16 +546,14 @@ def make_from_symmetric(S_list, coeffs, mode=FLOAT64, n=None) -> CurvatureTensor
     if not S_list:
         if n is None:
             raise ValueError("empty generator list needs an explicit dimension")
-        zero = CurvatureTensor._from_numerators(np.zeros((n,) * 4, dtype=np.int64),
-                                               1, "from_symmetric(empty)")
-        return zero if mode == RATIONAL else zero.to_float()
+        return _generated([0], [(_SPANNING, np.zeros((n, n), dtype=np.int64))],
+                          mode, "from_symmetric(empty)")
     Ss = [np.asarray(S) for S in S_list]
     if mode == RATIONAL:
         Ss = [np.frompyfunc(Fraction, 1, 1)(S) if S.dtype.kind == "f" else S
               for S in Ss]
-    terms = [_generated(S, _spanning_rule, mode) for S in Ss]
-    return _combine(coeffs, terms, mode,
-                    f"from_symmetric(n={terms[0].dim}, terms={len(terms)})")
+    return _generated(coeffs, [(_SPANNING, S) for S in Ss], mode,
+                      f"from_symmetric(n={len(Ss[0])}, terms={len(Ss)})")
 
 
 def random_generators(n, k_terms, stream):
@@ -508,5 +575,5 @@ def random_curvature(n, k_terms, stream) -> CurvatureTensor:
     if n < 2 or k_terms < 1:
         raise ValueError("need n >= 2 and k_terms >= 1")
     Ss, cs = random_generators(n, k_terms, stream)
-    return _combine(cs, [_generated(S, _spanning_rule, FLOAT64) for S in Ss],
-                    FLOAT64, f"random(n={n}, k_terms={k_terms})")
+    return _generated(cs, [(_SPANNING, S) for S in Ss], FLOAT64,
+                      f"random(n={n}, k_terms={k_terms})")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from osscheck import (
 )
 from osscheck.curvature import CurvatureTensor
 from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError
-from oracles import eval_tensor
+from oracles import eval_tensor, rj_rule, spanning_rule
 
 
 def basis(n, mode=FLOAT64):
@@ -250,6 +251,12 @@ class TestFromSymmetric:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             make_from_symmetric([np.array([[0.0, 1.0], [0.0, 0.0]])], [1.0])
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_rejects_matrices_of_two_sizes(self, mode):
+        with pytest.raises(ValueError, match="every matrix must be 2 x 2"):
+            make_from_symmetric([np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)],
+                                [1, 1], mode)
 
 
 class TestRandomCurvature:
@@ -487,7 +494,7 @@ class TestStorageLayout:
                 <= 1e-13 * np.abs(jacobi_matrix(Rf, x)).max()
 
     def test_both_modes_share_one_layout(self):
-        from osscheck.curvature import _as_matrix, _rj_rule
+        from osscheck.curvature import _RJ, _as_matrix, _as_tensor, _read_off
 
         J = build_clifford_family(4, 1).structures[0]
         R = make_clifford(4, 1, [(-1, J)])
@@ -495,7 +502,8 @@ class TestStorageLayout:
         assert np.array_equal(Rf._matrix, R._matrix.astype(np.float64))
         # R^J is built in the layout, and sums, scalings and conversions of
         # stored tensors keep it, so _as_matrix hands them through uncopied
-        for t in (_rj_rule(np.asarray(J)), Rf.components * 2.0,
+        G = np.multiply.outer(J, J)
+        for t in (_as_tensor(_read_off(_RJ[1], G, 4), 4), Rf.components * 2.0,
                   R.numerators.astype(object) * 3, R.numerators + R.numerators):
             assert np.shares_memory(_as_matrix(t), t)
         c = np.ascontiguousarray(Rf.components)
@@ -543,17 +551,6 @@ class TestScalarMode:
 # entry (rational), or summed term by term (float).
 # ---------------------------------------------------------------------------
 
-def _oracle_rs(S):
-    """R^S[i,j,k,l] = S[l,i] S[k,j] - S[k,i] S[l,j]."""
-    return np.einsum("li,kj->ijkl", S, S) - np.einsum("ki,lj->ijkl", S, S)
-
-
-def _oracle_rj(J):
-    """R^J[i,j,k,l] = J[k,i]J[l,j] - J[k,j]J[l,i] + 2 J[j,i]J[l,k]."""
-    return (np.einsum("ki,lj->ijkl", J, J) - np.einsum("kj,li->ijkl", J, J)
-            + 2 * np.einsum("ji,lk->ijkl", J, J))
-
-
 def _oracle_from_symmetric(S_list, coeffs, mode):
     acc = None
     for S, c in zip(S_list, coeffs):
@@ -564,7 +561,7 @@ def _oracle_from_symmetric(S_list, coeffs, mode):
         else:
             S = np.asarray(S, dtype=np.float64)
         cc = Fraction(c) if mode == RATIONAL else float(c)
-        acc = _oracle_rs(S) * cc if acc is None else acc + _oracle_rs(S) * cc
+        acc = spanning_rule(S) * cc if acc is None else acc + spanning_rule(S) * cc
     n = acc.shape[0]
     return CurvatureTensor(n, mode, acc, f"from_symmetric(n={n}, terms={len(S_list)})")
 
@@ -574,7 +571,7 @@ def _oracle_make_rj(J, mode):
     J = (np.asarray(J, dtype=np.float64) if mode == FLOAT64
          else np.array([[Fraction(v) for v in row] for row in J.tolist()],
                        dtype=object))
-    return CurvatureTensor(J.shape[0], mode, _oracle_rj(J), f"rj(n={J.shape[0]})")
+    return CurvatureTensor(J.shape[0], mode, rj_rule(J), f"rj(n={J.shape[0]})")
 
 
 def _assert_identical(got, want):
@@ -688,6 +685,31 @@ class TestExactGeneratorChecks:
         J = np.array([[0.0, -0.5], [0.5, 0.0]])
         with pytest.raises(ValueError, match="needs exact"):
             make_rj(J, RATIONAL)
+
+    def test_integer_valued_float_j_beyond_int64(self):
+        J = np.array([[0.0, 2.0**70], [-(2.0**70), 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            R = make_rj(J, RATIONAL)
+        want = make_rj(np.array([[0, 2**70], [-(2**70), 0]], dtype=object), RATIONAL)
+        _assert_identical(R, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_float_j_raises_without_a_warning(self, bad):
+        J = np.array([[0.0, bad], [-bad, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs exact"):
+                make_rj(J, RATIONAL)
+
+    def test_float_mode_names_an_entry_beyond_float_range(self):
+        S = np.array([[10**400, 0], [0, 1]], dtype=object)
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) is beyond float range"):
+            make_from_symmetric([S], [1], FLOAT64)
+        J = np.array([[0, Fraction(10**400, 3)], [Fraction(-(10**400), 3), 0]],
+                     dtype=object)
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is beyond float range"):
+            make_rj(J, FLOAT64)
 
     def test_fraction_j_is_checked_exactly(self):
         J = np.array([[0, Fraction(-1, 3)], [Fraction(1, 3) + Fraction(1, 10**30), 0]],

@@ -22,6 +22,7 @@ from osscheck import (
     make_clifford,
     make_constant_curvature,
     make_from_symmetric,
+    radon_hurwitz_bound,
     sample_stream,
 )
 from osscheck import curvature, linalg
@@ -34,6 +35,7 @@ from osscheck.curvature import (
     make_rj,
 )
 from osscheck.linalg import RATIONAL, exact_product, limbs, random_int_vector
+from oracles import generated, rj_rule, spanning_rule
 
 
 def _int_vector(n, stream):
@@ -410,3 +412,110 @@ class TestCombine:
         zero = make_from_symmetric([], [], RATIONAL, n=3)
         got = zero.scaled(2**70)
         assert got._max_numerator == 0 and got.denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# Weighted sums of generated tensors, read off one Gram tensor, against each
+# generator built on its own (oracles.generated) and summed by _combine.
+# ---------------------------------------------------------------------------
+
+_RULES = {"sym": (curvature._SPANNING, spanning_rule),
+          "skew": (curvature._RJ, rj_rule)}
+
+
+@st.composite
+def _generator_terms(draw):
+    """``(weights, terms, oracle terms)``: 1 to 5 symmetric, skew and
+    identity matrices at one n in 2..16, as int64, or as Python ints or
+    Fractions with entries or denominators beyond int64, under small
+    weights, integer weights beyond 2^63, or weights whose denominators have
+    an lcm above 2^63."""
+    n = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 5))
+    terms, oracle = [], []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("sym", "skew", "identity")))
+        a = rng.integers(-3, 4, size=(n, n))
+        M = {"sym": a + a.T, "skew": a - a.T,
+             "identity": np.eye(n, dtype=np.int64)}[kind]
+        scale = draw(st.sampled_from((1, 1, 2**40, Fraction(1, 3),
+                                      Fraction(5, 2**64 + 13))))
+        if scale != 1:
+            M = M.astype(object) * scale
+        rule, oracle_rule = _RULES["skew" if kind == "skew" else "sym"]
+        terms.append((rule, M))
+        oracle.append(generated(oracle_rule, M))
+    wide = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63)))
+    weights = draw(st.one_of(
+        st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+                 min_size=count, max_size=count),
+        st.lists(wide, min_size=count, max_size=count),
+        _weights(count)))
+    return weights, terms, oracle
+
+
+class TestGram:
+    @settings(max_examples=100, deadline=None)
+    @given(_generator_terms())
+    def test_equals_the_sum_of_its_generators(self, case):
+        weights, terms, oracle = case
+        _assert_same_tensor(curvature._generated(weights, terms, RATIONAL),
+                            _combine(weights, oracle, RATIONAL, ""))
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """``(products, sums)``: the dtypes that the Gram products came back
+        in (a Python-int product comes back as object) and that the exact
+        sums ran their terms in."""
+        products, sums = [], []
+
+        def traced_product(b):
+            product = exact_product(b)
+
+            def traced(a):
+                G = product(a)
+                products.append(G.dtype.type)
+                return G
+            return traced
+
+        exact_sum = curvature._exact_sum
+
+        def spy(weights, denominators, tops, term_sum):
+            def traced(cs, dtype):
+                sums.append(dtype)
+                return term_sum(cs, dtype)
+            return exact_sum(weights, denominators, tops, traced)
+
+        monkeypatch.setattr(curvature, "exact_product", traced_product)
+        monkeypatch.setattr(curvature, "_exact_sum", spy)
+        return products, sums
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_benchmark_corpus_runs_in_int64(self, n, monkeypatch):
+        # the weights of the benchmark corpus at their widest: p/q with |p|
+        # and q up to 9 (an lcm of 2520), and integers up to 10^16
+        products, sums = self._spy(monkeypatch)
+        fam = build_clifford_family(n, radon_hurwitz_bound(n))
+        fracs = [Fraction(9, q) for q in (5, 7, 8, 9)] * 3
+        large = [(-1) ** i * (10**16 - 1 - i) for i in range(12)]
+        for mus in (fracs, large, [Fraction(-9, 7)] * 12):
+            make_clifford(n, mus[-1], list(zip(mus, fam.structures)), mode=RATIONAL)
+        make_constant_curvature(n, Fraction(-9, 8), RATIONAL)
+        assert set(products) == set(sums) == {np.int64}
+
+    def test_large_denominator_build_sums_its_limbs_in_int64(self, monkeypatch):
+        products, sums = self._spy(monkeypatch)
+        fam = build_clifford_family(16, 8)
+        mus = [Fraction(1, 1000033), Fraction(1, 1000037), Fraction(1, 1000039),
+               1, 1, 1, 1, 1]
+        R = make_clifford(16, Fraction(1, 1000003), list(zip(mus, fam.structures)),
+                          mode=RATIONAL)
+        assert R.denominator.bit_length() > 63 and R._matrix.dtype == object
+        assert len(sums) > 1 and set(products) == set(sums) == {np.int64}
+
+    def test_zero_matrix_with_a_weight_beyond_int64(self):
+        terms = [(curvature._RJ, np.zeros((2, 2), dtype=np.int64)),
+                 (curvature._SPANNING, np.eye(2, dtype=np.int64))]
+        got = curvature._generated([2**63, Fraction(1, 3)], terms, RATIONAL)
+        _assert_same_tensor(got, _r1(2).scaled(Fraction(1, 3)))

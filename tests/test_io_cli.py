@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -109,6 +110,39 @@ class TestCliBuild:
                      "--out", str(out)]) == 0
         # R(e_0, e_1, e_1, e_0), the weighted R1 and R^J terms
         assert load_tensor(out).components[0, 1, 1, 0] == component
+
+    # sha256 of the files these builds wrote before the weighted sums were
+    # read off one Gram product: the same tensors, bit for bit, in both modes
+    @pytest.mark.parametrize("args, sha256", [
+        (["clifford", "--dim", "16", "--mu0", "2", "--mu=1,-1,3,-2,1,1,-4,5"],
+         "4eded4a0407ac921b19df275641b9013a7084aef03b0f9fd7a14518a4e69ea9f"),
+        (["clifford", "--dim", "16", "--mu0", "1/3",
+          "--mu=-2/7,5/9,1/2,-3/4,7/5,1/6,-8/3,2/9"],
+         "7eea69b4cc1eaadbd50dce684001843879c85b0314f736985a2484ae57c00f51"),
+        (["clifford", "--dim", "16", "--mu0", "1/1000003",
+          "--mu=1/1000033,1/1000037,1/1000039,1,1,1,1,1"],
+         "50d303159a2d913b4fc979a3e3643d3a4750f8355719405bc9b9a250e04587f0"),
+        (["clifford", "--dim", "16", "--mu0", "1/3",
+          "--mu=-2/7,5/9,1/2,-3/4,7/5,1/6,-8/3,2/9", "--mode", "float64"],
+         "6c50f695b9c05eb11ffaf301af693c90d495c125d350d0ba37ad45ccc65c494f"),
+        (["constant", "--dim", "8", "--kappa=-5/3"],
+         "5de86687b0a6064da4119f0c3ea6142591a124dec3dfd805fb7926e1c3c8c352"),
+        (["constant", "--dim", "8", "--kappa", "0.7", "--mode", "float64"],
+         "21ed54f7ed817552ce560b2c11abaae2ec43901f54323bd0136fa13ac42a1432"),
+        (["rj", "--dim", "16"],
+         "601655058f9901e5367c1e10399691de2ce14ac893a9edd9cae4b4ee7380dc21"),
+        (["rj", "--dim", "16", "--mode", "float64"],
+         "5ab4f5f2265654ffb9b4a234a2dd742df559ff170b76105a94530ea7b6f97e8a"),
+        (["from-symmetric", "--dim", "8", "--k-terms", "4", "--seed", "5"],
+         "54b2c58064ca569b7a37dab680f8fb8b933b0b963845aa14625dfb62d485adf6"),
+        (["from-symmetric", "--dim", "8", "--k-terms", "4", "--seed", "5",
+          "--mode", "float64"],
+         "7a2d844960acd1028e1eaaa2310e7427ebb98410e4e1bdc78e5925e55d034c42"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "sha256")
+    def test_build_writes_the_pinned_bytes(self, tmp_path, args, sha256):
+        out = tmp_path / "t.json"
+        assert main(["build", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     def test_build_rj_and_random_and_symmetric(self, tmp_path):
         for args in (["build", "rj", "--dim", "4"],

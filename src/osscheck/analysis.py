@@ -31,6 +31,7 @@ from .linalg import (
     BLOCK,
     FLOAT64,
     RATIONAL,
+    Field,
     PreconditionError,
     block_product,
     charpoly,
@@ -41,10 +42,8 @@ from .linalg import (
     eigvalsh,
     int_array,
     max_abs,
-    random_int_vector,
     random_orthogonal_matrix,
     random_orthonormal_pair,
-    random_unit_vector,
     sample_stream,
     sample_streams,
 )
@@ -75,24 +74,47 @@ def _require_samples(least, **counts):
             raise PreconditionError(f"{name} must be at least {least}, found {count}")
 
 
-def _blocks(seed, samples, draw):
+def _blocks(seed, samples, fields):
     """Phase 1 of the sampling engine.  For each block of up to BLOCK
-    consecutive samples, ``(start, arrays)``: sample i takes all it uses,
-    the tuple of arrays ``draw(stream)``, from its own ``(seed, i)`` stream,
-    and ``arrays`` stacks the block's tuples field by field."""
+    consecutive samples, ``(start, arrays)``: sample i draws the tuple of
+    ``fields`` (:class:`linalg.Field`; a draw function is one call field)
+    from its own ``(seed, i)`` stream, and ``arrays`` stacks the block's
+    draws array by array.  Each sample writes the raw values of its fields
+    straight into their (rows, width) arrays, which ``finish`` evaluates at
+    once; a call field's arrays are stacked.  A row that needs a retry is
+    drawn again by the fields' ``one`` from a fresh ``sample_stream(seed,
+    i)``, so the retry rules live there only."""
+    fields = (Field(fields),) if callable(fields) else fields
     streams = sample_streams(seed, range(samples))
     for start in range(0, samples, BLOCK):
-        drawn = [draw(next(streams)) for _ in range(min(BLOCK, samples - start))]
-        yield start, [np.stack(field) for field in zip(*drawn)]
+        rows = min(BLOCK, samples - start)
+        raw = [np.empty((rows, f.width), f.kind) if f.kind else [] for f in fields]
+        for r in range(rows):
+            stream = next(streams)
+            for f, a in zip(fields, raw):
+                if f.kind is None:
+                    a.append(f.one(stream))
+                else:
+                    f.fill(stream, a[r])
+        arrays, redo = [], np.zeros(rows, dtype=bool)
+        for f, a in zip(fields, raw):
+            got, bad = f.finish(a) if f.kind else ([np.stack(x) for x in zip(*a)], False)
+            arrays += got
+            redo |= bad
+        for r in np.flatnonzero(redo):
+            stream = sample_stream(seed, start + r)
+            for a, v in zip(arrays, [v for f in fields for v in f.one(stream)]):
+                a[r] = v
+        yield start, arrays
 
 
-def _sweep(name, R, draw, compute, *, samples, seed, tol, mode=FLOAT64,
+def _sweep(name, R, fields, compute, *, samples, seed, tol, mode=FLOAT64,
            denominator=None, notes=""):
     """The sampling engine and report of every sampling checker.
 
     Samples run in blocks of BLOCK, each in three phases:
 
-    1. draw (:func:`_blocks`);
+    1. draw the ``fields`` of every sample (:func:`_blocks`);
     2. compute: ``compute(start, *arrays)`` returns the residuals
        ``res[S, C]`` of the block's S samples, which start at sample
        ``start``, with C candidates each (-inf marks no candidate), and
@@ -111,7 +133,7 @@ def _sweep(name, R, draw, compute, *, samples, seed, tol, mode=FLOAT64,
     _require_samples(1, samples=samples)
     tol = default_tol(tol, mode)
     worst, winner = 0.0, None
-    for start, arrays in _blocks(seed, samples, draw):
+    for start, arrays in _blocks(seed, samples, fields):
         res, fields = compute(start, *arrays)
         s, c = divmod(_first_worst(res), res.shape[1])
         value = res.item(s, c)  # a Python float, int or Fraction
@@ -154,17 +176,6 @@ def _eigenbases(Rf, X):
     return vals, red.frame @ vecs
 
 
-def _exact_orthogonal_pair(n, stream):
-    """Integer pair (x, y), int64, with g(x, y) = 0 via projection."""
-    for _ in range(16):
-        x = random_int_vector(n, stream)
-        y = random_int_vector(n, stream)
-        y = x.dot(x) * y - y.dot(x) * x
-        if y.any():
-            return x, y
-    raise RuntimeError("degenerate rational draws")
-
-
 def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
                             tol=None) -> CheckReport:
     """J_X Y perpendicular to J_Y X over random orthogonal pairs.
@@ -180,11 +191,9 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
     exact = R.mode == RATIONAL
     if exact:
         numerators = jacobi_numerator_rows(R)
-
-    def draw(stream):
-        if exact:
-            return _exact_orthogonal_pair(n, stream)
-        return random_orthonormal_pair(n, stream)
+        fields = (Field.orthogonal_int_pair(n),)
+    else:
+        fields = (Field(lambda stream: random_orthonormal_pair(n, stream)),)
 
     def compute(start, xs, ys):
         v = np.stack([xs, ys], axis=1).reshape(-1, n)
@@ -199,7 +208,7 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
             res = (np.abs(_dot(jxy, jyx)) / (_norm(jxy) * _norm(jyx) + 1.0))[:, None]
         return res, lambda s, c: {"x": xs[s].tolist(), "y": ys[s].tolist()}
 
-    return _sweep("jacobi-orthogonal", R, draw, compute, samples=samples,
+    return _sweep("jacobi-orthogonal", R, fields, compute, samples=samples,
                   seed=seed, tol=tol, mode=R.mode,
                   denominator=R.denominator**2 if exact else None)
 
@@ -258,11 +267,6 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
     Rf = R.to_float()
     n = R.dim
     m = n - 1
-
-    def draw(stream):
-        # at most 3 (n - 1) combination coefficients per sample
-        return random_unit_vector(n, stream), stream.standard_normal(3 * m)
-
     slot = _first_slot(Rf)
 
     def compute(start, xs, normals):
@@ -291,8 +295,9 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
 
         return res, fields
 
-    return _sweep("jacobi-dual", R, draw, compute, samples=samples, seed=seed,
-                  tol=tol)
+    # at most 3 (n - 1) combination coefficients per sample
+    return _sweep("jacobi-dual", R, (Field.unit(n), Field.normals(3 * m)),
+                  compute, samples=samples, seed=seed, tol=tol)
 
 
 def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
@@ -310,9 +315,6 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
     n = R.dim
     ref = {}  # sample 0's, set by the first block
 
-    def draw(stream):
-        return (random_unit_vector(n, stream),)
-
     def compute(start, xs):
         vals = _spectra(Rf, xs)
         if start == 0:
@@ -326,8 +328,8 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
             "x": list(xs[s]), "coefficients": list(coeffs[s]),
             "reference_x": ref["x"], "reference_coefficients": list(ref["coefficients"])}
 
-    return _sweep("osserman", R, draw, compute, samples=samples, seed=seed,
-                  tol=tol)
+    return _sweep("osserman", R, (Field.unit(n),), compute, samples=samples,
+                  seed=seed, tol=tol)
 
 
 def check_einstein(R: CurvatureTensor, *, tol=None) -> CheckReport:
@@ -370,8 +372,7 @@ def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0) -> RootClassific
     Rf = R.to_float()
     n = R.dim
     ref, agree = None, True
-    for _, (xs,) in _blocks(seed, samples,
-                            lambda stream: (random_unit_vector(n, stream),)):
+    for _, (xs,) in _blocks(seed, samples, (Field.unit(n),)):
         vals = _spectra(Rf, xs)
         ct = default_cluster_tol(vals)
         _, centers, mults = cluster_rows(vals, ct)
@@ -407,9 +408,6 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
     n = R.dim
     gap_tol = abs(cls.centers[1] - cls.centers[0]) / 4.0
 
-    def draw(stream):
-        return random_unit_vector(n, stream), stream.standard_normal(n)
-
     def compute(start, ys, xr):
         vals, basis = _eigenbases(Rf, ys)
         labels, centers, mults = cluster_rows(vals, gap_tol)
@@ -439,8 +437,8 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
             "lhs": float(lhs[s]), "rhs": float(rhs[s]),
             "byproducts": [float(b1[s]), float(b2[s])]}
 
-    return _sweep("two-root-decomposition", R, draw, compute, samples=samples,
-                  seed=seed, tol=tol)
+    return _sweep("two-root-decomposition", R, (Field.unit(n), Field.normals(n)),
+                  compute, samples=samples, seed=seed, tol=tol)
 
 
 def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
@@ -473,13 +471,8 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
     m = n - 1
     table = np.array(list(itertools.combinations(range(m), 3)),
                      dtype=np.intp).reshape(-1, 3)
-
-    def draw(stream):
-        x = random_unit_vector(n, stream)
-        if m <= 8:
-            return (x,)
-        return x, table[stream.choice(len(table), size=40, replace=False)]
-
+    fields = (Field.unit(n),) if m <= 8 else (Field.unit(n), Field(
+        lambda stream: (table[stream.choice(len(table), size=40, replace=False)],)))
     slot = _first_slot(Rf)
 
     def compute(start, xs, triples=None):
@@ -500,7 +493,7 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
             "eigenvalues": [float(vals[s, v]) for v in triples[s, c]],
             "r_xabc": float(r_abc[s, c]), "r_xbac": float(r_bac[s, c])}
 
-    return _sweep("eigen-bianchi", R, draw, compute, samples=samples, seed=seed,
+    return _sweep("eigen-bianchi", R, fields, compute, samples=samples, seed=seed,
                   tol=tol)
 
 
@@ -532,11 +525,8 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
     n = R.dim
     if exact:
         numerators = jacobi_numerator_rows(R)
-
-    def draw(stream):
-        if exact:
-            return random_int_vector(n, stream), random_int_vector(n, stream)
-        return stream.standard_normal(n), stream.standard_normal(n)
+    fields = ((Field.int_vector(n), Field.int_vector(n)) if exact
+              else (Field.normals(n), Field.normals(n)))
 
     def compute(start, xs, ys):
         v = np.stack([xs, ys, xs + ys, xs - ys], axis=1).reshape(-1, n)
@@ -557,7 +547,7 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
             res = (worst / (1.0 + _norm(jxy) + _norm(jyx)))[:, None]
         return res, lambda s, c: {"x": xs[s].tolist(), "y": ys[s].tolist()}
 
-    return _sweep("polarization", R, draw, compute, samples=samples, seed=seed,
+    return _sweep("polarization", R, fields, compute, samples=samples, seed=seed,
                   tol=tol, mode=R.mode,
                   denominator=R.denominator if exact else None,
                   notes="the identities hold for every tensor skew in its first "

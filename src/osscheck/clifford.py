@@ -13,6 +13,7 @@ so the Hurwitz relations hold exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,24 +76,27 @@ def _quat_mult_matrix(q, side):
     return m
 
 
+@functools.cache
 def _maximal_family(d):
-    """The canonical maximal family on R^d for d in {2, 4, 8, 16}."""
+    """The canonical maximal family on R^d for d in {2, 4, 8, 16}, built
+    once, as read-only arrays."""
     if d == 2:
-        return [_A]
-    if d == 4:
-        return [_quat_mult_matrix(q, "left") for q in (1, 2, 3)]
-    if d == 8:
-        left = _maximal_family(4)
+        fam = [_A.copy()]
+    elif d == 4:
+        fam = [_quat_mult_matrix(q, "left") for q in (1, 2, 3)]
+    elif d == 8:
         right = [_quat_mult_matrix(q, "right") for q in (1, 2, 3)]
-        fam = [np.kron(_B, J) for J in left]
+        fam = [np.kron(_B, J) for J in _maximal_family(4)]
         fam.append(np.kron(_A, np.eye(4, dtype=np.int64)))
         fam.extend(np.kron(_C, L) for L in right)
-        return fam
-    if d == 16:
+    elif d == 16:
         fam = [np.kron(_B, J) for J in _maximal_family(8)]
         fam.append(np.kron(_A, np.eye(8, dtype=np.int64)))
-        return fam
-    raise ValueError(f"no canonical family in dimension {d}")
+    else:
+        raise ValueError(f"no canonical family in dimension {d}")
+    for J in fam:
+        J.flags.writeable = False
+    return tuple(fam)
 
 
 def _minimal_dimension(m):
@@ -112,7 +116,8 @@ def build_clifford_family(n, m) -> CliffordFamily:
     d = _minimal_dimension(m)
     assert n % d == 0, "bound check guarantees divisibility"
     eye = np.eye(n // d, dtype=np.int64)
-    return CliffordFamily(n, tuple(np.kron(eye, J) for J in _maximal_family(d)[:m]))
+    return CliffordFamily(n, tuple(J.copy() if n == d else np.kron(eye, J)
+                                   for J in _maximal_family(d)[:m]))
 
 
 def validate_hurwitz(family: CliffordFamily):

@@ -550,6 +550,8 @@ def make_from_symmetric(S_list, coeffs, mode=FLOAT64, n=None) -> CurvatureTensor
                           mode, "from_symmetric(empty)")
     Ss = [np.asarray(S) for S in S_list]
     if mode == RATIONAL:
+        if any(S.dtype.kind == "f" and not np.isfinite(S).all() for S in Ss):
+            raise ValueError("rational mode needs finite S: an entry is not finite")
         Ss = [np.frompyfunc(Fraction, 1, 1)(S) if S.dtype.kind == "f" else S
               for S in Ss]
     return _generated(coeffs, [(_SPANNING, S) for S in Ss], mode,

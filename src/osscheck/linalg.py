@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -218,24 +219,29 @@ _KEY_MASK = (1 << 64) - 1
 def _sample_key(seed, index):
     """Philox key of sample ``index`` of the run keyed by ``seed``, as its
     two 64-bit words, low word first."""
-    return np.array([int(index) & _KEY_MASK, int(seed) & _KEY_MASK], dtype=np.uint64)
+    return [int(index) & _KEY_MASK, int(seed) & _KEY_MASK]
 
 
 def sample_stream(seed, index=0):
     """Generator for sample ``index`` of the run keyed by ``seed`` (Philox)."""
-    return np.random.Generator(np.random.Philox(key=_sample_key(seed, index)))
+    return np.random.Generator(np.random.Philox(
+        key=np.array(_sample_key(seed, index), dtype=np.uint64)))
 
 
 def sample_streams(seed, indices):
     """``sample_stream(seed, i)`` for each i in ``indices``, in order, drawn
     by re-keying one Philox generator: a fresh one spends most of its set-up
-    on an entropy pool that a keyed stream never reads.  Each generator is
-    valid until the next one is taken."""
+    on an entropy pool that a keyed stream never reads.  Its state, a fresh
+    one's with sample i's key, is held in plain ints, which the setter reads
+    four times as fast as numpy arrays.  Each generator is valid until the
+    next one is taken."""
     bits = np.random.Philox(key=0)
     stream = np.random.Generator(bits)
-    state = bits.state  # a fresh generator's: counter 0, no buffered bits
+    key = _sample_key(seed, 0)
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for i in indices:
-        state["state"]["key"] = _sample_key(seed, i)
+        key[0] = int(i) & _KEY_MASK
         bits.state = state
         yield stream
 
@@ -243,15 +249,29 @@ def sample_streams(seed, indices):
 _MAX_RETRIES = 16
 
 
+def _norms(v):
+    """Norms of the rows of ``v[S, n]``, each the square root of one BLAS
+    dot as in ``np.linalg.norm``: a stacked (1, n) @ (n, 1) product calls
+    that kernel (``einsum`` and ``norm(axis=1)`` sum in other orders)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def _unit_rows(v):
+    """``((u,), redo)``: the rows of ``v[S, n]`` scaled to unit norm, twice,
+    and those of norm at most 1e-6, which are drawn again."""
+    nv = _norms(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = v / nv[:, None]
+        return (v / _norms(v)[:, None],), ~(nv > 1e-6)
+
+
 def random_unit_vector(n, stream):
     if n < 1:
         raise ValueError("n must be >= 1")
     for _ in range(_MAX_RETRIES):
-        v = stream.standard_normal(n)
-        nv = np.linalg.norm(v)
-        if nv > 1e-6:
-            v = v / nv
-            return v / np.linalg.norm(v)
+        (v,), redo = _unit_rows(stream.standard_normal((1, n)))
+        if not redo[0]:
+            return v[0]
     raise RuntimeError("random_unit_vector: degenerate draws")
 
 
@@ -283,6 +303,65 @@ def random_int_vector(n, stream):
         if v.any():
             return v
     raise RuntimeError("random_int_vector: degenerate draws")
+
+
+def _projected_pairs(v):
+    """``((x, y'), redo)`` for the integer rows ``v[S, 2n] = (x, y)``:
+    y' = (x.x) y - (y.x) x, and the rows where y' is zero, as it is
+    where x or y is."""
+    x, y = np.hsplit(v, 2)
+    p = (x * x).sum(axis=1)[:, None] * y - (y * x).sum(axis=1)[:, None] * x
+    return (x.copy(), p), ~p.any(axis=1)
+
+
+def random_orthogonal_int_pair(n, stream):
+    """Nonzero int64 vectors (x, y) with x . y = 0: y projected off x."""
+    for _ in range(_MAX_RETRIES):
+        v = np.concatenate([random_int_vector(n, stream), random_int_vector(n, stream)])
+        (x, y), redo = _projected_pairs(v[None])
+        if not redo[0]:
+            return x[0], y[0]
+    raise RuntimeError("degenerate rational draws")
+
+
+class Field(NamedTuple):
+    """One field of a sample's draw.  ``one(stream)`` defines it: the
+    arrays it draws for one sample, retries included.  A field with a block
+    filler draws the same from ``width`` raw values of its ``kind``
+    (standard normals, or integers in [-9, 9]) unless it needs a retry:
+    ``finish(raw[S, width])`` returns those arrays for S samples at once
+    and the rows that need one.  ``Field(one)`` alone is a call."""
+
+    one: Callable
+    width: int = 0
+    kind: type = None
+    finish: Callable = None
+
+    def fill(self, stream, row):
+        """Draw one sample's raw values straight into ``row``."""
+        if self.kind is np.float64:
+            stream.standard_normal(out=row)
+        else:
+            row[:] = stream.integers(-9, 10, size=self.width)
+
+    @staticmethod
+    def unit(n):
+        return Field(lambda s: (random_unit_vector(n, s),), n, np.float64, _unit_rows)
+
+    @staticmethod
+    def normals(k):
+        return Field(lambda s: (s.standard_normal(k),), k, np.float64,
+                     lambda v: ((v,), False))
+
+    @staticmethod
+    def int_vector(n):
+        return Field(lambda s: (random_int_vector(n, s),), n, np.int64,
+                     lambda v: ((v,), ~v.any(axis=1)))
+
+    @staticmethod
+    def orthogonal_int_pair(n):
+        return Field(lambda s: random_orthogonal_int_pair(n, s), 2 * n, np.int64,
+                     _projected_pairs)
 
 
 def _exact_scalar(index, e):

@@ -36,3 +36,40 @@ def generated(rule, M):
     N, L = clear_denominators(np.asarray(M))
     return CurvatureTensor._from_numerators(rule(int_array(N, 4, max_abs(N))),
                                            L * L)
+
+
+# Per-sample draws, one stream call and one np.linalg.norm at a time: the
+# definitions that the block fillers of the sampling engine must reproduce
+# bit for bit.
+
+def unit_vector(n, stream):
+    """A standard normal vector scaled by its norm twice, drawn again while
+    its norm is at most 1e-6."""
+    for _ in range(16):
+        v = stream.standard_normal(n)
+        nv = np.linalg.norm(v)
+        if nv > 1e-6:
+            v = v / nv
+            return v / np.linalg.norm(v)
+    raise RuntimeError("degenerate draws")
+
+
+def int_vector(n, stream):
+    """Integers in [-9, 9] as Python ints, drawn again while all zero."""
+    for _ in range(16):
+        v = [int(c) for c in stream.integers(-9, 10, size=n)]
+        if any(v):
+            return v
+    raise RuntimeError("degenerate draws")
+
+
+def orthogonal_int_pair(n, stream):
+    """Two int_vector draws x, y, with y replaced by (x.x) y - (y.x) x, in
+    Python ints, drawn again while that is zero."""
+    for _ in range(16):
+        x, y = int_vector(n, stream), int_vector(n, stream)
+        xx, yx = sum(a * a for a in x), sum(a * b for a, b in zip(x, y))
+        y = [xx * b - yx * a for a, b in zip(x, y)]
+        if any(y):
+            return x, y
+    raise RuntimeError("degenerate draws")

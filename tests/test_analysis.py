@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -26,8 +27,17 @@ from osscheck import (
 )
 from osscheck import analysis
 from osscheck.curvature import CurvatureTensor
-from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError, cluster_rows, eigh
-from oracles import eval_tensor
+from osscheck.linalg import (
+    FLOAT64,
+    RATIONAL,
+    Field,
+    PreconditionError,
+    cluster_rows,
+    eigh,
+    random_orthonormal_pair,
+)
+from oracles import eval_tensor, orthogonal_int_pair as orthogonal_int_pair_draw
+from oracles import int_vector as int_vector_draw, unit_vector
 
 
 def clifford_tensor(n, m, mode=RATIONAL, mus=None, mu0=1):
@@ -592,3 +602,154 @@ class TestEngine:
                 assert rep.worst_residual == worst
             else:  # bit-equal, NaN included
                 assert repr(float(rep.worst_residual)) == repr(float(worst))
+
+
+def _triples(n):
+    """eigen-bianchi's draw for n - 1 > 8: 40 distinct triples of
+    eigenvector indices, in one call."""
+    table = np.array(list(itertools.combinations(range(n - 1), 3)),
+                     dtype=np.intp).reshape(-1, 3)
+    return lambda stream: table[stream.choice(len(table), size=40, replace=False)]
+
+
+def _ints(values):
+    return np.array(values, dtype=np.int64)
+
+
+# Every field combination that a sampling checker declares, as functions of
+# n: its fields, and its per-sample draw, one call at a time (tests/oracles.py)
+DRAWS = {
+    "unit": (lambda n: (Field.unit(n),), lambda n, s: (unit_vector(n, s),)),
+    "unit, 3(n-1) normals": (
+        lambda n: (Field.unit(n), Field.normals(3 * (n - 1))),
+        lambda n, s: (unit_vector(n, s), s.standard_normal(3 * (n - 1)))),
+    "unit, n normals": (lambda n: (Field.unit(n), Field.normals(n)),
+                        lambda n, s: (unit_vector(n, s), s.standard_normal(n))),
+    "unit, triples": (lambda n: (Field.unit(n), Field(lambda s: (_triples(n)(s),))),
+                      lambda n, s: (unit_vector(n, s), _triples(n)(s))),
+    "two int vectors": (lambda n: (Field.int_vector(n), Field.int_vector(n)),
+                        lambda n, s: (_ints(int_vector_draw(n, s)),
+                                      _ints(int_vector_draw(n, s)))),
+    "two normal vectors": (lambda n: (Field.normals(n), Field.normals(n)),
+                           lambda n, s: (s.standard_normal(n), s.standard_normal(n))),
+    "orthogonal int pair": (lambda n: (Field.orthogonal_int_pair(n),),
+                            lambda n, s: tuple(map(_ints, orthogonal_int_pair_draw(n, s)))),
+    "orthonormal pair": (lambda n: (Field(lambda s: random_orthonormal_pair(n, s)),),
+                         lambda n, s: random_orthonormal_pair(n, s)),
+}
+
+
+def _filled(fields, seed, samples):
+    """The arrays of every block of ``analysis._blocks``, joined."""
+    blocks = list(analysis._blocks(seed, samples, fields))
+    assert [start for start, _ in blocks] == list(range(0, samples, analysis.BLOCK))
+    assert all(a.flags.c_contiguous for _, arrays in blocks for a in arrays)
+    return [np.concatenate(a) for a in zip(*(arrays for _, arrays in blocks))]
+
+
+def _stacked(draw, n, seed, samples, stream=sample_stream):
+    """np.stack of the per-sample draws, array by array."""
+    return [np.stack(a) for a in zip(*(draw(n, stream(seed, i)) for i in range(samples)))]
+
+
+def _assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+class _Planted:
+    """A sample stream whose first draw of normals or integers is scaled by
+    ``scale``: 0 plants a zero vector, 1e-8 a nonzero one of norm below
+    1e-6 (integers truncate to zero either way)."""
+
+    def __init__(self, stream, scale):
+        self.stream, self.scale = stream, scale
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def _first_scaled(self, values):
+        if self.scale is not None:
+            values[...] = values * self.scale
+            self.scale = None
+        return values
+
+    def standard_normal(self, size=None, out=None):
+        return self._first_scaled(self.stream.standard_normal(size, out=out))
+
+    def integers(self, *args, **kwargs):
+        return self._first_scaled(self.stream.integers(*args, **kwargs))
+
+
+class TestBlockFill:
+    """analysis._blocks fills each block in place, and every block equals
+    np.stack of its samples' own draws byte for byte."""
+
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_block_is_the_stack_of_the_per_sample_draws(self, name):
+        fields, draw = DRAWS[name]
+        dims = (15, 16) if name == "unit, triples" else (2, 3, 4, 8, 15, 16)
+        for n in dims:
+            for samples in (1, 31, 32, 33, 70):
+                _assert_same_bytes(_filled(fields(n), 100 + n, samples),
+                                   _stacked(draw, n, 100 + n, samples))
+
+    @pytest.mark.parametrize("name, tensor, combination", [
+        ("osserman", "float4", "unit"),
+        ("k-root", "float4", "unit"),
+        ("jacobi-dual", "float4", "unit, 3(n-1) normals"),
+        ("two-root-decomposition", "float8", "unit, n normals"),
+        ("eigen-bianchi", "float4", "unit"),
+        ("eigen-bianchi", "float16", "unit, triples"),
+        ("polarization", "rational4", "two int vectors"),
+        ("polarization", "float4", "two normal vectors"),
+        ("jacobi-orthogonal", "rational4", "orthogonal int pair"),
+        ("jacobi-orthogonal", "float4", "orthonormal pair"),
+    ])
+    def test_checkers_declare_these_fields(self, name, tensor, combination,
+                                           quaternionic8, clifford16, monkeypatch):
+        R = {"rational4": clifford_tensor(4, 3), "float4": clifford_tensor(4, 3).to_float(),
+             "float8": quaternionic8.to_float(), "float16": clifford16}[tensor]
+        declared, blocks = [], analysis._blocks
+
+        def spy(seed, samples, fields):
+            declared.append(fields)
+            return blocks(seed, samples, fields)
+
+        monkeypatch.setattr(analysis, "_blocks", spy)
+        if name == "k-root":
+            classify_k_root(R, samples=2, seed=1)
+        else:
+            analysis.run_check(name, R, samples=2, seed=1, tol=None)
+        monkeypatch.undo()
+        # the last declaration is the checker's own, after any precheck
+        _assert_same_bytes(_filled(declared[-1], 9, 33),
+                           _stacked(DRAWS[combination][1], R.dim, 9, 33))
+
+    @pytest.mark.parametrize("name", DRAWS)
+    def test_a_degenerate_row_is_drawn_again_as_its_sample_is(self, name, monkeypatch):
+        fields, draw = DRAWS[name]
+        # zero in the first block, and in a later one; short in the last
+        planted = {5: 0.0, 40: 0.0, 69: 1e-8}
+        stream, streams = analysis.sample_stream, analysis.sample_streams
+
+        def planted_stream(seed, i=0):
+            g = stream(seed, i)
+            return _Planted(g, planted[i]) if i in planted else g
+
+        def planted_streams(seed, indices):
+            for i, g in zip(indices, streams(seed, indices)):
+                yield _Planted(g, planted[i]) if i in planted else g
+
+        for n in ((15, 16) if name == "unit, triples" else (2, 4, 16)):
+            plain = _filled(fields(n), 7, 70)
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "sample_stream", planted_stream)
+                m.setattr(analysis, "sample_streams", planted_streams)
+                got = _filled(fields(n), 7, 70)
+            _assert_same_bytes(got, _stacked(draw, n, 7, 70, planted_stream))
+            for i in range(69):
+                same = all(np.array_equal(a[i], b[i]) for a, b in zip(got, plain))
+                assert same == (i not in planted), (n, i)

@@ -8,6 +8,7 @@ from osscheck import (
     sample_stream,
     validate_hurwitz,
 )
+from osscheck.clifford import _maximal_family
 
 
 class TestRadonHurwitzBound:
@@ -59,6 +60,22 @@ class TestBuild:
         b = build_clifford_family(8, 5)
         for x, y in zip(a.structures, b.structures):
             assert np.array_equal(x, y)
+
+    def test_family_is_built_once_and_every_caller_gets_fresh_arrays(self):
+        for d in (2, 4, 8, 16):
+            fam = _maximal_family(d)
+            assert _maximal_family(d) is fam
+            assert not any(J.flags.writeable for J in fam)
+        for n, m in ((2, 1), (8, 7), (16, 8), (16, 3), (12, 3)):
+            d = 2 if m == 1 else 4 if m <= 3 else 8 if m <= 7 else 16
+            first = build_clifford_family(n, m).structures
+            for J, base in zip(first, _maximal_family(d)):
+                assert J.flags.writeable and not np.shares_memory(J, base)
+                assert J.dtype == np.int64
+                assert np.array_equal(J, np.kron(np.eye(n // d, dtype=np.int64), base))
+                J[...] = 7  # the caller's own copy
+            again = build_clifford_family(n, m).structures
+            assert all(np.abs(J @ J + np.eye(n, dtype=np.int64)).max() == 0 for J in again)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_every_buildable_rank_validates_exactly(self, n):

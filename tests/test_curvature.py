@@ -694,6 +694,14 @@ class TestExactGeneratorChecks:
         want = make_rj(np.array([[0, 2**70], [-(2**70), 0]], dtype=object), RATIONAL)
         _assert_identical(R, want)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_s_raises_value_error_without_a_warning(self, bad):
+        S = np.array([[bad, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                make_from_symmetric([S], [1], RATIONAL)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_float_j_raises_without_a_warning(self, bad):
         J = np.array([[0.0, bad], [-bad, 0.0]])

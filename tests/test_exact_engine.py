@@ -26,7 +26,7 @@ from osscheck import (
     sample_stream,
 )
 from osscheck import curvature, linalg
-from osscheck.analysis import _exact_orthogonal_pair, _worse
+from osscheck.analysis import _worse
 from osscheck.curvature import (
     CurvatureTensor,
     _combine,
@@ -34,26 +34,16 @@ from osscheck.curvature import (
     _r1,
     make_rj,
 )
-from osscheck.linalg import RATIONAL, exact_product, limbs, random_int_vector
+from osscheck.linalg import (
+    RATIONAL,
+    exact_product,
+    limbs,
+    random_int_vector,
+    random_orthogonal_int_pair,
+)
 from oracles import generated, rj_rule, spanning_rule
-
-
-def _int_vector(n, stream):
-    for _ in range(16):
-        v = [int(c) for c in stream.integers(-9, 10, size=n)]
-        if any(v):
-            return v
-    raise RuntimeError("degenerate draws")
-
-
-def _orthogonal_pair(n, stream):
-    for _ in range(16):
-        x, y = _int_vector(n, stream), _int_vector(n, stream)
-        xx, yx = sum(a * a for a in x), sum(a * b for a, b in zip(x, y))
-        y = [xx * b - yx * a for a, b in zip(x, y)]
-        if any(y):
-            return x, y
-    raise RuntimeError("degenerate draws")
+from oracles import int_vector as _int_vector
+from oracles import orthogonal_int_pair as _orthogonal_pair
 
 
 def _numerators(R, v):
@@ -220,7 +210,7 @@ class TestOracle:
             v = random_int_vector(7, sample_stream(504, i))
             assert v.dtype == np.int64
             assert v.tolist() == _int_vector(7, sample_stream(504, i))
-            x, y = _exact_orthogonal_pair(7, sample_stream(505, i))
+            x, y = random_orthogonal_int_pair(7, sample_stream(505, i))
             assert x.dtype == y.dtype == np.int64
             assert (x.tolist(), y.tolist()) == _orthogonal_pair(7, sample_stream(505, i))
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from osscheck.linalg import (
     PreconditionError,
+    _norms,
     charpoly,
     cluster_rows,
     default_cluster_tol,
@@ -21,6 +22,7 @@ from osscheck.linalg import (
     sample_stream,
     sample_streams,
 )
+from oracles import unit_vector
 
 
 def e(i, n):
@@ -166,6 +168,19 @@ class TestRandomness:
             assert abs(np.linalg.norm(y) - 1.0) <= 1e-14
             assert abs(x.dot(y)) <= 1e-14
 
+    def test_unit_vector_equals_the_per_sample_oracle(self):
+        for n in range(1, 20):
+            for i in range(30):
+                got = random_unit_vector(n, sample_stream(n, i))
+                want = unit_vector(n, sample_stream(n, i))
+                assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
+    def test_row_norms_are_the_bits_of_np_linalg_norm(self):
+        for n in range(1, 46):
+            v = sample_stream(8, n).standard_normal((33, n))
+            want = [np.linalg.norm(row.copy()) for row in v]
+            assert _norms(v).tobytes() == np.array(want).tobytes()
+
     def test_int_vector_nonzero(self):
         v = random_int_vector(6, sample_stream(3, 0))
         assert any(c != 0 for c in v)
@@ -173,13 +188,14 @@ class TestRandomness:
     def test_rekeyed_streams_equal_sample_stream(self):
         # seeds and indices are masked to 64 bits: 2**64 + 5 keys like 5
         seeds = [0, 1, 7, 2**63, 2**64 - 1, 2**64, 2**64 + 5, -1, -(2**70)]
-        indices = [0, 1, 2, 31, 32, 1000, 2**64 + 3, -4]
+        indices = [0, 1, 2, 31, 32, 1000, 2**63, 2**64 - 1, 2**64 + 3, -4]
         for seed in seeds:
             for i, stream in zip(indices, sample_streams(seed, indices)):
                 ref = sample_stream(seed, i)
                 # an odd count of 32-bit draws leaves half a word buffered,
                 # which the next key must not inherit
-                draws = [(g.integers(0, 5, size=3, dtype=np.int32),
+                draws = [(g.integers(0, 2**32, size=3, dtype=np.uint32),
+                          g.integers(0, 5, size=3, dtype=np.int32),
                           g.standard_normal(7),
                           g.choice(455, size=40, replace=False))
                          for g in (stream, ref)]

@@ -1,5 +1,7 @@
-"""The package has one version number: the artifact version of its reports."""
+"""Packaging: one version number, the artifact version of its reports, and
+one numpy floor, stated alike in pyproject.toml and the README."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -21,3 +23,11 @@ def test_pyproject_takes_the_version_from_the_artifact_version():
     attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
     assert attr == "osscheck.report.ARTIFACT_VERSION"
     assert osscheck.__version__ == ARTIFACT_VERSION == "0.5.0"
+
+
+def test_readme_states_the_numpy_floor_of_pyproject():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    floors = re.findall(r'"numpy>=(\d+(?:\.\d+)*)"', pyproject)
+    assert len(floors) == 1
+    assert re.findall(r"numpy >= (\d+(?:\.\d+)*)", readme) == floors

@@ -53,10 +53,6 @@ class CliffordFamily:
             if np.asarray(J).shape != (self.dim, self.dim):
                 raise ValueError("family matrices must be dim x dim")
 
-    @property
-    def rank(self):
-        return len(self.structures)
-
 
 # Quaternion multiplication table on the basis (1, i, j, k).
 _QUAT = {

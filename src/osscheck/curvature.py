@@ -195,7 +195,19 @@ class CurvatureTensor:
                                self.provenance)
 
     def scaled(self, c) -> "CurvatureTensor":
-        return _combine([c], [self], self.mode, f"scaled({c})*{self.provenance}")
+        """``c`` times this tensor: in rational mode its numerators times the
+        numerator p of ``c``, in int64 when the int64 rule admits their
+        product, over its denominator times that of ``c``."""
+        provenance = f"scaled({c})*{self.provenance}"
+        if self.mode == FLOAT64:
+            return CurvatureTensor(self.dim, FLOAT64,
+                                   self.components * float(c), provenance)
+        c = Fraction(c)
+        p = c.numerator if self._max_numerator else 0  # a zero tensor stays int64
+        # growth 1 at p = 0, where an entry beyond int64 cannot be cast
+        return CurvatureTensor._from_numerators(
+            int_array(self.numerators, abs(p) or 1) * p,
+            self.denominator * c.denominator, provenance)
 
 
 def _check_vector(R, x):
@@ -207,21 +219,10 @@ def _check_vector(R, x):
 
 def _jacobi_numerators(R: CurvatureTensor, x):
     """Exact Jacobi matrix of a rational tensor at the exact vector ``x``,
-    as ``(numerators, denominator)``: the stored matrix times vec(x x^T)
-    for the integer numerators of ``x``.
-
-    ``numerators / denominator`` equals the Jacobi matrix exactly; the
-    numerator array is int64 when the int64 overflow rule admits the
-    contraction, otherwise an object array of Python ints.
-    """
+    as ``(numerators, denominator)``: the one-row case of
+    :func:`jacobi_numerator_rows` at the integer numerators of ``x``."""
     xn, Lx = clear_denominators(np.asarray(x, dtype=object))
-    n, m = R.dim, R._matrix
-    xmax = max_abs(xn)
-    if m.dtype == np.int64 and int64_safe(R._max_numerator, n, n, xmax, xmax):
-        xn = xn.astype(np.int64)
-    else:
-        m = m.astype(object, copy=False)
-    return (m @ np.outer(xn, xn).reshape(-1)).reshape(n, n), R.denominator * Lx * Lx
+    return jacobi_numerator_rows(R)(xn[None])[0], R.denominator * Lx * Lx
 
 
 def jacobi_matrix(R: CurvatureTensor, x):
@@ -379,8 +380,9 @@ def _generated(weights, terms, mode, provenance="") -> CurvatureTensor:
     integer numerators N_t = L_t M_t in rational mode.
 
     In float64 mode each term is read off the outer product of M_t (by
-    np.einsum, which gives a zero product as +0.0), and _combine sums the
-    terms.  In rational mode the terms of one rule are read off one Gram
+    np.einsum, which gives a zero product as +0.0), scaled by float(w_t)
+    and added to the sum of the terms before it.  In rational mode the
+    terms of one rule are read off one Gram
     tensor G = A^T diag(c) A, where the rows of A are the vec(N_t) and c
     the integer weights of the N_t over one denominator, or one limb of them
     (_exact_sum picks int64, limbs or Python ints).  G is one
@@ -396,10 +398,11 @@ def _generated(weights, terms, mode, provenance="") -> CurvatureTensor:
             raise ValueError(f"every matrix must be {n} x {n}")
         check(int_array(N) if exact else N)
     if not exact:
-        return _combine(weights, [
-            CurvatureTensor(n, FLOAT64, _as_tensor(_read_off(table, np.einsum(
-                "ab,cd->abcd", M, M), n), n)) for (_, table), M, _ in cleared],
-            FLOAT64, provenance)
+        acc = None
+        for w, ((_, table), M, _) in zip(weights, cleared):
+            term = _read_off(table, np.einsum("ab,cd->abcd", M, M), n) * float(w)
+            acc = term if acc is None else acc + term
+        return CurvatureTensor(n, FLOAT64, _as_tensor(acc, n), provenance)
     groups = {}  # each rule once: its terms, and the int stack A of their N_t
     for rule in dict.fromkeys(rule for rule, _ in terms):
         ts = [t for t, (r, _) in enumerate(terms) if r == rule]
@@ -421,15 +424,11 @@ def _generated(weights, terms, mode, provenance="") -> CurvatureTensor:
         weights, [L * L for *_, L in cleared], tops, term_sum), provenance)
 
 
-def _r1(n) -> CurvatureTensor:
-    """The unit constant-curvature tensor R1 = R^S at S = I (rational)."""
-    return _generated([1], [(_SPANNING, np.eye(n, dtype=np.int64))], RATIONAL)
-
-
 def _exact_sum(weights, denominators, tops, term_sum):
     """``(numerators, L)`` of sum_i w_i X_i / d_i over the common
     denominator L, for rational weights w_i, positive int denominators d_i
-    and integer terms |X_i| <= ``tops[i]``.
+    and integer terms |X_i| <= ``tops[i]``: the exact weighted sum of
+    _generated, whose X_i are rules read off Gram tensors.
 
     Over L the numerators are sum_i c_i X_i for integer c_i, which
     ``term_sum(cs, dtype)`` computes in the integer dtype it is given.  When
@@ -458,29 +457,6 @@ def _exact_sum(weights, denominators, tops, term_sum):
         acc *= 1 << s
         acc += term_sum(row.tolist(), np.int64)
     return acc, L
-
-
-def _combine(weights, tensors, mode, provenance) -> CurvatureTensor:
-    """sum_i w_i T_i in ``mode``: in float64 one term at a time, and in
-    rational mode exactly, over the terms' numerators, through _exact_sum
-    (int64, int64 per limb of the weights, or Python ints).  Weighted sums
-    of generated tensors take one Gram tensor instead (_generated)."""
-    if _require_mode(mode) == FLOAT64:
-        acc = tensors[0].to_float().components * float(weights[0])
-        for w, T in zip(weights[1:], tensors[1:]):
-            acc = acc + T.to_float().components * float(w)
-        return CurvatureTensor(acc.shape[0], FLOAT64, acc, provenance)
-
-    def term_sum(cs, dtype):
-        acc = np.zeros_like(tensors[0].numerators, dtype=dtype)
-        for c, T in zip(cs, tensors):
-            if c:
-                acc += T.numerators.astype(dtype, copy=False) * c
-        return acc
-
-    return CurvatureTensor._from_numerators(*_exact_sum(
-        weights, [T.denominator for T in tensors],
-        [T._max_numerator for T in tensors], term_sum), provenance)
 
 
 def make_constant_curvature(n, kappa, mode=FLOAT64) -> CurvatureTensor:

@@ -62,21 +62,6 @@ def require_symmetric(m):
     return m
 
 
-def gram_schmidt(vs):
-    """Orthonormalize a list of float vectors (modified Gram-Schmidt, two passes)."""
-    out = []
-    for v in vs:
-        w = np.asarray(v, dtype=np.float64).copy()
-        for _ in range(2):  # re-orthogonalize for 1e-14 level orthogonality
-            for u in out:
-                w -= u.dot(w) * u
-        nw = np.linalg.norm(w)
-        if nw <= DEP_TOL * max(1.0, np.linalg.norm(v)):
-            raise ValueError("gram_schmidt: linearly dependent input")
-        out.append(w / nw)
-    return out
-
-
 def cluster_rows(values, cluster_tol):
     """Greedy left-to-right clustering of each row of ``values[S, m]``,
     every row sorted ascending.
@@ -223,19 +208,19 @@ def _sample_key(seed, index):
 
 
 def sample_stream(seed, index=0):
-    """Generator for sample ``index`` of the run keyed by ``seed`` (Philox)."""
-    return np.random.Generator(np.random.Philox(
-        key=np.array(_sample_key(seed, index), dtype=np.uint64)))
+    """Generator for sample ``index`` of the run keyed by ``seed`` (Philox):
+    the one-index case of :func:`sample_streams`."""
+    return next(sample_streams(seed, (index,)))
 
 
 def sample_streams(seed, indices):
-    """``sample_stream(seed, i)`` for each i in ``indices``, in order, drawn
-    by re-keying one Philox generator: a fresh one spends most of its set-up
-    on an entropy pool that a keyed stream never reads.  Its state, a fresh
-    one's with sample i's key, is held in plain ints, which the setter reads
-    four times as fast as numpy arrays.  Each generator is valid until the
-    next one is taken."""
-    bits = np.random.Philox(key=0)
+    """The generator of sample i for each i in ``indices``, in order, drawn
+    by re-keying one Philox generator, which costs less than building one
+    per sample.  It is built from the seed 0, which reads no entropy pool,
+    and then set to the state of a fresh Philox with sample i's key, held
+    in plain ints, which the setter reads four times as fast as numpy
+    arrays.  Each generator is valid until the next one is taken."""
+    bits = np.random.Philox(0)
     stream = np.random.Generator(bits)
     key = _sample_key(seed, 0)
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
@@ -276,16 +261,22 @@ def random_unit_vector(n, stream):
 
 
 def random_orthonormal_pair(n, stream):
+    """Two normal draws a, b made orthonormal by Gram-Schmidt with two
+    passes, drawn again while one is within DEP_TOL of dependent."""
     if n < 2:
         raise ValueError("n must be >= 2 for an orthonormal pair")
     for _ in range(_MAX_RETRIES):
         a = stream.standard_normal(n)
         b = stream.standard_normal(n)
-        try:
-            x, y = gram_schmidt([a, b])
-        except ValueError:
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na <= DEP_TOL:
             continue
-        return x, y
+        x = a / na
+        y = b - x.dot(b) * x
+        y -= x.dot(y) * x  # a second pass, for 1e-14 level orthogonality
+        ny = np.linalg.norm(y)
+        if ny > DEP_TOL * max(1.0, nb):
+            return x, y / ny
     raise RuntimeError("random_orthonormal_pair: degenerate draws")
 
 

@@ -1,5 +1,8 @@
 """Reference computations that the tests compare the library against."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from osscheck.curvature import CurvatureTensor
@@ -15,6 +18,26 @@ def eval_tensor(R, X, Y, Z, W):
             c = np.tensordot(c, np.asarray(v), axes=([0], [0]))
         return c.dot(np.asarray(W))
     return float(np.einsum("ijkl,i,j,k,l->", c, X, Y, Z, W))
+
+
+def jacobi_numerators(R, x):
+    """``(numerators, denominator)`` of the exact Jacobi matrix of a
+    rational tensor at the exact vector ``x``: the stored matrix times
+    vec(x x^T), in Python ints, for the integer numerators of ``x``."""
+    xn, Lx = clear_denominators(np.asarray(x, dtype=object))
+    nums = R._matrix.astype(object) @ np.outer(xn, xn).reshape(-1)
+    return nums.reshape(R.dim, R.dim), R.denominator * Lx * Lx
+
+
+def weighted_sum(weights, tensors):
+    """sum_i w_i T_i of rational tensors, in Python ints over the lcm of the
+    denominators of the w_i T_i."""
+    ws = [Fraction(w) for w in weights]
+    dens = [w.denominator * T.denominator for w, T in zip(ws, tensors)]
+    L = math.lcm(*dens)
+    nums = sum(T.numerators.astype(object) * (w.numerator * (L // d))
+               for w, T, d in zip(ws, tensors, dens))
+    return CurvatureTensor._from_numerators(nums, L)
 
 
 def spanning_rule(S):
@@ -38,6 +61,13 @@ def generated(rule, M):
                                            L * L)
 
 
+def keyed_stream(seed, index):
+    """Sample ``index``'s generator of the run keyed by ``seed``: a fresh
+    Philox with the key index + 2^64 seed, both words taken mod 2^64."""
+    key = np.array([index % 2**64, seed % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 # Per-sample draws, one stream call and one np.linalg.norm at a time: the
 # definitions that the block fillers of the sampling engine must reproduce
 # bit for bit.
@@ -51,6 +81,25 @@ def unit_vector(n, stream):
         if nv > 1e-6:
             v = v / nv
             return v / np.linalg.norm(v)
+    raise RuntimeError("degenerate draws")
+
+
+def orthonormal_pair(n, stream):
+    """Two standard normal vectors, orthonormalised by modified Gram-Schmidt
+    with two passes, drawn again while one is within 1e-12 of dependent."""
+    for _ in range(16):
+        out = []
+        for v in (stream.standard_normal(n), stream.standard_normal(n)):
+            w = v.copy()
+            for _ in range(2):
+                for u in out:
+                    w -= u.dot(w) * u
+            nw = np.linalg.norm(w)
+            if nw <= 1e-12 * max(1.0, np.linalg.norm(v)):
+                break
+            out.append(w / nw)
+        if len(out) == 2:
+            return tuple(out)
     raise RuntimeError("degenerate draws")
 
 

@@ -29,10 +29,8 @@ from osscheck import curvature, linalg
 from osscheck.analysis import _worse
 from osscheck.curvature import (
     CurvatureTensor,
-    _combine,
     _jacobi_numerators,
-    _r1,
-    make_rj,
+    jacobi_matrix,
 )
 from osscheck.linalg import (
     RATIONAL,
@@ -41,16 +39,23 @@ from osscheck.linalg import (
     random_int_vector,
     random_orthogonal_int_pair,
 )
-from oracles import generated, rj_rule, spanning_rule
+from oracles import (
+    eval_tensor,
+    generated,
+    jacobi_numerators,
+    rj_rule,
+    spanning_rule,
+    weighted_sum,
+)
 from oracles import int_vector as _int_vector
 from oracles import orthogonal_int_pair as _orthogonal_pair
 
 
 def _numerators(R, v):
     """Jacobi numerators at the integer vector v, in Python ints."""
-    nums, denom = _jacobi_numerators(R, np.array(v, dtype=object))
+    nums, denom = jacobi_numerators(R, v)
     assert denom == R.denominator
-    return nums.astype(object)
+    return nums
 
 
 def _mv(m, v):
@@ -161,6 +166,11 @@ def _huge_corpus():
             for R in _small_corpus()[1:]]
 
 
+def _zero_corpus():
+    # int64, whatever the draws: a zero tensor bounds every product by 0
+    return [make_from_symmetric([], [], RATIONAL, n=4)]
+
+
 def _max_draw_product(n):
     """Bound on k max|a| of every block: the rows vec(v v^T) of the
     projected y, whose entries are at most 2 n 81 9, against n^2 columns."""
@@ -213,6 +223,33 @@ class TestOracle:
             x, y = random_orthogonal_int_pair(7, sample_stream(505, i))
             assert x.dtype == y.dtype == np.int64
             assert (x.tolist(), y.tolist()) == _orthogonal_pair(7, sample_stream(505, i))
+
+
+class TestSingleVector:
+    """``jacobi_matrix`` of a rational tensor at one exact vector: the
+    one-row case of the block product, on each of its arithmetic paths."""
+
+    _VECTORS = (np.array([Fraction(1, 3), -2, Fraction(5, 7), 0], dtype=object),
+                np.array([2**70, -1, 3, 2**64 + 1], dtype=object),
+                np.array([1, -2, 3, 9]), np.zeros(4, dtype=np.int64))
+
+    @pytest.mark.parametrize("corpus, dtype", [
+        (_small_corpus, np.int64), (_large_corpus, np.int64),
+        (_huge_corpus, object), (_zero_corpus, np.int64)])
+    def test_equals_the_contraction_of_the_components(self, corpus, dtype):
+        R = next(R for R in corpus() if R.dim == 4)
+        assert R._matrix.dtype == dtype
+        e = np.eye(4, dtype=np.int64)
+        for x in self._VECTORS:
+            got = jacobi_matrix(R, x)
+            want = [[eval_tensor(R, e[i], x, x, e[w]) for i in range(4)]
+                    for w in range(4)]
+            assert got.tolist() == want
+            assert {type(v) for v in got.reshape(-1).tolist()} <= {int, Fraction}
+            nums, denom = _jacobi_numerators(R, x)
+            want_nums, want_denom = jacobi_numerators(R, x)
+            assert denom == want_denom
+            assert nums.tolist() == want_nums.tolist()
 
 
 @st.composite
@@ -281,7 +318,8 @@ class TestExactProduct:
 
 
 # ---------------------------------------------------------------------------
-# Exact combinations sum_i w_i T_i against a sum of Fraction components.
+# Exact combinations: weighted sums of generators (_generated) and rescaled
+# tensors (scaled) against a sum of Fraction components.
 # ---------------------------------------------------------------------------
 
 # primes just below 2^32: the product of two of them exceeds 2^63
@@ -303,10 +341,15 @@ def _assert_same_tensor(got, want):
     assert got.numerators.tolist() == want.numerators.tolist()
 
 
+_RULES = {"sym": (curvature._SPANNING, spanning_rule),
+          "skew": (curvature._RJ, rj_rule)}
+
+
 @st.composite
 def _int64_terms(draw):
-    """1 to 9 int64 tensors at one n in 2..6: R1, R^J of integer skew J,
-    and a from-symmetric tensor with a denominator."""
+    """1 to 9 generators at one n in 2..6, each with its int64 tensor built
+    on its own: R1, R^J of an integer skew J, and R^S of a symmetric S
+    over 3."""
     n = draw(st.integers(2, 6))
     small = st.integers(-3, 3)
 
@@ -314,27 +357,18 @@ def _int64_terms(draw):
         return np.array(draw(st.lists(small, min_size=n * n, max_size=n * n)),
                         dtype=np.int64).reshape(n, n)
 
-    def skew():
+    terms = []
+    for kind in draw(st.lists(st.sampled_from(("r1", "rj", "sym")),
+                              min_size=1, max_size=9)):
         a = square()
-        return a - a.T
-
-    def symmetric():
-        a = square()
-        return np.array((a + a.T).tolist(), dtype=object)
-
-    kinds = draw(st.lists(st.sampled_from(("r1", "rj", "sym")),
-                          min_size=1, max_size=9))
-    tensors = []
-    for kind in kinds:
         if kind == "r1":
-            tensors.append(_r1(n))
+            terms.append((_RULES["sym"], np.eye(n, dtype=np.int64)))
         elif kind == "rj":
-            tensors.append(make_rj(skew(), RATIONAL))
+            terms.append((_RULES["skew"], a - a.T))
         else:
-            tensors.append(make_from_symmetric(
-                [symmetric(), symmetric()],
-                [Fraction(draw(small), 2), Fraction(1, 3)], RATIONAL))
-    return tensors
+            terms.append((_RULES["sym"], (a + a.T).astype(object) * Fraction(1, 3)))
+    return ([(rule, M) for (rule, _), M in terms],
+            [generated(oracle, M) for (_, oracle), M in terms])
 
 
 @st.composite
@@ -357,35 +391,39 @@ class TestCombine:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_equals_the_fraction_sum(self, data):
-        tensors = data.draw(_int64_terms())
-        weights = data.draw(_weights(len(tensors)))
-        assert all(T._matrix.dtype == np.int64 for T in tensors)
-        _assert_same_tensor(_combine(weights, tensors, RATIONAL, ""),
-                            _oracle_combination(weights, tensors))
+        terms, oracle = data.draw(_int64_terms())
+        weights = data.draw(_weights(len(terms)))
+        assert all(T._matrix.dtype == np.int64 for T in oracle)
+        _assert_same_tensor(curvature._generated(weights, terms, RATIONAL),
+                            _oracle_combination(weights, oracle))
 
     def test_clifford_with_a_huge_common_denominator_takes_limbs(self, monkeypatch):
         # the weights of the large-denominator dim-16 build, at n = 8
         fam = build_clifford_family(8, 7)
         weights = [Fraction(1, 1000003), Fraction(1, 1000033),
                    Fraction(1, 1000037), Fraction(1, 1000039), 1, 1, 1, 1]
-        tensors = [_r1(8)] + [make_rj(J, RATIONAL) for J in fam.structures]
         cut = []
         monkeypatch.setattr(curvature, "limbs",
                             lambda a, bits: cut.append(bits) or limbs(a, bits))
-        got = _combine(weights, tensors, RATIONAL, "")
+        got = make_clifford(8, weights[0], list(zip(weights[1:], fam.structures)),
+                            mode=RATIONAL)
         assert cut and got._matrix.dtype == object
-        _assert_same_tensor(got, _oracle_combination(weights, tensors))
+        oracle = [generated(spanning_rule, np.eye(8, dtype=np.int64))]
+        oracle += [generated(rj_rule, J) for J in fam.structures]
+        _assert_same_tensor(got, _oracle_combination(weights, oracle))
 
     def test_coefficients_wider_than_the_terms_keep_the_python_int_sum(
             self, monkeypatch):
         # a weight of 10^100 needs more limbs than the two terms: the Horner
         # step would take more Python-int passes than the sum
-        tensors = [_r1(4), make_rj(np.array(np.eye(4, k=1) - np.eye(4, k=-1),
-                                            dtype=np.int64), RATIONAL)]
+        eye = np.eye(4, dtype=np.int64)
+        J = np.eye(4, k=1, dtype=np.int64) - np.eye(4, k=-1, dtype=np.int64)
+        terms = [(curvature._SPANNING, eye), (curvature._RJ, J)]
+        oracle = [generated(spanning_rule, eye), generated(rj_rule, J)]
         weights = [Fraction(10**100, 3), Fraction(1, _PRIMES[0])]
         monkeypatch.setattr(curvature, "limbs", None)
-        _assert_same_tensor(_combine(weights, tensors, RATIONAL, ""),
-                            _oracle_combination(weights, tensors))
+        _assert_same_tensor(curvature._generated(weights, terms, RATIONAL),
+                            _oracle_combination(weights, oracle))
 
     @pytest.mark.parametrize("scale", [2**70, -(2**200)])
     def test_a_python_int_term(self, scale):
@@ -393,25 +431,22 @@ class TestCombine:
         huge = CurvatureTensor._from_numerators(
             R.numerators.astype(object) * scale, R.denominator)
         assert huge._matrix.dtype == object
-        tensors = [_r1(4), huge, R]
-        weights = [Fraction(3, _PRIMES[0] * _PRIMES[1]), Fraction(-1, 5), 2**64]
-        _assert_same_tensor(_combine(weights, tensors, RATIONAL, ""),
-                            _oracle_combination(weights, tensors))
+        for w in (Fraction(3, _PRIMES[0] * _PRIMES[1]), Fraction(-1, 5), 2**64, 0):
+            for T in (huge, R):
+                _assert_same_tensor(T.scaled(w), _oracle_combination([w], [T]))
 
     def test_zero_term_with_a_coefficient_beyond_int64(self):
         zero = make_from_symmetric([], [], RATIONAL, n=3)
         got = zero.scaled(2**70)
         assert got._max_numerator == 0 and got.denominator == 1
+        assert got._matrix.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
 # Weighted sums of generated tensors, read off one Gram tensor, against each
-# generator built on its own (oracles.generated) and summed by _combine.
+# generator built on its own (oracles.generated) and summed in Python ints
+# (oracles.weighted_sum).
 # ---------------------------------------------------------------------------
-
-_RULES = {"sym": (curvature._SPANNING, spanning_rule),
-          "skew": (curvature._RJ, rj_rule)}
-
 
 @st.composite
 def _generator_terms(draw):
@@ -451,7 +486,7 @@ class TestGram:
     def test_equals_the_sum_of_its_generators(self, case):
         weights, terms, oracle = case
         _assert_same_tensor(curvature._generated(weights, terms, RATIONAL),
-                            _combine(weights, oracle, RATIONAL, ""))
+                            weighted_sum(weights, oracle))
 
     @staticmethod
     def _spy(monkeypatch):
@@ -508,4 +543,6 @@ class TestGram:
         terms = [(curvature._RJ, np.zeros((2, 2), dtype=np.int64)),
                  (curvature._SPANNING, np.eye(2, dtype=np.int64))]
         got = curvature._generated([2**63, Fraction(1, 3)], terms, RATIONAL)
-        _assert_same_tensor(got, _r1(2).scaled(Fraction(1, 3)))
+        assert got._matrix.dtype == np.int64
+        _assert_same_tensor(got, weighted_sum(
+            [Fraction(1, 3)], [generated(spanning_rule, np.eye(2, dtype=np.int64))]))

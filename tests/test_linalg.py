@@ -12,7 +12,6 @@ from osscheck.linalg import (
     cluster_rows,
     default_cluster_tol,
     eigh,
-    gram_schmidt,
     householder_frame,
     int64_safe,
     int_array,
@@ -22,35 +21,13 @@ from osscheck.linalg import (
     sample_stream,
     sample_streams,
 )
-from oracles import unit_vector
+from oracles import keyed_stream, orthonormal_pair, unit_vector
 
 
 def e(i, n):
     v = np.zeros(n)
     v[i] = 1.0
     return v
-
-
-class TestGramSchmidt:
-    def test_two_vectors(self):
-        out = gram_schmidt([np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-        assert np.allclose(out[0], [1, 0])
-        assert np.allclose(out[1], [0, 1])
-
-    def test_already_unit(self):
-        out = gram_schmidt([e(2, 4)])
-        assert np.allclose(out[0], e(2, 4))
-
-    def test_gram_matrix_oracle(self):
-        # independent oracle: recompute the full Gram matrix of the output
-        vs = [np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])]
-        out = gram_schmidt(vs)
-        gram = np.array([[a.dot(b) for b in out] for a in out])
-        assert np.abs(gram - np.eye(2)).max() <= 1e-14
-
-    def test_dependent_input(self):
-        with pytest.raises(ValueError):
-            gram_schmidt([np.array([1.0, 2.0]), np.array([2.0, 4.0])])
 
 
 class TestInt64Rule:
@@ -168,6 +145,22 @@ class TestRandomness:
             assert abs(np.linalg.norm(y) - 1.0) <= 1e-14
             assert abs(x.dot(y)) <= 1e-14
 
+    def test_pair_equals_the_gram_schmidt_oracle(self):
+        for n in range(2, 18):
+            for i in range(30):
+                got = random_orthonormal_pair(n, sample_stream(n, i))
+                want = orthonormal_pair(n, sample_stream(n, i))
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+    def test_pair_redraws_dependent_vectors(self):
+        a, b, c = np.array([1.0, 2.0]), np.array([3.0, 1.0]), np.array([0.0, 1.0])
+        tiny = np.array([1e-13, 0.0])
+        for draws in ([tiny, b], [a, 2 * a], [a, a + tiny]):
+            stream = iter(draws + [b, c])
+            planted = type("Planted", (), {"standard_normal": lambda _, n: next(stream)})
+            x, y = random_orthonormal_pair(2, planted())
+            assert np.allclose(x, b / np.linalg.norm(b)) and abs(x.dot(y)) <= 1e-15
+
     def test_unit_vector_equals_the_per_sample_oracle(self):
         for n in range(1, 20):
             for i in range(30):
@@ -191,16 +184,16 @@ class TestRandomness:
         indices = [0, 1, 2, 31, 32, 1000, 2**63, 2**64 - 1, 2**64 + 3, -4]
         for seed in seeds:
             for i, stream in zip(indices, sample_streams(seed, indices)):
-                ref = sample_stream(seed, i)
                 # an odd count of 32-bit draws leaves half a word buffered,
                 # which the next key must not inherit
                 draws = [(g.integers(0, 2**32, size=3, dtype=np.uint32),
                           g.integers(0, 5, size=3, dtype=np.int32),
                           g.standard_normal(7),
                           g.choice(455, size=40, replace=False))
-                         for g in (stream, ref)]
-                for a, b in zip(*draws):
-                    assert np.array_equal(a, b), (seed, i)
+                         for g in (stream, sample_stream(seed, i),
+                                   keyed_stream(seed, i))]
+                for a, b, c in zip(*draws):
+                    assert np.array_equal(a, c) and np.array_equal(b, c), (seed, i)
 
 
 @given(st.tuples(*(st.integers(-10**6, 10**6) for _ in range(2)),

@@ -1,6 +1,8 @@
-"""Packaging: one version number, the artifact version of its reports, and
-one numpy floor, stated alike in pyproject.toml and the README."""
+"""Packaging: one version number, the artifact version of its reports, one
+numpy floor, stated alike in pyproject.toml and the README, and no other
+third-party import."""
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -31,3 +33,19 @@ def test_readme_states_the_numpy_floor_of_pyproject():
     floors = re.findall(r'"numpy>=(\d+(?:\.\d+)*)"', pyproject)
     assert len(floors) == 1
     assert re.findall(r"numpy >= (\d+(?:\.\d+)*)", readme) == floors
+
+
+@pytest.mark.skipif(sys.version_info < (3, 10),
+                    reason="sys.stdlib_module_names needs Python 3.10")
+def test_the_package_imports_only_the_stdlib_and_numpy():
+    # sympy and the test tools may be installed, but the package depends on
+    # numpy alone (pyproject.toml)
+    allowed = set(sys.stdlib_module_names) | {"numpy", "osscheck"}
+    found = set()
+    for path in (ROOT / "src" / "osscheck").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.split(".")[0])
+    assert "numpy" in found and found <= allowed, sorted(found - allowed)

@@ -74,8 +74,20 @@ def _require_samples(least, **counts):
             raise PreconditionError(f"{name} must be at least {least}, found {count}")
 
 
-def _blocks(seed, samples, fields):
-    """Phase 1 of the sampling engine.  For each block of up to BLOCK
+_BLOCK_BYTES = 2 * 2**20
+
+
+def _block_rows(n, mode):
+    """Samples per sampling block at dimension n: BLOCK for an exact sweep,
+    whose integers may be Python ints of any size; otherwise the largest
+    multiple of BLOCK, at least BLOCK, whose (rows, n^3) float64 first-slot
+    product (:func:`_in_eigenbasis`) fits _BLOCK_BYTES.  Only the BLAS chunk
+    of :func:`linalg.block_product` decides a row's bits."""
+    return BLOCK if mode == RATIONAL else BLOCK * max(1, _BLOCK_BYTES // (BLOCK * 8 * n**3))
+
+
+def _blocks(size, seed, samples, fields):
+    """Phase 1 of the sampling engine.  For each block of up to ``size``
     consecutive samples, ``(start, arrays)``: sample i draws the tuple of
     ``fields`` (:class:`linalg.Field`; a draw function is one call field)
     from its own ``(seed, i)`` stream, and ``arrays`` stacks the block's
@@ -86,8 +98,8 @@ def _blocks(seed, samples, fields):
     i)``, so the retry rules live there only."""
     fields = (Field(fields),) if callable(fields) else fields
     streams = sample_streams(seed, range(samples))
-    for start in range(0, samples, BLOCK):
-        rows = min(BLOCK, samples - start)
+    for start in range(0, samples, size):
+        rows = min(size, samples - start)
         raw = [np.empty((rows, f.width), f.kind) if f.kind else [] for f in fields]
         for r in range(rows):
             stream = next(streams)
@@ -112,7 +124,7 @@ def _sweep(name, R, fields, compute, *, samples, seed, tol, mode=FLOAT64,
            denominator=None, notes=""):
     """The sampling engine and report of every sampling checker.
 
-    Samples run in blocks of BLOCK, each in three phases:
+    Samples run in blocks of ``_block_rows(R.dim, mode)``, each in three phases:
 
     1. draw the ``fields`` of every sample (:func:`_blocks`);
     2. compute: ``compute(start, *arrays)`` returns the residuals
@@ -133,7 +145,7 @@ def _sweep(name, R, fields, compute, *, samples, seed, tol, mode=FLOAT64,
     _require_samples(1, samples=samples)
     tol = default_tol(tol, mode)
     worst, winner = 0.0, None
-    for start, arrays in _blocks(seed, samples, fields):
+    for start, arrays in _blocks(_block_rows(R.dim, mode), seed, samples, fields):
         res, fields = compute(start, *arrays)
         s, c = divmod(_first_worst(res), res.shape[1])
         value = res.item(s, c)  # a Python float, int or Fraction
@@ -372,7 +384,7 @@ def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0) -> RootClassific
     Rf = R.to_float()
     n = R.dim
     ref, agree = None, True
-    for _, (xs,) in _blocks(seed, samples, (Field.unit(n),)):
+    for _, (xs,) in _blocks(_block_rows(n, FLOAT64), seed, samples, (Field.unit(n),)):
         vals = _spectra(Rf, xs)
         ct = default_cluster_tol(vals)
         _, centers, mults = cluster_rows(vals, ct)
@@ -577,8 +589,8 @@ def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None) -> CheckReport:
     else:
         worst_std = float(np.abs(acc - ric).max())
     # the columns of the three random bases, summed basis by basis
-    q = np.concatenate([random_orthogonal_matrix(n, sample_stream(seed, b)).T
-                        for b in range(bases)])
+    q = np.concatenate([random_orthogonal_matrix(n, stream).T
+                        for stream in sample_streams(seed, range(bases))])
     acc = jacobi_matrices(R, q).reshape(bases, n, n, n).sum(axis=1)
     # the largest residual, or NaN when there is one
     worst_rand = float(np.abs(acc - ric).max()) / (1.0 + float(np.abs(ric).max()))

@@ -172,15 +172,17 @@ def householder_frame(x):
 # in another order: a row of X[:S] @ B can change in its last bits with S.
 # Every product of a sample-dependent number of rows therefore runs in
 # chunks of exactly BLOCK rows, the last one zero-padded, so a row's result
-# depends only on the row and its position in its chunk.
+# depends only on the row and its position in its chunk.  BLOCK is this BLAS
+# chunk only: a sampling block (analysis._block_rows) is a multiple of it.
 # ---------------------------------------------------------------------------
 
 BLOCK = 32
 
 
 def block_product(a, b):
-    """``a @ b`` for float64 ``a[rows, k]``, one product of BLOCK rows of
-    ``a`` at a time, each written straight into the result."""
+    """``a @ b`` for float64 ``a[rows, k]``, any number of rows, one product
+    of BLOCK rows of ``a`` at a time, each written straight into the result:
+    row r has the bits it has in its chunk, at position r % BLOCK."""
     rows, k = a.shape
     padded = np.zeros((-(-rows // BLOCK) * BLOCK, k))
     padded[:rows] = a

@@ -575,13 +575,14 @@ class TestEngine:
 
     def test_block_rule_equals_the_worse_loop(self):
         rng = np.random.default_rng(11)
-        R = make_constant_curvature(2, 1)
-        samples = 2 * analysis.BLOCK + 5
+        R = make_constant_curvature(16, 1)
+        block = analysis._block_rows(R.dim, FLOAT64)
+        samples = 2 * block + 5  # three blocks
         ties = rng.integers(0, 4, (samples, 3)).astype(float)
         nans = ties.copy()
         nans[rng.random(nans.shape) < 0.02] = np.nan
         late_nan = np.zeros((samples, 3))
-        late_nan[analysis.BLOCK + 1, 2] = np.nan
+        late_nan[block + 1, 2] = np.nan
         no_candidate = rng.random((samples, 3))
         no_candidate[:, 1:][rng.random((samples, 2)) < 0.5] = -np.inf
         exact = np.array([[Fraction(int(v), 3) for v in row] for row in ties],
@@ -639,10 +640,10 @@ DRAWS = {
 }
 
 
-def _filled(fields, seed, samples):
+def _filled(fields, size, seed, samples):
     """The arrays of every block of ``analysis._blocks``, joined."""
-    blocks = list(analysis._blocks(seed, samples, fields))
-    assert [start for start, _ in blocks] == list(range(0, samples, analysis.BLOCK))
+    blocks = list(analysis._blocks(size, seed, samples, fields))
+    assert [start for start, _ in blocks] == list(range(0, samples, size))
     assert all(a.flags.c_contiguous for _, arrays in blocks for a in arrays)
     return [np.concatenate(a) for a in zip(*(arrays for _, arrays in blocks))]
 
@@ -683,6 +684,12 @@ class _Planted:
         return self._first_scaled(self.stream.integers(*args, **kwargs))
 
 
+def _block_sizes(n):
+    """The block sizes of a float and an exact sweep at dimension n; under
+    the exact one, one BLAS chunk, a few samples cross block boundaries."""
+    return sorted({analysis._block_rows(n, FLOAT64), analysis.BLOCK})
+
+
 class TestBlockFill:
     """analysis._blocks fills each block in place, and every block equals
     np.stack of its samples' own draws byte for byte."""
@@ -692,8 +699,8 @@ class TestBlockFill:
         fields, draw = DRAWS[name]
         dims = (15, 16) if name == "unit, triples" else (2, 3, 4, 8, 15, 16)
         for n in dims:
-            for samples in (1, 31, 32, 33, 70):
-                _assert_same_bytes(_filled(fields(n), 100 + n, samples),
+            for size, samples in itertools.product(_block_sizes(n), (1, 31, 32, 33, 70)):
+                _assert_same_bytes(_filled(fields(n), size, 100 + n, samples),
                                    _stacked(draw, n, 100 + n, samples))
 
     @pytest.mark.parametrize("name, tensor, combination", [
@@ -714,9 +721,9 @@ class TestBlockFill:
              "float8": quaternionic8.to_float(), "float16": clifford16}[tensor]
         declared, blocks = [], analysis._blocks
 
-        def spy(seed, samples, fields):
-            declared.append(fields)
-            return blocks(seed, samples, fields)
+        def spy(size, seed, samples, fields):
+            declared.append((size, fields))
+            return blocks(size, seed, samples, fields)
 
         monkeypatch.setattr(analysis, "_blocks", spy)
         if name == "k-root":
@@ -724,14 +731,19 @@ class TestBlockFill:
         else:
             analysis.run_check(name, R, samples=2, seed=1, tol=None)
         monkeypatch.undo()
-        # the last declaration is the checker's own, after any precheck
-        _assert_same_bytes(_filled(declared[-1], 9, 33),
+        # the last declaration is the checker's own, after any precheck, in
+        # blocks of the size of its mode
+        size, fields = declared[-1]
+        mode = RATIONAL if tensor == "rational4" else FLOAT64
+        assert size == analysis._block_rows(R.dim, mode)
+        _assert_same_bytes(_filled(fields, size, 9, 33),
                            _stacked(DRAWS[combination][1], R.dim, 9, 33))
 
     @pytest.mark.parametrize("name", DRAWS)
     def test_a_degenerate_row_is_drawn_again_as_its_sample_is(self, name, monkeypatch):
         fields, draw = DRAWS[name]
-        # zero in the first block, and in a later one; short in the last
+        # zero in the first block, and in blocks of one BLAS chunk in a later
+        # one; short in the last
         planted = {5: 0.0, 40: 0.0, 69: 1e-8}
         stream, streams = analysis.sample_stream, analysis.sample_streams
 
@@ -744,12 +756,49 @@ class TestBlockFill:
                 yield _Planted(g, planted[i]) if i in planted else g
 
         for n in ((15, 16) if name == "unit, triples" else (2, 4, 16)):
-            plain = _filled(fields(n), 7, 70)
-            with monkeypatch.context() as m:
-                m.setattr(analysis, "sample_stream", planted_stream)
-                m.setattr(analysis, "sample_streams", planted_streams)
-                got = _filled(fields(n), 7, 70)
-            _assert_same_bytes(got, _stacked(draw, n, 7, 70, planted_stream))
-            for i in range(69):
-                same = all(np.array_equal(a[i], b[i]) for a, b in zip(got, plain))
-                assert same == (i not in planted), (n, i)
+            for size in _block_sizes(n):
+                plain = _filled(fields(n), size, 7, 70)
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "sample_stream", planted_stream)
+                    m.setattr(analysis, "sample_streams", planted_streams)
+                    got = _filled(fields(n), size, 7, 70)
+                _assert_same_bytes(got, _stacked(draw, n, 7, 70, planted_stream))
+                for i in range(69):
+                    same = all(np.array_equal(a[i], b[i]) for a, b in zip(got, plain))
+                    assert same == (i not in planted), (n, size, i)
+
+
+class TestBlockRule:
+    """A float sweep's block is sized by a byte budget, in whole BLAS chunks,
+    an exact sweep's block is one chunk; the reports do not depend on it."""
+
+    def test_block_is_whole_chunks_within_the_budget(self):
+        for n in range(1, 17):
+            assert analysis._block_rows(n, RATIONAL) == analysis.BLOCK, n
+            rows = analysis._block_rows(n, FLOAT64)
+            assert rows > 0 and rows % analysis.BLOCK == 0, n
+            first_slot = rows * n**3 * 8  # float64 bytes
+            assert rows == analysis.BLOCK or first_slot <= analysis._BLOCK_BYTES, n
+            # the largest such multiple
+            assert (rows + analysis.BLOCK) * n**3 * 8 > analysis._BLOCK_BYTES, n
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (8, 3), (16, 8)])
+    def test_reports_equal_those_of_one_chunk_per_block(self, n, m, monkeypatch):
+        # two-root Clifford tensors: every sampling checker applies, and
+        # polarization and jacobi-orthogonal run exactly and in float
+        R = clifford_tensor(n, m)
+        Rf = R.to_float()
+        runs = [(name, T) for name in SAMPLING
+                for T in ((R, Rf) if name in ("polarization", "jacobi-orthogonal")
+                          else (Rf,))]
+        # past the first block under either rule
+        samples = analysis._block_rows(n, FLOAT64) + analysis.BLOCK + 3
+
+        def reports():
+            return [analysis.run_check(name, T, samples=samples, seed=5,
+                                       tol=None).to_json() for name, T in runs
+                    ] + [repr(classify_k_root(Rf, samples=samples, seed=5))]
+
+        default = reports()
+        monkeypatch.setattr(analysis, "_block_rows", lambda n, mode: analysis.BLOCK)
+        assert reports() == default

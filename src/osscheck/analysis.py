@@ -74,16 +74,12 @@ def _require_samples(least, **counts):
             raise PreconditionError(f"{name} must be at least {least}, found {count}")
 
 
-_BLOCK_BYTES = 2 * 2**20
-
-
-def _block_rows(n, mode):
-    """Samples per sampling block at dimension n: BLOCK for an exact sweep,
-    whose integers may be Python ints of any size; otherwise the largest
-    multiple of BLOCK, at least BLOCK, whose (rows, n^3) float64 first-slot
-    product (:func:`_in_eigenbasis`) fits _BLOCK_BYTES.  Only the BLAS chunk
-    of :func:`linalg.block_product` decides a row's bits."""
-    return BLOCK if mode == RATIONAL else BLOCK * max(1, _BLOCK_BYTES // (BLOCK * 8 * n**3))
+# Samples per sampling block of a float sweep: two BLAS chunks, so a sweep
+# of up to 64 samples is drawn, solved and clustered once.  An exact sweep's
+# block is one chunk: its integers may be Python ints of any size, whose
+# memory a larger block multiplies.  Only the BLAS chunk of
+# linalg.block_product decides a row's bits.
+_FLOAT_BLOCK = 2 * BLOCK
 
 
 def _blocks(size, seed, samples, fields):
@@ -124,7 +120,8 @@ def _sweep(name, R, fields, compute, *, samples, seed, tol, mode=FLOAT64,
            denominator=None, notes=""):
     """The sampling engine and report of every sampling checker.
 
-    Samples run in blocks of ``_block_rows(R.dim, mode)``, each in three phases:
+    Samples run in blocks of _FLOAT_BLOCK, or BLOCK for an exact sweep, each
+    in three phases:
 
     1. draw the ``fields`` of every sample (:func:`_blocks`);
     2. compute: ``compute(start, *arrays)`` returns the residuals
@@ -145,7 +142,8 @@ def _sweep(name, R, fields, compute, *, samples, seed, tol, mode=FLOAT64,
     _require_samples(1, samples=samples)
     tol = default_tol(tol, mode)
     worst, winner = 0.0, None
-    for start, arrays in _blocks(_block_rows(R.dim, mode), seed, samples, fields):
+    size = BLOCK if mode == RATIONAL else _FLOAT_BLOCK
+    for start, arrays in _blocks(size, seed, samples, fields):
         res, fields = compute(start, *arrays)
         s, c = divmod(_first_worst(res), res.shape[1])
         value = res.item(s, c)  # a Python float, int or Fraction
@@ -384,7 +382,7 @@ def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0) -> RootClassific
     Rf = R.to_float()
     n = R.dim
     ref, agree = None, True
-    for _, (xs,) in _blocks(_block_rows(n, FLOAT64), seed, samples, (Field.unit(n),)):
+    for _, (xs,) in _blocks(_FLOAT_BLOCK, seed, samples, (Field.unit(n),)):
         vals = _spectra(Rf, xs)
         ct = default_cluster_tol(vals)
         _, centers, mults = cluster_rows(vals, ct)

@@ -173,7 +173,7 @@ def householder_frame(x):
 # Every product of a sample-dependent number of rows therefore runs in
 # chunks of exactly BLOCK rows, the last one zero-padded, so a row's result
 # depends only on the row and its position in its chunk.  BLOCK is this BLAS
-# chunk only: a sampling block (analysis._block_rows) is a multiple of it.
+# chunk only: a sampling block (analysis._blocks) is a multiple of it.
 # ---------------------------------------------------------------------------
 
 BLOCK = 32

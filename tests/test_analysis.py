@@ -575,8 +575,8 @@ class TestEngine:
 
     def test_block_rule_equals_the_worse_loop(self):
         rng = np.random.default_rng(11)
-        R = make_constant_curvature(16, 1)
-        block = analysis._block_rows(R.dim, FLOAT64)
+        R = make_constant_curvature(2, 1)
+        block = analysis._FLOAT_BLOCK
         samples = 2 * block + 5  # three blocks
         ties = rng.integers(0, 4, (samples, 3)).astype(float)
         nans = ties.copy()
@@ -684,10 +684,8 @@ class _Planted:
         return self._first_scaled(self.stream.integers(*args, **kwargs))
 
 
-def _block_sizes(n):
-    """The block sizes of a float and an exact sweep at dimension n; under
-    the exact one, one BLAS chunk, a few samples cross block boundaries."""
-    return sorted({analysis._block_rows(n, FLOAT64), analysis.BLOCK})
+# the block sizes of an exact and a float sweep
+BLOCK_SIZES = (analysis.BLOCK, analysis._FLOAT_BLOCK)
 
 
 class TestBlockFill:
@@ -699,7 +697,7 @@ class TestBlockFill:
         fields, draw = DRAWS[name]
         dims = (15, 16) if name == "unit, triples" else (2, 3, 4, 8, 15, 16)
         for n in dims:
-            for size, samples in itertools.product(_block_sizes(n), (1, 31, 32, 33, 70)):
+            for size, samples in itertools.product(BLOCK_SIZES, (1, 31, 32, 33, 70)):
                 _assert_same_bytes(_filled(fields(n), size, 100 + n, samples),
                                    _stacked(draw, n, 100 + n, samples))
 
@@ -734,8 +732,7 @@ class TestBlockFill:
         # the last declaration is the checker's own, after any precheck, in
         # blocks of the size of its mode
         size, fields = declared[-1]
-        mode = RATIONAL if tensor == "rational4" else FLOAT64
-        assert size == analysis._block_rows(R.dim, mode)
+        assert size == (analysis.BLOCK if tensor == "rational4" else analysis._FLOAT_BLOCK)
         _assert_same_bytes(_filled(fields, size, 9, 33),
                            _stacked(DRAWS[combination][1], R.dim, 9, 33))
 
@@ -756,7 +753,7 @@ class TestBlockFill:
                 yield _Planted(g, planted[i]) if i in planted else g
 
         for n in ((15, 16) if name == "unit, triples" else (2, 4, 16)):
-            for size in _block_sizes(n):
+            for size in BLOCK_SIZES:
                 plain = _filled(fields(n), size, 7, 70)
                 with monkeypatch.context() as m:
                     m.setattr(analysis, "sample_stream", planted_stream)
@@ -769,18 +766,8 @@ class TestBlockFill:
 
 
 class TestBlockRule:
-    """A float sweep's block is sized by a byte budget, in whole BLAS chunks,
-    an exact sweep's block is one chunk; the reports do not depend on it."""
-
-    def test_block_is_whole_chunks_within_the_budget(self):
-        for n in range(1, 17):
-            assert analysis._block_rows(n, RATIONAL) == analysis.BLOCK, n
-            rows = analysis._block_rows(n, FLOAT64)
-            assert rows > 0 and rows % analysis.BLOCK == 0, n
-            first_slot = rows * n**3 * 8  # float64 bytes
-            assert rows == analysis.BLOCK or first_slot <= analysis._BLOCK_BYTES, n
-            # the largest such multiple
-            assert (rows + analysis.BLOCK) * n**3 * 8 > analysis._BLOCK_BYTES, n
+    """A float sweep's block is two BLAS chunks, an exact sweep's one; the
+    reports do not depend on it."""
 
     @pytest.mark.parametrize("n, m", [(4, 2), (8, 3), (16, 8)])
     def test_reports_equal_those_of_one_chunk_per_block(self, n, m, monkeypatch):
@@ -791,8 +778,10 @@ class TestBlockRule:
         runs = [(name, T) for name in SAMPLING
                 for T in ((R, Rf) if name in ("polarization", "jacobi-orthogonal")
                           else (Rf,))]
-        # past the first block under either rule
-        samples = analysis._block_rows(n, FLOAT64) + analysis.BLOCK + 3
+        # a row keeps its position in its chunk; past the first block under
+        # either rule
+        assert analysis._FLOAT_BLOCK % analysis.BLOCK == 0
+        samples = analysis._FLOAT_BLOCK + analysis.BLOCK + 3
 
         def reports():
             return [analysis.run_check(name, T, samples=samples, seed=5,
@@ -800,5 +789,5 @@ class TestBlockRule:
                     ] + [repr(classify_k_root(Rf, samples=samples, seed=5))]
 
         default = reports()
-        monkeypatch.setattr(analysis, "_block_rows", lambda n, mode: analysis.BLOCK)
+        monkeypatch.setattr(analysis, "_FLOAT_BLOCK", analysis.BLOCK)
         assert reports() == default

@@ -37,7 +37,7 @@ from .linalg import (
     random_unit_vector,
     sample_stream,
 )
-from .report import ARTIFACT_VERSION
+from .report import ARTIFACT_VERSION, _jsonable
 from .tensorio import TensorFileError, _rational, dump_report, dump_tensor, load_tensor
 
 EXIT_PASS = 0
@@ -72,6 +72,14 @@ def _residual(r):
             return f"{decimal.Decimal(r.numerator) / r.denominator:.3e}"
 
 
+def _write_json(path, doc):
+    """Write ``doc`` as strict JSON, formatted in full before the file
+    opens, so a failure leaves no file."""
+    text = json.dumps(_jsonable(doc), indent=2, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="osscheck",
@@ -86,8 +94,6 @@ def _build_parser():
     b.add_argument("--kappa", default="1", help="sectional curvature (constant)")
     b.add_argument("--mu0", default="1", help="constant-curvature weight (clifford)")
     b.add_argument("--mu", default="", help="comma list of Clifford weights")
-    b.add_argument("--m", type=int, default=None,
-                   help="family rank (defaults to len(--mu))")
     b.add_argument("--k-terms", type=int, default=3, dest="k_terms")
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--mode", choices=(FLOAT64, RATIONAL), default=None)
@@ -129,9 +135,7 @@ def _cmd_build(args):
         R = make_rj(fam.structures[0], mode)
     elif args.kind == "clifford":
         mus = _scalar_list(args.mu, mode, "--mu")
-        m = args.m if args.m is not None else len(mus)
-        if m != len(mus):
-            raise PreconditionError(f"--m {m} does not match {len(mus)} weights")
+        m = len(mus)
         bound = radon_hurwitz_bound(n)
         if m > bound:
             raise PreconditionError(
@@ -171,14 +175,13 @@ def _cmd_check(args):
         print(f"k-root: k={cls.k} [{spectrum}] "
               f"agreement={'yes' if cls.per_sample_agreement else 'no'}")
         if args.out:
-            doc = {"artifact_version": ARTIFACT_VERSION, "property": "k-root",
-                   "k": cls.k, "centers": [float(c) for c in cls.centers],
-                   "multiplicities": cls.multiplicities,
-                   "per_sample_agreement": cls.per_sample_agreement,
-                   "samples": cls.samples, "seed": cls.seed,
-                   "provenance": R.provenance}
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
+            _write_json(args.out, {
+                "artifact_version": ARTIFACT_VERSION, "property": "k-root",
+                "k": cls.k, "centers": cls.centers,
+                "multiplicities": cls.multiplicities,
+                "per_sample_agreement": cls.per_sample_agreement,
+                "samples": cls.samples, "seed": cls.seed,
+                "provenance": R.provenance})
         return EXIT_PASS if cls.per_sample_agreement else EXIT_FAIL
 
     options = {"samples": args.samples, "seed": args.seed, "tol": args.tol}
@@ -200,11 +203,8 @@ def _cmd_check(args):
                   f"{_residual(rep.worst_residual)}")
             reports[name] = rep.to_dict()
         if args.out:
-            text = json.dumps({"artifact_version": ARTIFACT_VERSION,
-                               "provenance": R.provenance,
-                               "reports": reports}, indent=2)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_json(args.out, {"artifact_version": ARTIFACT_VERSION,
+                                   "provenance": R.provenance, "reports": reports})
         return EXIT_PASS if all_pass else EXIT_FAIL
 
     rep = analysis.run_check(args.property, R, **options)

@@ -485,17 +485,17 @@ def make_rj(J, mode=FLOAT64) -> CurvatureTensor:
     return _generated([1], [(_RJ, J)], mode, f"rj(n={J.shape[0]})")
 
 
-def make_clifford(n, mu0, terms, mode=RATIONAL, validate=True) -> CurvatureTensor:
+def make_clifford(n, mu0, terms, mode=RATIONAL) -> CurvatureTensor:
     """Clifford combination mu0 R1 + sum_i mu_i R^{J_i}.
 
     ``terms`` is a list of (mu_i, J_i) pairs; the J_i must form a valid
-    Clifford family (checked unless ``validate=False``).
+    Clifford family, which is checked.
     """
     if n < 2:
         raise ValueError("dimension must be >= 2")
     mus = [mu for mu, _ in terms]
     Js = [np.asarray(J) for _, J in terms]
-    if validate and Js:
+    if Js:
         rep = validate_hurwitz(CliffordFamily(n, tuple(Js)))
         if not rep.passed:
             raise PreconditionError(

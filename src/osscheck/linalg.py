@@ -236,11 +236,17 @@ def sample_streams(seed, indices):
 _MAX_RETRIES = 16
 
 
+def _dots(u, v):
+    """Inner products of the rows of ``u[S, n]`` and ``v[S, n]``, each one
+    BLAS dot as in ``np.dot`` and ``np.linalg.norm``: a stacked
+    (1, n) @ (n, 1) product calls that kernel (``einsum`` and
+    ``norm(axis=1)`` sum in other orders)."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
 def _norms(v):
-    """Norms of the rows of ``v[S, n]``, each the square root of one BLAS
-    dot as in ``np.linalg.norm``: a stacked (1, n) @ (n, 1) product calls
-    that kernel (``einsum`` and ``norm(axis=1)`` sum in other orders)."""
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+    """Norms of the rows of ``v[S, n]``, with the bits of ``np.linalg.norm``."""
+    return np.sqrt(_dots(v, v))
 
 
 def _unit_rows(v):
@@ -252,50 +258,20 @@ def _unit_rows(v):
         return (v / _norms(v)[:, None],), ~(nv > 1e-6)
 
 
-def random_unit_vector(n, stream):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for _ in range(_MAX_RETRIES):
-        (v,), redo = _unit_rows(stream.standard_normal((1, n)))
-        if not redo[0]:
-            return v[0]
-    raise RuntimeError("random_unit_vector: degenerate draws")
-
-
-def random_orthonormal_pair(n, stream):
-    """Two normal draws a, b made orthonormal by Gram-Schmidt with two
-    passes, drawn again while one is within DEP_TOL of dependent."""
-    if n < 2:
-        raise ValueError("n must be >= 2 for an orthonormal pair")
-    for _ in range(_MAX_RETRIES):
-        a = stream.standard_normal(n)
-        b = stream.standard_normal(n)
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na <= DEP_TOL:
-            continue
-        x = a / na
-        y = b - x.dot(b) * x
-        y -= x.dot(y) * x  # a second pass, for 1e-14 level orthogonality
-        ny = np.linalg.norm(y)
-        if ny > DEP_TOL * max(1.0, nb):
-            return x, y / ny
-    raise RuntimeError("random_orthonormal_pair: degenerate draws")
-
-
-def random_orthogonal_matrix(n, stream):
-    """Haar-ish random orthogonal matrix via QR of a Gaussian matrix."""
-    q, r = np.linalg.qr(stream.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def random_int_vector(n, stream):
-    """Nonzero int64 vector of integers in [-9, 9] (integers are exact
-    rationals)."""
-    for _ in range(_MAX_RETRIES):
-        v = stream.integers(-9, 10, size=n)
-        if v.any():
-            return v
-    raise RuntimeError("random_int_vector: degenerate draws")
+def _orthonormal_rows(v):
+    """``((x, y), redo)`` for the normal rows ``v[S, 2n] = (a, b)``: x = a / |a|
+    and y, b made orthogonal to x by Gram-Schmidt with two passes (for
+    1e-14 level orthogonality), then scaled to unit norm; and the rows where
+    a or b is within DEP_TOL of dependent, which are drawn again."""
+    a, b = (np.ascontiguousarray(h) for h in np.hsplit(v, 2))
+    na, nb = _norms(a), _norms(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = a / na[:, None]
+        y = b - _dots(x, b)[:, None] * x
+        y -= _dots(x, y)[:, None] * x
+        ny = _norms(y)
+        redo = ~(na > DEP_TOL) | ~(ny > DEP_TOL * np.maximum(1.0, nb))
+        return (x, y / ny[:, None]), redo
 
 
 def _projected_pairs(v):
@@ -307,54 +283,84 @@ def _projected_pairs(v):
     return (x.copy(), p), ~p.any(axis=1)
 
 
-def random_orthogonal_int_pair(n, stream):
-    """Nonzero int64 vectors (x, y) with x . y = 0: y projected off x."""
-    for _ in range(_MAX_RETRIES):
-        v = np.concatenate([random_int_vector(n, stream), random_int_vector(n, stream)])
-        (x, y), redo = _projected_pairs(v[None])
-        if not redo[0]:
-            return x[0], y[0]
-    raise RuntimeError("degenerate rational draws")
+def _normals(stream, row):
+    stream.standard_normal(out=row)
+
+
+def _integers(stream, row):
+    row[:] = stream.integers(-9, 10, size=len(row))
 
 
 class Field(NamedTuple):
-    """One field of a sample's draw.  ``one(stream)`` defines it: the
-    arrays it draws for one sample, retries included.  A field with a block
-    filler draws the same from ``width`` raw values of its ``kind``
-    (standard normals, or integers in [-9, 9]) unless it needs a retry:
-    ``finish(raw[S, width])`` returns those arrays for S samples at once
-    and the rows that need one.  ``Field(one)`` alone is a call."""
+    """One field of a sample's draw: ``fill(stream, row)`` draws one
+    sample's ``width`` raw values of ``dtype`` straight into ``row``, and
+    ``finish(raw[S, width])`` returns the field's arrays for S samples at
+    once and the rows that are drawn again (a bool array, or False)."""
 
-    one: Callable
-    width: int = 0
-    kind: type = None
-    finish: Callable = None
+    width: int
+    dtype: type
+    fill: Callable
+    finish: Callable
 
-    def fill(self, stream, row):
-        """Draw one sample's raw values straight into ``row``."""
-        if self.kind is np.float64:
-            stream.standard_normal(out=row)
-        else:
-            row[:] = stream.integers(-9, 10, size=self.width)
+    def one(self, stream):
+        """The definition of the draw: the field's arrays for one sample,
+        one row filled and finished, again while ``finish`` rejects it, at
+        most _MAX_RETRIES times."""
+        row = np.empty((1, self.width), self.dtype)
+        for _ in range(_MAX_RETRIES):
+            self.fill(stream, row[0])
+            arrays, redo = self.finish(row)
+            if not np.any(redo):
+                return tuple(a[0] for a in arrays)
+        raise RuntimeError("degenerate draws")
 
     @staticmethod
     def unit(n):
-        return Field(lambda s: (random_unit_vector(n, s),), n, np.float64, _unit_rows)
+        return Field(n, np.float64, _normals, _unit_rows)
 
     @staticmethod
     def normals(k):
-        return Field(lambda s: (s.standard_normal(k),), k, np.float64,
-                     lambda v: ((v,), False))
+        return Field(k, np.float64, _normals, lambda v: ((v,), False))
+
+    @staticmethod
+    def orthonormal_pair(n):
+        return Field(2 * n, np.float64, _normals, _orthonormal_rows)
 
     @staticmethod
     def int_vector(n):
-        return Field(lambda s: (random_int_vector(n, s),), n, np.int64,
-                     lambda v: ((v,), ~v.any(axis=1)))
+        return Field(n, np.int64, _integers, lambda v: ((v,), ~v.any(axis=1)))
 
     @staticmethod
     def orthogonal_int_pair(n):
-        return Field(lambda s: random_orthogonal_int_pair(n, s), 2 * n, np.int64,
-                     _projected_pairs)
+        """x and y drawn one at a time, each again while zero, then y
+        projected off x.  ``fill`` draws both at once, and a zero one is
+        dropped and followed by the next n integers, as drawn one at a time."""
+        def fill(stream, row):
+            x, y = row[:n], row[n:]
+            row[:] = stream.integers(-9, 10, size=2 * n)
+            for _ in range(_MAX_RETRIES):
+                if x.any() and y.any():
+                    return
+                x[:] = x if x.any() else y
+                y[:] = stream.integers(-9, 10, size=n)
+
+        return Field(2 * n, np.int64, fill, _projected_pairs)
+
+
+def random_unit_vector(n, stream):
+    return Field.unit(n).one(stream)[0]
+
+
+def random_int_vector(n, stream):
+    """Nonzero int64 vector of integers in [-9, 9] (integers are exact
+    rationals)."""
+    return Field.int_vector(n).one(stream)[0]
+
+
+def random_orthogonal_matrix(n, stream):
+    """Haar-ish random orthogonal matrix via QR of a Gaussian matrix."""
+    q, r = np.linalg.qr(stream.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
 
 
 def _exact_scalar(index, e):

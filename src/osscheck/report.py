@@ -10,10 +10,14 @@ from fractions import Fraction
 
 from .linalg import RATIONAL
 
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 
 
 def _jsonable(v):
+    """``v`` in strict JSON types: a non-finite float is spelled "NaN",
+    "Infinity" or "-Infinity", which ``float`` reads back."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
     if isinstance(v, Fraction):
         # str(v), spelled by decimal past int's digit limit
         p, q = decimal.Decimal(v.numerator), decimal.Decimal(v.denominator)
@@ -24,8 +28,6 @@ def _jsonable(v):
         return [_jsonable(x) for x in v]
     if hasattr(v, "tolist"):
         return _jsonable(v.tolist())
-    if hasattr(v, "item"):
-        return v.item()
     return v
 
 
@@ -71,7 +73,7 @@ class CheckReport:
         }
 
     def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
 
 def make_report(name, worst, witness, samples, seed, tol, mode,

@@ -61,7 +61,7 @@ def clifford_corpus():
                 mu0 = _random_mu(stream)
                 mus = [_random_mu(stream) for _ in range(m)]
                 R = make_clifford(n, mu0, list(zip(mus, fam.structures)),
-                                  mode=RATIONAL, validate=False)
+                                  mode=RATIONAL)
                 entries.append((mu0, mus, R))
             corpus[(n, m)] = entries
     return corpus

@@ -34,10 +34,9 @@ from osscheck.linalg import (
     PreconditionError,
     cluster_rows,
     eigh,
-    random_orthonormal_pair,
 )
 from oracles import eval_tensor, orthogonal_int_pair as orthogonal_int_pair_draw
-from oracles import int_vector as int_vector_draw, unit_vector
+from oracles import int_vector as int_vector_draw, orthonormal_pair, unit_vector
 
 
 def clifford_tensor(n, m, mode=RATIONAL, mus=None, mu0=1):
@@ -249,6 +248,19 @@ class TestEigenBianchi:
             with pytest.raises(PreconditionError, match="at least 4, found"):
                 check_eigen_bianchi_identity(make_constant_curvature(n, 1), samples=5)
 
+    def test_every_triple_at_every_dimension(self, clifford16, monkeypatch):
+        rows = {key: row for key, row in
+                _per_sample(monkeypatch, "eigen-bianchi", clifford16, 3).items()
+                if key[0] == "eigen-bianchi"}  # not the Osserman precheck
+        assert sorted(rows) == [("eigen-bianchi", s) for s in range(3)]
+        every = [list(t) for t in itertools.combinations(range(15), 3)]
+        for residuals, fields in rows.values():
+            assert len(residuals) == len(every) == 455
+            assert [json.loads(f)["triple"] for f in fields] == every
+        rep = check_eigen_bianchi_identity(clifford16, samples=3, seed=3)
+        assert rep.worst_residual == max(float(r) for residuals, _ in rows.values()
+                                         for r in residuals)
+
     def test_cross_check_derivation_line(self, quaternionic8):
         # g(J_X(A+B+C), J_{A+B+C}X) must equal the eigenvalue-weighted sum
         # of curvature components; both sides computed independently
@@ -289,10 +301,8 @@ class TestPolarization:
     def test_norm_equality_consequence_on_clifford(self, quaternionic8):
         # for Jacobi-orthogonal R and X perp Y: |J_X Y| = |J_Y X|
         Rf = quaternionic8.to_float()
-        from osscheck.linalg import random_orthonormal_pair
-
         for i in range(20):
-            x, y = random_orthonormal_pair(8, sample_stream(41, i))
+            x, y = orthonormal_pair(8, sample_stream(41, i))
             a = np.linalg.norm(jacobi_matrix(Rf, x).dot(y))
             b = np.linalg.norm(jacobi_matrix(Rf, y).dot(x))
             assert a == pytest.approx(b, abs=1e-9)
@@ -344,6 +354,14 @@ class TestRicciSum:
             worst = max(worst, np.abs(loop - ric).max() / (1 + np.abs(ric).max()))
         assert abs(rep.witness["random_basis_residual"] - worst) <= 1e-13
 
+    def test_reports_the_random_basis_residual_only(self, quaternionic8):
+        # the Jacobi sum over the standard basis and the Ricci operator add
+        # the same scalars of R: comparing them tests nothing
+        for R in (quaternionic8, quaternionic8.to_float(), make_constant_curvature(5, 1)):
+            rep = check_ricci_sum(R, seed=2)
+            assert rep.samples == 3
+            assert rep.witness == {"random_basis_residual": rep.worst_residual}
+
     def test_notes_say_what_it_certifies(self, quaternionic8):
         for R in (quaternionic8, quaternionic8.to_float()):
             assert check_ricci_sum(R).notes == (
@@ -363,9 +381,7 @@ class TestScalingEquivariance:
     def test_raw_witness_scales_quadratically(self, random4):
         # J_X is linear in R, so the raw inner product g(J_X Y, J_Y X)
         # picks up a factor c^2 when R is scaled by c
-        from osscheck.linalg import random_orthonormal_pair
-
-        x, y = random_orthonormal_pair(4, sample_stream(60, 0))
+        x, y = orthonormal_pair(4, sample_stream(60, 0))
         S = random4.scaled(3.0)
         raw_r = jacobi_matrix(random4, x).dot(y).dot(jacobi_matrix(random4, y).dot(x))
         raw_s = jacobi_matrix(S, x).dot(y).dot(jacobi_matrix(S, y).dot(x))
@@ -520,8 +536,8 @@ class TestSweep:
 @pytest.fixture(scope="module")
 def clifford16():
     """Float dim-16 Clifford tensor with two roots, 1 x7 and 4 x8: every
-    sampling checker applies, eigen-Bianchi draws random triples, and
-    jacobi-dual has degenerate eigenspaces."""
+    sampling checker applies, eigen-Bianchi checks C(15, 3) = 455 triples a
+    sample, and jacobi-dual has degenerate eigenspaces."""
     return clifford_tensor(16, 8).to_float()
 
 
@@ -594,7 +610,7 @@ class TestEngine:
                 res = values[start:start + len(unused)]
                 return res, lambda s, c: {"candidate": c}
 
-            rep = analysis._sweep("rule", R, lambda stream: (np.zeros(1),),
+            rep = analysis._sweep("rule", R, (Field.normals(1),),
                                   compute, samples=samples, seed=0, tol=1)
             worst, win = _loop_winner(values.reshape(-1))
             i, c = divmod(win, values.shape[1])
@@ -603,14 +619,6 @@ class TestEngine:
                 assert rep.worst_residual == worst
             else:  # bit-equal, NaN included
                 assert repr(float(rep.worst_residual)) == repr(float(worst))
-
-
-def _triples(n):
-    """eigen-bianchi's draw for n - 1 > 8: 40 distinct triples of
-    eigenvector indices, in one call."""
-    table = np.array(list(itertools.combinations(range(n - 1), 3)),
-                     dtype=np.intp).reshape(-1, 3)
-    return lambda stream: table[stream.choice(len(table), size=40, replace=False)]
 
 
 def _ints(values):
@@ -626,8 +634,6 @@ DRAWS = {
         lambda n, s: (unit_vector(n, s), s.standard_normal(3 * (n - 1)))),
     "unit, n normals": (lambda n: (Field.unit(n), Field.normals(n)),
                         lambda n, s: (unit_vector(n, s), s.standard_normal(n))),
-    "unit, triples": (lambda n: (Field.unit(n), Field(lambda s: (_triples(n)(s),))),
-                      lambda n, s: (unit_vector(n, s), _triples(n)(s))),
     "two int vectors": (lambda n: (Field.int_vector(n), Field.int_vector(n)),
                         lambda n, s: (_ints(int_vector_draw(n, s)),
                                       _ints(int_vector_draw(n, s)))),
@@ -635,8 +641,7 @@ DRAWS = {
                            lambda n, s: (s.standard_normal(n), s.standard_normal(n))),
     "orthogonal int pair": (lambda n: (Field.orthogonal_int_pair(n),),
                             lambda n, s: tuple(map(_ints, orthogonal_int_pair_draw(n, s)))),
-    "orthonormal pair": (lambda n: (Field(lambda s: random_orthonormal_pair(n, s)),),
-                         lambda n, s: random_orthonormal_pair(n, s)),
+    "orthonormal pair": (lambda n: (Field.orthonormal_pair(n),), orthonormal_pair),
 }
 
 
@@ -661,20 +666,21 @@ def _assert_same_bytes(got, want):
 
 
 class _Planted:
-    """A sample stream whose first draw of normals or integers is scaled by
-    ``scale``: 0 plants a zero vector, 1e-8 a nonzero one of norm below
-    1e-6 (integers truncate to zero either way)."""
+    """A sample stream whose first ``n`` normals or integers are scaled by
+    ``scale``, however the draws split them: 0 plants a zero vector, 1e-8 a
+    nonzero one of norm below 1e-6 (integers truncate to zero either
+    way)."""
 
-    def __init__(self, stream, scale):
-        self.stream, self.scale = stream, scale
+    def __init__(self, stream, scale, n):
+        self.stream, self.scale, self.left = stream, scale, n
 
     def __getattr__(self, name):
         return getattr(self.stream, name)
 
     def _first_scaled(self, values):
-        if self.scale is not None:
-            values[...] = values * self.scale
-            self.scale = None
+        head = values.reshape(-1)[:self.left]
+        head[...] = head * self.scale
+        self.left -= len(head)
         return values
 
     def standard_normal(self, size=None, out=None):
@@ -695,8 +701,7 @@ class TestBlockFill:
     @pytest.mark.parametrize("name", DRAWS)
     def test_block_is_the_stack_of_the_per_sample_draws(self, name):
         fields, draw = DRAWS[name]
-        dims = (15, 16) if name == "unit, triples" else (2, 3, 4, 8, 15, 16)
-        for n in dims:
+        for n in (2, 3, 4, 8, 15, 16):
             for size, samples in itertools.product(BLOCK_SIZES, (1, 31, 32, 33, 70)):
                 _assert_same_bytes(_filled(fields(n), size, 100 + n, samples),
                                    _stacked(draw, n, 100 + n, samples))
@@ -707,7 +712,7 @@ class TestBlockFill:
         ("jacobi-dual", "float4", "unit, 3(n-1) normals"),
         ("two-root-decomposition", "float8", "unit, n normals"),
         ("eigen-bianchi", "float4", "unit"),
-        ("eigen-bianchi", "float16", "unit, triples"),
+        ("eigen-bianchi", "float16", "unit"),
         ("polarization", "rational4", "two int vectors"),
         ("polarization", "float4", "two normal vectors"),
         ("jacobi-orthogonal", "rational4", "orthogonal int pair"),
@@ -746,13 +751,13 @@ class TestBlockFill:
 
         def planted_stream(seed, i=0):
             g = stream(seed, i)
-            return _Planted(g, planted[i]) if i in planted else g
+            return _Planted(g, planted[i], n) if i in planted else g
 
         def planted_streams(seed, indices):
             for i, g in zip(indices, streams(seed, indices)):
-                yield _Planted(g, planted[i]) if i in planted else g
+                yield _Planted(g, planted[i], n) if i in planted else g
 
-        for n in ((15, 16) if name == "unit, triples" else (2, 4, 16)):
+        for n in (2, 4, 16):
             for size in BLOCK_SIZES:
                 plain = _filled(fields(n), size, 7, 70)
                 with monkeypatch.context() as m:

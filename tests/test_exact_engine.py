@@ -34,10 +34,10 @@ from osscheck.curvature import (
 )
 from osscheck.linalg import (
     RATIONAL,
+    Field,
     exact_product,
     limbs,
     random_int_vector,
-    random_orthogonal_int_pair,
 )
 from oracles import (
     eval_tensor,
@@ -220,7 +220,7 @@ class TestOracle:
             v = random_int_vector(7, sample_stream(504, i))
             assert v.dtype == np.int64
             assert v.tolist() == _int_vector(7, sample_stream(504, i))
-            x, y = random_orthogonal_int_pair(7, sample_stream(505, i))
+            x, y = Field.orthogonal_int_pair(7).one(sample_stream(505, i))
             assert x.dtype == y.dtype == np.int64
             assert (x.tolist(), y.tolist()) == _orthogonal_pair(7, sample_stream(505, i))
 

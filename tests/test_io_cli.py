@@ -15,6 +15,7 @@ from osscheck import analysis, load_tensor, make_clifford, make_constant_curvatu
 from osscheck.cli import main
 from osscheck.curvature import CurvatureTensor, random_curvature
 from osscheck.linalg import sample_stream
+from osscheck.report import ARTIFACT_VERSION
 from osscheck.tensorio import TensorFileError, dump_tensor, tensor_to_document
 from osscheck import build_clifford_family
 
@@ -210,6 +211,17 @@ class TestCliCheck:
         out = capsys.readouterr().out
         assert "k=2" in out and "1 x4" in out and "4 x3" in out
 
+    def test_k_root_report_file(self, tensor_files, tmp_path):
+        out = tmp_path / "k.json"
+        assert main(["check", "k-root", "--in", str(tensor_files["quat"]),
+                     "--samples", "20", "--seed", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc.pop("centers") == pytest.approx([1.0, 4.0], abs=1e-12)
+        assert doc.pop("provenance").startswith("clifford(")
+        assert doc == {"artifact_version": ARTIFACT_VERSION, "property": "k-root",
+                       "k": 2, "multiplicities": [4, 3],
+                       "per_sample_agreement": True, "samples": 20, "seed": 2}
+
     def test_missing_file_is_io_error(self):
         assert main(["check", "osserman", "--in", "/nonexistent.json"]) == 3
 
@@ -293,6 +305,18 @@ class TestLoadValidation:
         assert main(["check", "einstein", "--in", str(p)]) == 3
         err = capsys.readouterr().err
         assert "field 'components'" in err and "index 5" in err
+
+    @pytest.mark.parametrize("doc, problem", [
+        ([2, "float64"], "tensor file must hold a JSON object"),
+        ({"dim": 2, "mode": "float64"}, "missing field 'components'"),
+        ({"dim": 2, "mode": "complex", "components": [0.0] * 16},
+         "unknown mode 'complex'"),
+    ])
+    def test_document_problem_is_named(self, tmp_path, capsys, doc, problem):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", "osserman", "--in", str(p)]) == 3
+        assert f"error: {problem}" in capsys.readouterr().err
 
     def test_undecodable_file(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -455,6 +479,43 @@ class TestResidualBeyondTheDigitLimit:
         assert _jsonable(Fraction(-(10**4299), 7)) == str(Fraction(-(10**4299), 7))
         assert _jsonable(Fraction(10**4300 + 1, 3)) == "1" + "0" * 4299 + "1/3"
         assert _jsonable(Fraction(3, 10**5000)) == "3/1" + "0" * 5000
+
+
+def _refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+class TestStrictJson:
+    """Every report writer emits strict JSON: a non-finite float is the
+    string "NaN", "Infinity" or "-Infinity", which float() reads back."""
+
+    NAN = CurvatureTensor(2, "float64", np.full((2,) * 4, np.nan), "nan")
+
+    def test_spelling_of_non_finite_floats(self):
+        from osscheck.report import _jsonable
+
+        got = _jsonable([math.nan, math.inf, -math.inf, np.float64(-np.inf),
+                         np.float32(np.nan), {"a": (np.array([np.inf]), 1.5)}])
+        assert got == ["NaN", "Infinity", "-Infinity", "-Infinity", "NaN",
+                       {"a": [["Infinity"], 1.5]}]
+        assert [repr(float(v)) for v in got[:3]] == ["nan", "inf", "-inf"]
+
+    def test_report_to_json(self):
+        doc = json.loads(analysis.check_osserman(self.NAN, samples=3).to_json(),
+                         parse_constant=_refuse)
+        assert doc["verdict"] == "fail" and doc["worst_residual"] == "NaN"
+
+    @pytest.mark.parametrize("prop", ["all", "k-root", "osserman"])
+    def test_cli_report_files(self, prop, monkeypatch, tmp_path):
+        from osscheck import cli
+
+        monkeypatch.setattr(cli, "load_tensor", lambda path: self.NAN)
+        out = tmp_path / "report.json"
+        assert main(["check", prop, "--in", "nan.json", "--samples", "5",
+                     "--out", str(out)]) == 1
+        text = out.read_text()
+        json.loads(text, parse_constant=_refuse)
+        assert '"NaN"' in text
 
 
 class TestExactEndToEnd:

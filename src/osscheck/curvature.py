@@ -111,11 +111,15 @@ class CurvatureTensor:
     stores its components.  A rational tensor stores only integer
     ``numerators`` over one common ``denominator``, the lcm of the reduced
     denominators of its components; the numerators are int64 when the int64
-    overflow rule admits a Jacobi contraction against a unit-size integer
-    vector, Python ints otherwise, and its ``components`` are a read-only
-    view built on each access.  Both modes store their scalars in the one
-    layout described above.  Immutable after construction; all operations
-    on it are pure.
+    overflow rule admits a sum of max(n, 3) of them, Python ints otherwise,
+    and its ``components`` are a read-only view built on each access.  Such
+    sums are the only arithmetic on the stored integers themselves: the
+    n-entry traces of ``ricci_operator``, ``check_einstein`` and
+    ``check_ricci_sum`` and the 2- and 3-entry sums of
+    ``validate_symmetries``.  Every Jacobi contraction goes through
+    ``linalg.exact_product``, which bounds its own sums.  Both modes store
+    their scalars in the one layout described above.  Immutable after
+    construction; all operations on it are pure.
     """
 
     __slots__ = ("dim", "mode", "provenance", "denominator", "_matrix",
@@ -155,9 +159,10 @@ class CurvatureTensor:
                               else [int(np.gcd.reduce(flat))]))
             if g != 1:
                 nums, L = nums.astype(object) // g, L // g
-        # int_array(nums, dim, dim), with max_abs taken once
+        # int_array(nums, max(dim, 3)), with max_abs taken once: room for
+        # the sums of stored entries that the class docstring names
         top = max_abs(nums)
-        nums = (nums.astype(np.int64) if int64_safe(top, dim, dim)
+        nums = (nums.astype(np.int64) if int64_safe(top, max(dim, 3))
                 else nums.astype(object, copy=False))
         self._set(dim=dim, mode=RATIONAL, provenance=provenance, denominator=L,
                   _matrix=_as_matrix(nums), _max_numerator=top)

@@ -89,10 +89,18 @@ def _rational(spelling):
 
 def _rational_numerators(comps):
     """Integer numerators (int64 when they fit) and common denominator of
-    the rational ``comps``.  Each distinct spelling ``str(v)`` is parsed
-    once; ``str`` also keeps JSON ``true`` apart from ``1``."""
-    spellings = list(map(str, comps))
-    code = {s: i for i, s in enumerate(dict.fromkeys(spellings))}
+    the rational ``comps``.  Each distinct component is parsed once, keyed
+    on its JSON value when every one is a string and on its spelling
+    ``str(v)`` otherwise; ``str`` keeps JSON ``true`` apart from ``1``,
+    which are equal as keys."""
+    try:
+        distinct = dict.fromkeys(comps)
+    except TypeError:  # a JSON array or object among the components
+        distinct = None
+    if distinct is None or not all(type(v) is str for v in distinct):
+        comps = list(map(str, comps))
+        distinct = dict.fromkeys(comps)
+    code = {s: i for i, s in enumerate(distinct)}
     table = []
     for spelling in code:
         try:
@@ -100,15 +108,15 @@ def _rational_numerators(comps):
         except (ValueError, ZeroDivisionError) as e:
             raise TensorFileError(
                 f"field 'components': bad rational component at index "
-                f"{spellings.index(spelling)}: {e}") from e
+                f"{comps.index(spelling)}: {e}") from e
     L = math.lcm(*(q for _, q in table))
     values = [p * (L // q) for p, q in table]
     try:
         values = np.array(values, dtype=np.int64)
     except OverflowError:
         values = np.array(values, dtype=object)
-    codes = np.fromiter(map(code.__getitem__, spellings), dtype=np.intp,
-                        count=len(spellings))
+    codes = np.fromiter(map(code.__getitem__, comps), dtype=np.intp,
+                        count=len(comps))
     return values[codes], L
 
 

@@ -29,6 +29,28 @@ def jacobi_numerators(R, x):
     return nums.reshape(R.dim, R.dim), R.denominator * Lx * Lx
 
 
+def ricci(c):
+    """Ric[w, y] = sum_i c[y, i, i, w] of an object array of exact
+    components, each entry one Python sum."""
+    n = c.shape[0]
+    return np.array([[sum(c[y, i, i, w] for i in range(n)) for y in range(n)]
+                     for w in range(n)], dtype=object)
+
+
+def symmetry_residuals(c):
+    """The largest absolute residual of each family that
+    ``validate_symmetries`` reports, summed in exact arithmetic on an object
+    array of components."""
+    n = c.shape[0]
+    sums = {"skew_first_pair": lambda i, j, k, l: c[i, j, k, l] + c[j, i, k, l],
+            "skew_last_pair": lambda i, j, k, l: c[i, j, k, l] + c[i, j, l, k],
+            "pair_interchange": lambda i, j, k, l: c[i, j, k, l] - c[k, l, i, j],
+            "first_bianchi": lambda i, j, k, l: (c[i, j, k, l] + c[j, k, i, l]
+                                                 + c[k, i, j, l])}
+    return {name: max(abs(f(*ix)) for ix in np.ndindex(*(n,) * 4))
+            for name, f in sums.items()}
+
+
 def weighted_sum(weights, tensors):
     """sum_i w_i T_i of rational tensors, in Python ints over the lcm of the
     denominators of the w_i T_i."""

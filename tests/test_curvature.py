@@ -20,9 +20,11 @@ from osscheck import (
     sample_stream,
     validate_symmetries,
 )
+from osscheck.analysis import check_einstein
 from osscheck.curvature import CurvatureTensor
-from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError
-from oracles import eval_tensor, rj_rule, spanning_rule
+from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError, int64_safe
+from oracles import (eval_tensor, jacobi_numerators, ricci, rj_rule,
+                     spanning_rule, symmetry_residuals)
 
 
 def basis(n, mode=FLOAT64):
@@ -437,9 +439,11 @@ class TestExactStorage:
         assert R.denominator == 1
         assert R.provenance.startswith("scaled(3)*constant(")
 
-    @pytest.mark.parametrize("mu", [Fraction(-2, 3), 10**17])
+    @pytest.mark.parametrize("mu", [Fraction(-2, 3), 2 * 10**16, 10**17])
     def test_exact_jacobi_matches_full_contraction(self, mu):
-        # 10**17 exceeds the int64 bound, so that tensor takes the Python-int path
+        # 2 * 10**16 gives numerators past room for a sum of n * n of them
+        # but within room for max(n, 3), so they stay int64; 10**17 exceeds
+        # the int64 bound, so that tensor takes the Python-int path
         fam = build_clifford_family(4, 3)
         R = make_clifford(4, Fraction(5, 7), [(mu, J) for J in fam.structures])
         assert R.numerators.dtype == (object if mu == 10**17 else np.int64)
@@ -448,6 +452,47 @@ class TestExactStorage:
         m = jacobi_matrix(R, x)
         for w, i in itertools.product(range(4), repeat=2):
             assert m[w, i] == eval_tensor(R, e[i], x, x, e[w])
+
+    def test_large_integer_weights_stay_int64_at_dim_16(self):
+        # weights of the size the large-integer benchmark slice draws: the
+        # numerators need 56 bits, more than room for a sum of n * n of them
+        fam = build_clifford_family(16, 8)
+        w = 10**16 - 1
+        mus = [(-1) ** i * (w - i) for i in range(8)]
+        R = make_clifford(16, w, list(zip(mus, fam.structures)))
+        assert R.numerators.dtype == np.int64
+        assert not int64_safe(R._max_numerator, 16, 16)
+        x = np.arange(1, 17, dtype=object) * (-1) ** np.arange(16)
+        nums, L = jacobi_numerators(R, x)
+        assert np.array_equal(jacobi_matrix(R, x), nums * Fraction(1, L))
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    @pytest.mark.parametrize("kind", ["constant", "uniform"])
+    def test_storage_rule_bound(self, n, kind):
+        # the rule admits int64 numerators up to this top: every sum of
+        # max(n, 3) stored entries then stays within the int64 rule
+        bound = (10 * 2**62 - 1) // 11 // max(n, 3)
+        for top, stored in ((bound, np.int64), (bound + 1, object)):
+            if kind == "constant":
+                R = make_constant_curvature(n, top, RATIONAL)
+                c = spanning_rule(np.eye(n, dtype=np.int64)).astype(object) * top
+            else:  # every entry top: not a curvature tensor, but each sum
+                # reaches its bound
+                c = np.full((n,) * 4, top, dtype=object)
+                R = CurvatureTensor._from_numerators(c)
+            assert R.numerators.dtype == stored
+            ric = ricci(c)
+            assert np.array_equal(ricci_operator(R), ric)
+            const = Fraction(np.trace(ric), n)
+            rep = check_einstein(R)
+            assert rep.witness["einstein_constant"] == const
+            assert rep.worst_residual == max(abs(v - const * (i == j))
+                                             for (i, j), v in np.ndenumerate(ric))
+            assert (validate_symmetries(R).witness["residual_by_family"]
+                    == symmetry_residuals(c))
+            assert np.array_equal(R.scaled(3).components, 3 * c)
+            assert (R.to_float().components.reshape(-1).tolist()
+                    == [float(v) for v in c.reshape(-1)])
 
     def test_inexact_entries_are_rejected(self):
         # a float entry used to be truncated: [0.6, 0.8, 0, 0] gave J = 0

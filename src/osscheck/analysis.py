@@ -3,9 +3,10 @@ Einstein, root structure, and the proof-step identities.
 
 All checkers are pure given (tensor, seed): sample i always draws from the
 per-sample stream keyed by (seed, i), and its result depends on nothing
-else, not on how many samples run or how they are grouped.  Sampling
-checkers certify "no counterexample found", not a proof; they all run
-through :func:`_sweep`.
+else, not on how many samples run or how they are grouped, nor on what ran
+before: the float spectral checkers share eigensolves (:func:`_spectral`)
+bit for bit.  Sampling checkers certify "no counterexample found", not a
+proof; they all run through :func:`_sweep`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .linalg import (
     default_tol,
     eigh,
     eigvalsh,
+    householder_frame,
     int_array,
     max_abs,
     random_orthogonal_matrix,
@@ -167,17 +169,47 @@ def _norm(v):
     return np.linalg.norm(v, axis=-1)
 
 
-def _spectra(Rf, X):
-    """Ascending reduced Jacobi eigenvalues at the unit rows of ``X``."""
-    return eigvalsh(reduced_jacobi(Rf, X).matrix)
+# The latest float sweep's spectral data: (R, seed, R.to_float() or None,
+# {block start: {"x" | "red" | "vals" | "eigh": tuple of read-only arrays}}),
+# results at a prefix of its directions "x".  Blocks from row _STORED_ROWS on
+# are computed and not kept.
+_store = None
+_STORED_ROWS = 1024
 
 
-def _eigenbases(Rf, X):
-    """Ascending reduced Jacobi eigenvalues at the unit rows of ``X[S, n]``
-    and their ambient eigenvectors, the columns of an (S, n, n-1) array."""
-    red = reduced_jacobi(Rf, X)
-    vals, vecs = eigh(red.matrix)
-    return vals, red.frame @ vecs
+def _spectral(R, seed, start, X, kind):
+    """``eigvalsh`` values (``kind`` "vals", a 1-tuple), or ``eigh`` values
+    and ambient eigenvectors ("eigh"), of the reduced Jacobi operators at the
+    unit rows of ``X``, block ``start`` of the sweep of ``R`` at ``seed``.
+    Served when the store has them for the same tensor object, seed and
+    start at directions that begin with X byte for byte: a row keeps its
+    place in its BLAS chunk and LAPACK solves each matrix alone."""
+    global _store
+    store = _store  # read once, replaced whole
+    if store is None or store[0] is not R or store[1] != seed:
+        store = (R, seed, None, {})
+    rows, Rf = len(X), store[2]
+    block = store[3].get(start, {})
+    x = block.get("x", (X[:0],))[0]
+    if x[:rows].tobytes() != X[:len(x)].tobytes():
+        block, x = {}, X[:0]
+    fits = {k: v for k, v in block.items() if len(v[0]) >= rows}
+    got = fits.get(kind)
+    if got is None:
+        Rf = R.to_float() if Rf is None else Rf
+        red = fits.get("red") or (reduced_jacobi(Rf, X).matrix,)
+        if kind == "vals":
+            got = (eigvalsh(red[0][:rows]),)
+        else:
+            vals, vecs = eigh(red[0][:rows])
+            got = (vals, householder_frame(X) @ vecs)
+        x = X.copy() if rows > len(x) else x
+        for a in (x,) + red + got:
+            a.flags.writeable = False
+        if start < _STORED_ROWS:
+            _store = (R, seed, Rf, {**store[3], start: {
+                **block, "x": (x,), "red": red, kind: got}})
+    return tuple(a[:rows] for a in got)
 
 
 def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
@@ -273,7 +305,7 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
 
     def compute(start, xs, normals):
         S = len(xs)
-        vals, amb = _eigenbases(Rf, xs)
+        vals, amb = _spectral(R, seed, start, xs, "eigh")
         labels, centers, mults = cluster_rows(vals, default_cluster_tol(vals))
         coef, cluster, valid = _combinations(labels, mults, normals)
         coef = coef.reshape(S, -1, m)
@@ -313,12 +345,11 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
     the large ones and no uniform tolerance works across dimensions.
     """
     _require_samples(2, samples=samples)  # sample 0 compares only to itself
-    Rf = R.to_float()
     n = R.dim
     ref = {}  # sample 0's, set by the first block
 
     def compute(start, xs):
-        vals = _spectra(Rf, xs)
+        (vals,) = _spectral(R, seed, start, xs, "vals")
         if start == 0:
             radius = max(1.0, float(np.abs(vals[0]).max()))
             ref.update(radius=radius, x=list(xs[0]),
@@ -371,11 +402,10 @@ def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0) -> RootClassific
     """Clustered reduced Jacobi spectrum at sample 0, and whether every
     sample's spectrum agrees with it (a NaN center agrees with nothing)."""
     _require_samples(1, samples=samples)
-    Rf = R.to_float()
     n = R.dim
     ref, agree = None, True
-    for _, (xs,) in _blocks(_FLOAT_BLOCK, seed, samples, (Field.unit(n),)):
-        vals = _spectra(Rf, xs)
+    for start, (xs,) in _blocks(_FLOAT_BLOCK, seed, samples, (Field.unit(n),)):
+        (vals,) = _spectral(R, seed, start, xs, "vals")
         ct = default_cluster_tol(vals)
         _, centers, mults = cluster_rows(vals, ct)
         if ref is None:
@@ -411,7 +441,7 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
     gap_tol = abs(cls.centers[1] - cls.centers[0]) / 4.0
 
     def compute(start, ys, xr):
-        vals, basis = _eigenbases(Rf, ys)
+        vals, basis = _spectral(R, seed, start, ys, "eigh")
         labels, centers, mults = cluster_rows(vals, gap_tol)
         count = np.count_nonzero(mults, axis=1)
         bad = np.flatnonzero(count != 2)
@@ -476,7 +506,7 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
     slot = _first_slot(Rf)
 
     def compute(start, xs):
-        vals, amb = _eigenbases(Rf, xs)
+        vals, amb = _spectral(R, seed, start, xs, "eigh")
         # c3[s, b, a, c] = R(X, A_a, B_b, C_c): each triple is a table lookup
         c3 = _in_eigenbasis(slot, xs, amb) @ amb[:, None]
         r_abc, r_bac = c3[:, ib, ia, ic], c3[:, ia, ib, ic]

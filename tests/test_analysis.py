@@ -581,8 +581,10 @@ class TestEngine:
             self, name, clifford16, monkeypatch):
         # samples = i + 1 ends a run at sample i, in a partial block; 300
         # crosses block boundaries
-        runs = {samples: _per_sample(monkeypatch, name, clifford16, samples)
-                for samples in (2, 9, 34, 36, 300)}
+        runs = {}
+        for samples in (2, 9, 34, 36, 300):
+            analysis._store = None  # no run reads the spectra of another
+            runs[samples] = _per_sample(monkeypatch, name, clifford16, samples)
         assert len(runs[300]) >= 299
         for samples, rows in runs.items():
             assert rows, samples
@@ -789,6 +791,7 @@ class TestBlockRule:
         samples = analysis._FLOAT_BLOCK + analysis.BLOCK + 3
 
         def reports():
+            analysis._store = None  # no run reads the spectra of another
             return [analysis.run_check(name, T, samples=samples, seed=5,
                                        tol=None).to_json() for name, T in runs
                     ] + [repr(classify_k_root(Rf, samples=samples, seed=5))]
@@ -796,3 +799,188 @@ class TestBlockRule:
         default = reports()
         monkeypatch.setattr(analysis, "_FLOAT_BLOCK", analysis.BLOCK)
         assert reports() == default
+
+
+# The float spectral checkers, in the order the float-sweep benchmark runs
+# them on a tensor
+SPECTRAL = ("osserman", "jacobi-dual", "k-root", "eigen-bianchi",
+            "two-root-decomposition")
+
+
+def _spectral_report(name, R, samples, seed, precheck_samples=50):
+    if name == "k-root":
+        return repr(classify_k_root(R, samples=samples, seed=seed))
+    if name == "eigen-bianchi":
+        return check_eigen_bianchi_identity(
+            R, samples=samples, seed=seed, precheck_samples=precheck_samples).to_json()
+    return analysis.run_check(name, R, samples=samples, seed=seed, tol=None).to_json()
+
+
+def _fresh(R, X, kind):
+    """What a spectral request computes with no store: the eigvalsh values,
+    or the eigh values and ambient eigenvectors, at the rows of X."""
+    red = reduced_jacobi(R, X)
+    if kind == "vals":
+        return (np.linalg.eigvalsh(red.matrix),)
+    vals, vecs = eigh(red.matrix)
+    return vals, red.frame @ vecs
+
+
+class TestSpectralSharing:
+    """The float spectral checkers share one store of reduced Jacobi
+    operators and eigensolver results (analysis._spectral), and every report
+    is the one a fresh store gives."""
+
+    @pytest.mark.parametrize("samples", [36, 100])
+    def test_one_pass_per_block_over_the_float_sweep_ops(
+            self, samples, quaternionic8, clifford16, monkeypatch):
+        calls = []
+        for fn in ("reduced_jacobi", "eigvalsh", "eigh"):
+            def spy(*args, fn=fn, real=getattr(analysis, fn)):
+                calls.append((fn, len(args[-1])))
+                return real(*args)
+            monkeypatch.setattr(analysis, fn, spy)
+        tensors = (quaternionic8.to_float(), clifford16)
+        for R in tensors:
+            for name in SPECTRAL:
+                _spectral_report(name, R, samples, 4, precheck_samples=12)
+        size = analysis._FLOAT_BLOCK
+        rows = [min(size, samples - start) for start in range(0, samples, size)]
+        assert sorted(calls) == sorted(
+            (fn, r) for fn in ("reduced_jacobi", "eigvalsh", "eigh")
+            for r in rows * len(tensors))
+
+    def test_reports_equal_those_of_a_fresh_store(self, quaternionic8):
+        pairs = [(R, seed) for R in (clifford_tensor(4, 2), quaternionic8.to_float())
+                 for seed in (1, 2)]
+        counts = (12, 36, 100, 300, analysis._STORED_ROWS + 70)
+        # each (tensor, seed) through every count, then each checker over
+        # every (tensor, seed) in turn
+        runs = [(R, seed, samples, name) for R, seed in pairs
+                for samples in counts for name in SPECTRAL]
+        runs += [(R, seed, 100, name) for name in SPECTRAL for R, seed in pairs]
+        for R, seed, samples, name in runs:
+            shared = _spectral_report(name, R, samples, seed)
+            kept, analysis._store = analysis._store, None
+            assert shared == _spectral_report(name, R, samples, seed), (
+                name, samples, seed)
+            analysis._store = kept
+
+    def test_served_rows_equal_a_fresh_call(self, quaternionic8, monkeypatch):
+        R = quaternionic8.to_float()
+        (x,), (other,) = (next(analysis._blocks(64, seed, 64, (Field.unit(8),)))[1]
+                          for seed in (1, 2))
+        solved, reduce = [], analysis.reduced_jacobi
+        monkeypatch.setattr(analysis, "reduced_jacobi",
+                            lambda R, X: solved.append(len(X)) or reduce(R, X))
+        # (directions, whether the request solves them): a prefix of what
+        # the store holds is served; more rows, or other ones, are solved
+        requests = [(x[:40], True), (x[:20], False), (x, True), (x[:30], False),
+                    (other[:30], True), (np.concatenate([other[:30], x[30:50]]), True),
+                    (x[:10], True)]
+        for kind in ("vals", "eigh"):
+            analysis._store = None
+            for X, solves in requests:
+                count = len(solved)
+                got = analysis._spectral(R, 5, 0, X.copy(), kind)
+                assert len(solved) == count + solves
+                _assert_same_bytes(got, _fresh(R, X, kind))
+
+    def test_served_arrays_are_read_only(self, quaternionic8, monkeypatch):
+        served, spectral = [], analysis._spectral
+
+        def spy(*args):
+            got = spectral(*args)
+            served.extend(got)
+            return got
+
+        monkeypatch.setattr(analysis, "_spectral", spy)
+        R = quaternionic8.to_float()
+        # the last blocks lie past the store's cap and are not kept
+        for name in SPECTRAL:
+            _spectral_report(name, R, analysis._STORED_ROWS + 70, 2)
+        stored = [a for block in analysis._store[3].values()
+                  for arrays in block.values() for a in arrays]
+        assert len(served) > 0 and len(stored) > 0
+        for a in served + stored:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+
+    def test_threads_on_two_tensors_give_the_serial_reports(self, quaternionic8):
+        import sys
+        import threading
+
+        tensors = (clifford_tensor(4, 2).to_float(), quaternionic8.to_float())
+
+        def reports(R):
+            return [_spectral_report(name, R, 100, 7) for name in SPECTRAL]
+
+        serial = []
+        for R in tensors:
+            analysis._store = None
+            serial.append(reports(R))
+        results, errors = {k: [] for k in range(4)}, []
+
+        def work(k):
+            try:
+                for _ in range(3):
+                    results[k].append(reports(tensors[k % 2]))
+            except Exception as e:  # re-raised below, in the test's thread
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        if errors:
+            raise errors[0]
+        for k, got in results.items():
+            assert got == [serial[k % 2]] * 3, k
+
+    def test_a_call_replaces_the_store_and_changes_no_earlier_one(self, clifford16):
+        check_osserman(clifford16, samples=100, seed=3)
+        before = analysis._store
+        head, blocks = before[:3], {s: dict(b) for s, b in before[3].items()}
+        check_jacobi_dual(clifford16, samples=100, seed=3)
+        after = analysis._store
+        assert after is not before and after[0] is clifford16
+        assert all(a is b for a, b in zip(before[:3], head))
+        assert before[3] == blocks and sorted(blocks) == sorted(after[3]) == [0, 64]
+        for start, block in blocks.items():
+            assert sorted(block) == ["red", "vals", "x"]
+            assert sorted(after[3][start]) == ["eigh", "red", "vals", "x"]
+            assert all(a is b for k, v in block.items()
+                       for a, b in zip(after[3][start][k], v))
+        check_osserman(clifford16, samples=100, seed=4)
+        assert analysis._store[1] == 4 and sorted(analysis._store[3]) == [0, 64]
+
+    def test_the_store_keeps_at_most_its_cap(self, quaternionic8):
+        cap = analysis._STORED_ROWS
+        check_osserman(quaternionic8.to_float(), samples=cap + 200, seed=1)
+        blocks = analysis._store[3]
+        assert max(blocks) < cap
+        for kind in ("x", "red", "vals"):
+            assert sum(len(b[kind][0]) for b in blocks.values()) == cap
+
+    def test_a_rational_tensor_is_converted_once_per_store(self, quaternionic8,
+                                                           monkeypatch):
+        conversions, to_float = [], CurvatureTensor.to_float
+
+        def spy(self):
+            if self.mode == RATIONAL:
+                conversions.append(self)
+            return to_float(self)
+
+        monkeypatch.setattr(CurvatureTensor, "to_float", spy)
+        check_osserman(quaternionic8, samples=200, seed=1)
+        classify_k_root(quaternionic8, samples=200, seed=1)
+        check_osserman(quaternionic8, samples=200, seed=1)
+        assert conversions == [quaternionic8]

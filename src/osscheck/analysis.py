@@ -37,11 +37,13 @@ from .linalg import (
     block_product,
     charpoly,
     cluster_rows,
+    combine,
     default_cluster_tol,
     default_tol,
     eigh,
     eigvalsh,
     householder_frame,
+    int64_parts,
     int_array,
     max_abs,
     random_orthogonal_matrix,
@@ -232,8 +234,10 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
     def compute(start, xs, ys):
         v = np.stack([xs, ys], axis=1).reshape(-1, n)
         if exact:
-            j = int_array(numerators(v), n, max_abs(v))
-            jxy, jyx = _mv(j[0::2], ys), _mv(j[1::2], xs)
+            # J_x y' and J_{y'} x part by part, then summed
+            parts, bits, bound = int64_parts(numerators(v), n, max_abs(v))
+            jxy, jyx = (combine([_mv(p[i::2], w) for p in parts], bits, bound)
+                        for i, w in ((0, ys), (1, xs)))
             jxy = int_array(jxy, n, max_abs(jyx))
             res = np.abs((jxy * jyx).sum(axis=1))[:, None]
         else:
@@ -557,10 +561,11 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
         v = np.stack([xs, ys, xs + ys, xs - ys], axis=1).reshape(-1, n)
         if exact:
             # the residuals add five matrix-vector products of these
-            # matrices with vectors no larger than v at most
-            j = int_array(numerators(v), 6, n, max_abs(v))
-            r1, r2, r3, _, _ = _polarization_residuals(
-                j[0::4], j[1::4], j[2::4], j[3::4], xs, ys)
+            # matrices with vectors no larger than v at most, part by part
+            parts, bits, bound = int64_parts(numerators(v), 6, n, max_abs(v))
+            r1, r2, r3 = (combine(r, bits, bound) for r in zip(*(
+                _polarization_residuals(p[0::4], p[1::4], p[2::4], p[3::4],
+                                        xs, ys)[:3] for p in parts)))
             res = np.abs(np.concatenate([r1, r2, r3.reshape(len(xs), -1)], axis=1))
             res = res.max(axis=1)[:, None]
         else:

@@ -30,7 +30,9 @@ from .linalg import (
     PreconditionError,
     block_product,
     clear_denominators,
+    combine,
     default_tol,
+    exact_parts,
     exact_product,
     householder_frame,
     int64_safe,
@@ -116,10 +118,11 @@ class CurvatureTensor:
     sums are the only arithmetic on the stored integers themselves: the
     n-entry traces of ``ricci_operator``, ``check_einstein`` and
     ``check_ricci_sum`` and the 2- and 3-entry sums of
-    ``validate_symmetries``.  Every Jacobi contraction goes through
-    ``linalg.exact_product``, which bounds its own sums.  Both modes store
-    their scalars in the one layout described above.  Immutable after
-    construction; all operations on it are pure.
+    ``validate_symmetries``.  Every Jacobi contraction starts from the
+    int64 parts of ``linalg.exact_parts``, which bounds its own sums, and
+    the exact checkers contract each part before they sum the parts.  Both
+    modes store their scalars in the one layout described above.  Immutable
+    after construction; all operations on it are pure.
     """
 
     __slots__ = ("dim", "mode", "provenance", "denominator", "_matrix",
@@ -209,9 +212,8 @@ class CurvatureTensor:
                                    self.components * float(c), provenance)
         c = Fraction(c)
         p = c.numerator if self._max_numerator else 0  # a zero tensor stays int64
-        # growth 1 at p = 0, where an entry beyond int64 cannot be cast
         return CurvatureTensor._from_numerators(
-            int_array(self.numerators, abs(p) or 1) * p,
+            int_array(self.numerators, abs(p)) * p,
             self.denominator * c.denominator, provenance)
 
 
@@ -227,7 +229,7 @@ def _jacobi_numerators(R: CurvatureTensor, x):
     as ``(numerators, denominator)``: the one-row case of
     :func:`jacobi_numerator_rows` at the integer numerators of ``x``."""
     xn, Lx = clear_denominators(np.asarray(x, dtype=object))
-    return jacobi_numerator_rows(R)(xn[None])[0], R.denominator * Lx * Lx
+    return combine(*jacobi_numerator_rows(R)(xn[None]))[0], R.denominator * Lx * Lx
 
 
 def jacobi_matrix(R: CurvatureTensor, x):
@@ -255,14 +257,16 @@ def jacobi_matrices(R: CurvatureTensor, X):
 def jacobi_numerator_rows(R: CurvatureTensor):
     """Exact Jacobi matrices of a rational tensor as a function of the
     integer rows of ``V[S, n]``: their numerators over ``R.denominator``,
-    shape (S, n, n), from one exact product of the rows vec(v v^T) with the
-    stored matrix of R (:func:`linalg.exact_product`)."""
+    as the ``(parts, bits, bound)``, each part of shape (S, n, n), of one
+    exact product of the rows vec(v v^T) with the stored matrix of R
+    (:func:`linalg.exact_parts`)."""
     n = R.dim
-    product = exact_product(R._matrix.T)
+    product = exact_parts(R._matrix.T)
 
     def numerators(V):
         outer = (V[:, :, None] * V[:, None, :]).reshape(-1, n * n)
-        return product(outer).reshape(-1, n, n)
+        parts, bits, bound = product(outer)
+        return [p.reshape(-1, n, n) for p in parts], bits, bound
 
     return numerators
 
@@ -440,10 +444,9 @@ def _exact_sum(weights, denominators, tops, term_sum):
     the bound sum_i |c_i| tops_i passes the int64 rule, the sum runs in
     int64.  Otherwise the c_i are split into s-bit limbs (linalg.limbs), with
     sum_i tops_i 2^s < 2^61 (so every X_i is int64): each limb's sum runs in
-    int64, and only the Horner step over the limbs, top limb first, in
-    Python ints.  That step makes two Python-int passes over the entries per
-    limb, so with more limbs than terms, or no s >= 1, the sum runs in
-    Python ints.
+    int64, and only their sum (linalg.combine) in Python ints, two passes
+    over the entries per limb, so with more limbs than terms, or no s >= 1,
+    the sum runs in Python ints.
     """
     ws = [Fraction(w) for w in weights]
     L = math.lcm(*(w.denominator * d for w, d in zip(ws, denominators)))
@@ -452,16 +455,14 @@ def _exact_sum(weights, denominators, tops, term_sum):
               for w, d, top in zip(ws, denominators, tops)]
     s = 61 - sum(tops).bit_length()  # sum(tops) 2^s < 2^61, which the rule admits
     width = max(abs(c) for c in coeffs).bit_length()
-    if int64_safe(sum(abs(c) * top for c, top in zip(coeffs, tops))):
+    total = sum(abs(c) * top for c, top in zip(coeffs, tops))
+    if int64_safe(total):
         return term_sum(coeffs, np.int64), L
     if s < 1 or width > s * len(coeffs):
         return term_sum(coeffs, object), L
-    rows = list(limbs(np.array(coeffs, dtype=object), s))
-    acc = term_sum(rows.pop().tolist(), np.int64).astype(object)
-    for row in reversed(rows):
-        acc *= 1 << s
-        acc += term_sum(row.tolist(), np.int64)
-    return acc, L
+    rows = limbs(np.array(coeffs, dtype=object), s)
+    return combine([term_sum(row.tolist(), np.int64) for row in rows], s,
+                   total), L
 
 
 def make_constant_curvature(n, kappa, mode=FLOAT64) -> CurvatureTensor:

@@ -4,12 +4,14 @@ Float-mode quantities live in ordinary ``float64`` numpy arrays.  Exact
 integer work runs on int64 arrays when :func:`int64_safe` proves that it
 cannot overflow, and on ``dtype=object`` arrays of Python ints otherwise;
 exact scalars are :class:`fractions.Fraction` or int.  An exact integer
-matrix product (:func:`exact_product`) takes one of three arithmetic paths:
+matrix product (:func:`exact_parts`) takes one of three arithmetic paths:
 one float64 product when every partial sum stays below 2^53, one float64
 product per limb (:func:`limbs`) of the right factor above that, whether
 its entries fit int64 or not, and Python ints only when the entries of the
-left factor do not fit int64 or the limbs would be too many to keep.  All
-spectral operations are float-only; identity checks may run in either
+left factor do not fit int64 or the limbs would be too many to keep.  Its
+limb products are int64 parts, which a contraction can take one by one in
+int64 (:func:`int64_parts`) before :func:`combine` sums only its result.
+All spectral operations are float-only; identity checks may run in either
 mode.
 """
 
@@ -411,9 +413,10 @@ def clear_denominators(arr):
 #   int64 is exact;
 # - limbs: above 2^53, b is split into limbs of c bits, with c chosen so
 #   that k max|a| 2^c < 2^53.  Each limb takes one exact float64 product,
-#   and the small results are recombined in int64 when the rule admits the
-#   total, in Python ints otherwise.  This holds whether the entries of b
-#   fit int64 or not;
+#   a part of the result; the parts, or what a linear map makes of each,
+#   are recombined (combine) in int64 when the rule admits the total, in
+#   Python ints otherwise.  This holds whether the entries of b fit int64
+#   or not;
 # - Python ints: only when the entries of a do not fit int64, or a is too
 #   large for a limb of one bit, or b would need more than _MAX_LIMBS limbs.
 # ---------------------------------------------------------------------------
@@ -439,11 +442,11 @@ def max_abs(a):
 
 
 def int_array(a, *growth):
-    """Integer array ``a`` as int64 when ``int64_safe(max_abs(a), *growth)``,
-    otherwise as an object array of Python ints.  ``growth`` bounds how much
-    the work ahead can enlarge the entries."""
+    """Integer array ``a`` as int64 when the int64 rule admits its entries
+    times ``growth``, a bound on how much the work ahead can enlarge them,
+    taken as at least 1; otherwise as an object array of Python ints."""
     a = np.asarray(a)
-    if int64_safe(max_abs(a), *growth):
+    if int64_safe(max_abs(a), max(1, math.prod(growth))):
         return a.astype(np.int64)
     return a if a.dtype == object else a.astype(object)
 
@@ -466,18 +469,28 @@ def limbs(a, bits, top=None):
         yield shifted.astype(np.int64, copy=False)
 
 
-def exact_product(b):
-    """The exact integer product ``a @ b`` as a function of ``a``.
+def combine(parts, bits, bound):
+    """``sum_t parts[t] 2^(bits t)``, low part first, by Horner from the top:
+    int64 when it is one int64 part or the int64 rule admits ``bound``, a
+    bound on every partial result, Python ints otherwise."""
+    *low, acc = parts
+    if low and not int64_safe(bound):
+        acc = acc.astype(object)
+    for part in reversed(low):
+        acc = acc * (1 << bits) + part
+    return acc
+
+
+def exact_parts(b):
+    """The exact integer product ``a @ b`` as a function of ``a``, in parts.
 
     ``b[k, m]`` is an integer matrix (int64 or Python ints), prepared once:
     the returned function takes an integer ``a[rows, k]``, picks its path
-    from the bound k max|a| max|b| (see above) and returns ``a @ b``: int64
-    when the entries fit int64 and the int64 rule admits twice that bound,
-    Python ints otherwise.  The limbs of b are cut once for the narrowest
-    limb width that a call has needed so far (b is one limb while it fits
-    that width).  Python ints run the product only for an ``a`` whose
-    entries do not fit int64, that leaves no limb of one bit, or against
-    which b needs more than ``_MAX_LIMBS`` limbs.
+    from the bound k max|a| max|b| (see above) and returns ``(parts, bits,
+    bound)``, ``a @ b == combine(parts, bits, bound)``: one part on the
+    float64 and Python-int paths, one int64 part below 2^53 per limb of b on
+    the limb path, and twice that bound.  The limbs of b are cut once for
+    the narrowest limb width that a call has needed so far.
     """
     k = b.shape[0]
     try:
@@ -492,8 +505,9 @@ def exact_product(b):
         a = int_array(a)
         amax = max_abs(a)
         c = _FLOAT64_EXACT_BITS - (k * amax).bit_length()  # k max|a| 2^c < 2^53
+        bound = 2 * k * amax * bmax  # of each partial result a @ (b >> c t)
         if a.dtype == object or c < 1 or bmax.bit_length() > _MAX_LIMBS * c:
-            return a.astype(object) @ b.astype(object, copy=False)
+            return [a.astype(object) @ b.astype(object, copy=False)], 1, bound
         if cut is None or cut[0] > c:
             # limbs of w <= c bits keep k max|a| 2^w below 2^53 for every
             # later block whose c is at least w
@@ -501,14 +515,32 @@ def exact_product(b):
             cut = w, [limb.astype(np.float64) for limb in limbs(b, w, bmax)]
         c, b_limbs = cut
         af = a.astype(np.float64)
-        parts = [(af @ limb).astype(np.int64) for limb in b_limbs]
-        # Horner from the top limb: the partial result after limb t is
-        # a @ (b >> c t), at most twice the bound of the total
-        acc = parts.pop()
-        if not int64_safe(2, k, amax, bmax):
-            acc = acc.astype(object)
-        for part in reversed(parts):
-            acc = acc * (1 << c) + part
-        return acc
+        return [(af @ limb).astype(np.int64) for limb in b_limbs], c, bound
 
     return product
+
+
+def exact_product(b):
+    """``a @ b`` as a function of ``a``: the sum of :func:`exact_parts`."""
+    parts = exact_parts(b)
+    return lambda a: combine(*parts(a))
+
+
+def int64_parts(product, *growth):
+    """``(parts, bits, bound)`` of :func:`exact_parts` with the same sum,
+    for work that grows each part by ``growth``, and ``bound`` times that:
+    the parts when the int64 rule admits the work on each; else each split
+    into its low ``bits`` bits and the rest, which joins the part above (a
+    partial result gains one high part, within ``bound``); else, or for
+    Python ints, their sum as one part, as :func:`int_array` takes it."""
+    parts, bits, bound = product
+    grown = bound * math.prod(growth)
+    if parts[0].dtype != object:
+        top = max(map(max_abs, parts))
+        if int64_safe(top, *growth):
+            return parts, bits, grown
+        if int64_safe((1 << bits) + (top >> bits), *growth):
+            low = [p & ((1 << bits) - 1) for p in parts] + [0]
+            high = [0] + [p >> bits for p in parts]
+            return [lo + hi for lo, hi in zip(low, high)], bits, grown
+    return [int_array(combine(*product), *growth)], bits, grown

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from osscheck import (
@@ -25,7 +25,7 @@ from osscheck import (
     radon_hurwitz_bound,
     sample_stream,
 )
-from osscheck import curvature, linalg
+from osscheck import analysis, curvature, linalg
 from osscheck.analysis import _worse
 from osscheck.curvature import (
     CurvatureTensor,
@@ -33,10 +33,16 @@ from osscheck.curvature import (
     jacobi_matrix,
 )
 from osscheck.linalg import (
+    _MAX_LIMBS,
     RATIONAL,
     Field,
+    combine,
+    exact_parts,
     exact_product,
+    int64_parts,
+    int64_safe,
     limbs,
+    max_abs,
     random_int_vector,
 )
 from oracles import (
@@ -315,6 +321,100 @@ class TestExactProduct:
         b = np.array([[0], [bmax]], dtype=object)
         for a in (np.zeros((1, 2), dtype=np.int64), np.array([[1, 1]])):
             assert exact_product(b)(a).tolist() == (a.astype(object) @ b).tolist()
+
+
+# the largest entry of a projected y' of jacobi-orthogonal at n = 16
+_PROJECTED = 2 * 16 * 81 * 9
+
+
+@st.composite
+def _contractions(draw):
+    """``(a, b, v)`` for the parts of a @ b contracted with v: a[rows, k]
+    and b[k, m] with entries of up to about 2^53, 2^62 or 2^63, b also at
+    the limb cap and one bit past it, and v[m] up to the size of a
+    projected pair."""
+    k, m, rows = (draw(st.integers(1, top)) for top in (6, 5, 4))
+
+    def ints(shape, top):  # entries in [-top, top], often at either end
+        size = math.prod(shape)
+        entry = st.one_of(st.integers(-top, top), st.sampled_from((-top, top)))
+        entries = draw(st.lists(entry, min_size=size, max_size=size))
+        return np.array(entries, dtype=object).reshape(shape)
+
+    a = ints((rows, k), 2 ** draw(st.sampled_from((4, 14, 29, 40, 53, 62, 63))))
+    c = 53 - (k * max_abs(a)).bit_length()  # the limb width against a
+    widths = [52, 53, 54, 61, 62, 63, 64]
+    widths += [_MAX_LIMBS * c, _MAX_LIMBS * c + 1] if c >= 1 else []
+    b = ints((k, m), 2 ** draw(st.sampled_from(widths)) - draw(st.integers(0, 1)))
+    v = ints((m,), draw(st.sampled_from((9, 18, _PROJECTED)))).astype(np.int64)
+    return a, b, v
+
+
+def _object_sizes(monkeypatch):
+    """The sizes of the object arrays that the exact checkers' block steps
+    in ``analysis`` return: the Jacobi numerators and what is built from
+    them."""
+    sizes = []
+
+    def record(value):
+        if isinstance(value, np.ndarray) and value.dtype == object:
+            sizes.append(value.size)
+        elif isinstance(value, (tuple, list)):
+            for v in value:
+                record(v)
+        return value
+
+    def spy(f):
+        return lambda *args: record(f(*args))
+
+    for name in ("int_array", "combine", "int64_parts", "_mv",
+                 "_polarization_residuals"):
+        if hasattr(analysis, name):
+            monkeypatch.setattr(analysis, name, spy(getattr(analysis, name)))
+    rows = analysis.jacobi_numerator_rows
+    monkeypatch.setattr(analysis, "jacobi_numerator_rows", lambda R: spy(rows(R)))
+    return sizes
+
+
+class TestContractedParts:
+    @settings(max_examples=300, deadline=None)
+    @given(_contractions())
+    # one part of 52 bits, split; limb parts too wide to split, summed first
+    @example((np.array([[2**29]]), np.array([[2**23 - 1]]), np.array([_PROJECTED])))
+    @example((np.array([[16]]), np.full((1, 5), 2**62 - 1), np.full(5, _PROJECTED)))
+    def test_equals_the_contracted_python_int_product(self, case):
+        a, b, v = case
+        k, m = b.shape
+        parts, bits, bound = int64_parts(exact_parts(b)(a), m, max_abs(v))
+        got = combine([p @ v for p in parts], bits, bound)
+        want = (a.astype(object) @ b) @ v.astype(object)
+        assert got.tolist() == want.tolist()
+        if got.dtype == object:
+            assert all(type(e) is int for e in got.tolist())
+        # int64 exactly when it is one contracted int64 part or the int64
+        # rule admits the sum of the parts, and always when the rule admits
+        # both the product and its contraction
+        if len(parts) == 1:
+            assert got.dtype == parts[0].dtype
+        else:
+            assert (got.dtype == np.int64) == int64_safe(bound)
+        if int64_safe(2, k, max_abs(a), max_abs(b), max(1, m * max_abs(v))):
+            assert got.dtype == np.int64
+
+    def test_large_weights_contract_each_part_in_int64(self, monkeypatch):
+        # numerators of 55 bits: the limb path, whose parts the exact
+        # checkers contract before they turn anything into Python ints
+        R = _large_corpus()[-1]
+        S, n = 32, R.dim
+        assert n == 16 and R._matrix.dtype == np.int64
+        sizes = _object_sizes(monkeypatch)
+        check_jacobi_orthogonal(R, samples=S, seed=3)
+        # J_x y' and J_{y'} x, each (S, n)
+        assert sizes and max(sizes) <= 2 * S * n
+        sizes.clear()
+        check_polarization(R, samples=S, seed=3)
+        # its four vectors, each (S, n), and r3, (S, n, n)
+        assert sizes and max(sizes) <= S * n * n
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 from .clifford import CliffordFamily, build_clifford_family, radon_hurwitz_bound, validate_hurwitz
 from .curvature import (
     CurvatureTensor,
-    ReducedJacobi,
     jacobi_matrix,
     make_clifford,
     make_constant_curvature,
@@ -40,7 +39,6 @@ __all__ = [
     "FLOAT64",
     "PreconditionError",
     "RATIONAL",
-    "ReducedJacobi",
     "RootClassification",
     "TensorFileError",
     "build_clifford_family",

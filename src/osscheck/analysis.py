@@ -12,6 +12,7 @@ proof; they all run through :func:`_sweep`.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,12 +172,19 @@ def _norm(v):
     return np.linalg.norm(v, axis=-1)
 
 
-# The latest float sweep's spectral data: (R, seed, R.to_float() or None,
-# {block start: {"x" | "red" | "vals" | "eigh": tuple of read-only arrays}}),
-# results at a prefix of its directions "x".  Blocks from row _STORED_ROWS on
-# are computed and not kept.
+# The latest float sweep's spectral data, dropped when R dies: (weakref to R,
+# seed, R.to_float() for a rational R else None, {block start: {"x" | "red" |
+# "vals" | "eigh": tuple of read-only arrays}}), results at a prefix of its
+# directions "x".  Blocks from row _STORED_ROWS on are computed, not kept.
 _store = None
 _STORED_ROWS = 1024
+
+
+def _forget(ref):
+    """Weak-reference callback: drop the store when its tensor dies."""
+    global _store
+    if (store := _store) is not None and store[0] is ref:
+        _store = None
 
 
 def _spectral(R, seed, start, X, kind):
@@ -188,8 +196,8 @@ def _spectral(R, seed, start, X, kind):
     place in its BLAS chunk and LAPACK solves each matrix alone."""
     global _store
     store = _store  # read once, replaced whole
-    if store is None or store[0] is not R or store[1] != seed:
-        store = (R, seed, None, {})
+    if store is None or store[0]() is not R or store[1] != seed:
+        store = (weakref.ref(R, _forget), seed, None, {})
     rows, Rf = len(X), store[2]
     block = store[3].get(start, {})
     x = block.get("x", (X[:0],))[0]
@@ -199,7 +207,7 @@ def _spectral(R, seed, start, X, kind):
     got = fits.get(kind)
     if got is None:
         Rf = R.to_float() if Rf is None else Rf
-        red = fits.get("red") or (reduced_jacobi(Rf, X).matrix,)
+        red = fits.get("red") or (reduced_jacobi(Rf, X),)
         if kind == "vals":
             got = (eigvalsh(red[0][:rows]),)
         else:
@@ -209,8 +217,8 @@ def _spectral(R, seed, start, X, kind):
         for a in (x,) + red + got:
             a.flags.writeable = False
         if start < _STORED_ROWS:
-            _store = (R, seed, Rf, {**store[3], start: {
-                **block, "x": (x,), "red": red, kind: got}})
+            _store = (store[0], seed, None if Rf is R else Rf, {
+                **store[3], start: {**block, "x": (x,), "red": red, kind: got}})
     return tuple(a[:rows] for a in got)
 
 

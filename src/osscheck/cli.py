@@ -131,6 +131,8 @@ def _cmd_build(args):
     if args.kind == "constant":
         R = make_constant_curvature(n, _scalar(args.kappa, mode, "--kappa"), mode)
     elif args.kind == "rj":
+        if n % 2:
+            raise PreconditionError(f"rj needs an even --dim, found {n}")
         fam = build_clifford_family(n, 1)
         R = make_rj(fam.structures[0], mode)
     elif args.kind == "clifford":
@@ -224,13 +226,14 @@ def _cmd_spectrum(args):
         if x.shape != (R.dim,):
             raise PreconditionError(
                 f"direction has {x.shape[0]} entries, expected {R.dim}")
-        nx = np.linalg.norm(x)
-        if nx == 0:
+        if not x.any():
             raise PreconditionError("direction must be a nonzero vector")
-        x = x / nx
+        # an exact power-of-two scale keeps the norm in float range
+        x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+        x = x / np.linalg.norm(x)
     else:
         x = random_unit_vector(R.dim, sample_stream(args.seed))
-    vals = eigvalsh(reduced_jacobi(R.to_float(), x).matrix)
+    vals = eigvalsh(reduced_jacobi(R.to_float(), x))
     coeffs = charpoly(vals)
     for label, values in (("reduced Jacobi spectrum", vals),
                           ("characteristic polynomial", coeffs)):
@@ -253,14 +256,14 @@ def main(argv=None):
             if args.command == "check":
                 return _cmd_check(args)
             return _cmd_spectrum(args)
-    except TensorFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as e:
+    except (TensorFileError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except (PreconditionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -122,11 +121,12 @@ class CurvatureTensor:
     int64 parts of ``linalg.exact_parts``, which bounds its own sums, and
     the exact checkers contract each part before they sum the parts.  Both
     modes store their scalars in the one layout described above.  Immutable
-    after construction; all operations on it are pure.
+    after construction; all operations on it are pure.  It can be held
+    weakly: the spectral store of ``analysis`` dies with its tensor.
     """
 
     __slots__ = ("dim", "mode", "provenance", "denominator", "_matrix",
-                 "_max_numerator")
+                 "_max_numerator", "__weakref__")
 
     def __init__(self, dim, mode, components, provenance=""):
         """``components`` is a float64 array, or in rational mode an object
@@ -281,26 +281,16 @@ def _first_slot(R: CurvatureTensor):
         R._matrix.reshape((n,) * 4).transpose(1, 3, 2, 0)).reshape(n, n**3)
 
 
-@dataclass(frozen=True)
-class ReducedJacobi:
-    """Jacobi operator restricted to base-perp, in an orthonormal frame; for
-    a stack of bases ``x[..., n]`` every field carries the same leading
-    axes."""
-
-    frame: np.ndarray   # (..., n, n-1), orthonormal columns spanning base-perp
-    matrix: np.ndarray  # (..., n-1, n-1)
-
-
-def reduced_jacobi(R: CurvatureTensor, x) -> ReducedJacobi:
-    """Reduced Jacobi operator at the unit vector ``x[n]``, or at each row of
-    ``x[S, n]``, in the Householder frame of the base."""
+def reduced_jacobi(R: CurvatureTensor, x):
+    """Matrix ``[..., n-1, n-1]`` of J_x on x-perp at the unit vector
+    ``x[n]``, or each row of ``x[S, n]``, in ``householder_frame(x)``."""
     x = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(np.linalg.norm(x, axis=-1) - 1.0) > UNIT_TOL):
         raise PreconditionError("reduced_jacobi requires a unit base vector")
     frame = householder_frame(x)
     full = jacobi_matrices(R, x.reshape(-1, R.dim)).reshape(x.shape + (R.dim,))
     red = np.swapaxes(frame, -1, -2) @ full @ frame
-    return ReducedJacobi(frame, 0.5 * (red + np.swapaxes(red, -1, -2)))
+    return 0.5 * (red + np.swapaxes(red, -1, -2))
 
 
 def ricci_operator(R: CurvatureTensor):

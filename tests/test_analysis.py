@@ -1,5 +1,7 @@
+import gc
 import itertools
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +36,7 @@ from osscheck.linalg import (
     PreconditionError,
     cluster_rows,
     eigh,
+    householder_frame,
 )
 from oracles import eval_tensor, orthogonal_int_pair as orthogonal_int_pair_draw
 from oracles import int_vector as int_vector_draw, orthonormal_pair, unit_vector
@@ -118,7 +121,7 @@ class TestOsserman:
         want = np.poly([4, 4, 4, 1, 1, 1, 1])
         x0 = np.array([1.0] + [0.0] * 7)
         red = reduced_jacobi(quaternionic8.to_float(), x0)
-        got = np.poly(np.linalg.eigvalsh(red.matrix))
+        got = np.poly(np.linalg.eigvalsh(red))
         assert np.abs(got - want).max() <= 1e-9 * (1 + np.abs(want).max())
 
     def test_random_fails(self, random4):
@@ -135,7 +138,7 @@ class TestOsserman:
             rep = check_osserman(R, samples=40, seed=3)
             # the standalone spectrum of sample 0, alone in its product
             x0 = random_unit_vector(n, sample_stream(3, 0))
-            vals0 = eigvalsh(reduced_jacobi(R, x0[None]).matrix)[0]
+            vals0 = eigvalsh(reduced_jacobi(R, x0[None]))[0]
             ref = charpoly(vals0 / max(1.0, float(np.abs(vals0).max())))
             assert rep.witness["reference_x"] == list(x0)
             assert np.array_equal(rep.witness["reference_coefficients"], ref)
@@ -210,11 +213,10 @@ class TestTwoRootDecomposition:
         # X2 = 0 makes the right-hand side vanish term by term
         Rf = quaternionic8.to_float()
         y = np.array([1.0] + [0.0] * 7)
-        red = reduced_jacobi(Rf, y)
-        vals, vecs = eigh(red.matrix)
+        vals, vecs = eigh(reduced_jacobi(Rf, y))
         labels, _, mults = cluster_rows(vals[None], 0.75)
         assert np.count_nonzero(mults) == 2
-        v1, v2 = (red.frame @ vecs[:, labels[0] == q] for q in (0, 1))
+        v1, v2 = (householder_frame(y) @ vecs[:, labels[0] == q] for q in (0, 1))
         x = v1[:, 0]
         b1 = jacobi_matrix(Rf, x).dot(y).dot(v2 @ (v2.T @ x))
         assert abs(b1) <= 1e-12
@@ -268,9 +270,8 @@ class TestEigenBianchi:
         for i in range(10):
             x = sample_stream(31, i).standard_normal(8)
             x /= np.linalg.norm(x)
-            red = reduced_jacobi(Rf, x)
-            vals, vecs = np.linalg.eigh(red.matrix)
-            amb = red.frame @ vecs
+            vals, vecs = np.linalg.eigh(reduced_jacobi(Rf, x))
+            amb = householder_frame(x) @ vecs
             ia, ib, ic = 0, 3, 5
             a, b, c = amb[:, ia], amb[:, ib], amb[:, ic]
             la, lb, lc = vals[ia], vals[ib], vals[ic]
@@ -821,9 +822,9 @@ def _fresh(R, X, kind):
     or the eigh values and ambient eigenvectors, at the rows of X."""
     red = reduced_jacobi(R, X)
     if kind == "vals":
-        return (np.linalg.eigvalsh(red.matrix),)
-    vals, vecs = eigh(red.matrix)
-    return vals, red.frame @ vecs
+        return (np.linalg.eigvalsh(red),)
+    vals, vecs = eigh(red)
+    return vals, householder_frame(X) @ vecs
 
 
 class TestSpectralSharing:
@@ -951,7 +952,7 @@ class TestSpectralSharing:
         head, blocks = before[:3], {s: dict(b) for s, b in before[3].items()}
         check_jacobi_dual(clifford16, samples=100, seed=3)
         after = analysis._store
-        assert after is not before and after[0] is clifford16
+        assert after is not before and after[0]() is clifford16
         assert all(a is b for a, b in zip(before[:3], head))
         assert before[3] == blocks and sorted(blocks) == sorted(after[3]) == [0, 64]
         for start, block in blocks.items():
@@ -964,7 +965,8 @@ class TestSpectralSharing:
 
     def test_the_store_keeps_at_most_its_cap(self, quaternionic8):
         cap = analysis._STORED_ROWS
-        check_osserman(quaternionic8.to_float(), samples=cap + 200, seed=1)
+        R = quaternionic8.to_float()  # alive while its store is read
+        check_osserman(R, samples=cap + 200, seed=1)
         blocks = analysis._store[3]
         assert max(blocks) < cap
         for kind in ("x", "red", "vals"):
@@ -984,3 +986,23 @@ class TestSpectralSharing:
         classify_k_root(quaternionic8, samples=200, seed=1)
         check_osserman(quaternionic8, samples=200, seed=1)
         assert conversions == [quaternionic8]
+
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_the_store_dies_with_its_tensor(self, mode):
+        R = clifford_tensor(8, 3, mode=mode)
+        check_jacobi_dual(R, samples=100, seed=2)
+        assert analysis._store is not None and analysis._store[3]
+        del R
+        gc.collect()
+        assert analysis._store is None
+
+    def test_a_float_tensor_is_held_only_weakly(self):
+        R = clifford_tensor(8, 3, mode=FLOAT64)
+        check_osserman(R, samples=100, seed=2)
+        store, ref = analysis._store, weakref.ref(R)
+        assert store[0]() is R and store[2] is None
+        del R
+        gc.collect()
+        # the tuple is kept here, and still no tensor lives on through it
+        assert ref() is None and store[0]() is None
+        assert analysis._store is None

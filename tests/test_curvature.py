@@ -135,7 +135,7 @@ class TestConstantCurvature:
         R = make_constant_curvature(3, 1)
         x = np.array([2.0, -1.0, 2.0]) / 3.0
         red = reduced_jacobi(R, x)
-        assert np.abs(red.matrix - np.eye(2)).max() <= 1e-12
+        assert np.abs(red - np.eye(2)).max() <= 1e-12
 
     def test_zero_kappa(self):
         R = make_constant_curvature(4, 0)
@@ -189,14 +189,14 @@ class TestClifford:
         for i in range(5):
             x = sample_stream(8, i).standard_normal(4)
             x /= np.linalg.norm(x)
-            vals = np.linalg.eigvalsh(reduced_jacobi(R, x).matrix)
+            vals = np.linalg.eigvalsh(reduced_jacobi(R, x))
             assert np.allclose(sorted(vals), [1, 1, 4], atol=1e-9)
 
     def test_dim8_quaternionic_eigenvalues(self):
         R = quaternionic(FLOAT64)
         x = sample_stream(9).standard_normal(8)
         x /= np.linalg.norm(x)
-        vals = np.linalg.eigvalsh(reduced_jacobi(R, x).matrix)
+        vals = np.linalg.eigvalsh(reduced_jacobi(R, x))
         assert np.allclose(sorted(vals), [1, 1, 1, 1, 4, 4, 4], atol=1e-9)
 
     def test_dim8_companion_matrix_oracle(self):
@@ -205,7 +205,7 @@ class TestClifford:
         R = quaternionic(FLOAT64)
         x = sample_stream(10).standard_normal(8)
         x /= np.linalg.norm(x)
-        m = reduced_jacobi(R, x).matrix
+        m = reduced_jacobi(R, x)
         n = m.shape[0]
         coeffs = [1.0]
         mk = np.zeros_like(m)
@@ -302,7 +302,7 @@ class TestReducedJacobi:
         R = make_constant_curvature(5, 1)
         x = sample_stream(19).standard_normal(5)
         x /= np.linalg.norm(x)
-        assert np.abs(reduced_jacobi(R, x).matrix - np.eye(4)).max() <= 1e-12
+        assert np.abs(reduced_jacobi(R, x) - np.eye(4)).max() <= 1e-12
 
     def test_charpoly_frame_independent(self):
         fam = build_clifford_family(4, 1)
@@ -311,7 +311,7 @@ class TestReducedJacobi:
         for i in range(100):
             x = sample_stream(20, i).standard_normal(4)
             x /= np.linalg.norm(x)
-            coeffs = np.poly(np.linalg.eigvalsh(reduced_jacobi(R, x).matrix))
+            coeffs = np.poly(np.linalg.eigvalsh(reduced_jacobi(R, x)))
             if ref is None:
                 ref = coeffs
             assert np.abs(coeffs - ref).max() <= 1e-10 * (1 + np.abs(ref).max())
@@ -320,7 +320,7 @@ class TestReducedJacobi:
         R = random_curvature(5, 2, sample_stream(21))
         x = sample_stream(22).standard_normal(5)
         x /= np.linalg.norm(x)
-        assert np.trace(reduced_jacobi(R, x).matrix) == pytest.approx(
+        assert np.trace(reduced_jacobi(R, x)) == pytest.approx(
             np.trace(jacobi_matrix(R, x)), abs=1e-10)
 
     def test_charpoly_is_full_over_lambda(self):
@@ -328,7 +328,7 @@ class TestReducedJacobi:
         x = sample_stream(24).standard_normal(4)
         x /= np.linalg.norm(x)
         full = np.poly(np.linalg.eigvalsh(jacobi_matrix(R, x)))
-        red = np.poly(np.linalg.eigvalsh(reduced_jacobi(R, x).matrix))
+        red = np.poly(np.linalg.eigvalsh(reduced_jacobi(R, x)))
         q, rem = np.polydiv(full, [1.0, 0.0])
         assert np.abs(q - red).max() <= 1e-9 * (1 + np.abs(red).max())
 

@@ -145,6 +145,28 @@ class TestCliBuild:
         assert main(["build", *args, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    def test_build_rj_needs_an_even_dim(self, tmp_path, capsys):
+        out = tmp_path / "rj.json"
+        assert main(["build", "rj", "--dim", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "even --dim" in err and "found 3" in err and "rank" not in err
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        from osscheck import cli
+
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 745. TiB for an array")
+
+        monkeypatch.setattr(cli, "make_constant_curvature", refuse)
+        out = tmp_path / "r1.json"
+        assert main(["build", "constant", "--dim", "100000",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: out of memory: "
+                                "Unable to allocate 745. TiB for an array\n")
+        assert "Traceback" not in captured.out and not out.exists()
+
     def test_build_rj_and_random_and_symmetric(self, tmp_path):
         for args in (["build", "rj", "--dim", "4"],
                      ["build", "random", "--dim", "4", "--seed", "3"],
@@ -261,6 +283,17 @@ class TestCliSpectrum:
     def test_zero_direction(self, tensor_files):
         assert main(["spectrum", "--in", str(tensor_files["quat"]),
                      "--direction", "0,0,0,0,0,0,0,0"]) == 2
+
+    @pytest.mark.parametrize("scale", ["1e-200", "1e300"])
+    def test_direction_scale_does_not_matter(self, tensor_files, capsys, scale):
+        # the norm of either would underflow or overflow; scaled by a power
+        # of two first, both normalise to the unit vector of 1,1,0,0
+        outs = []
+        for direction in ("1,1,0,0", f"{scale},{scale},0,0"):
+            assert main(["spectrum", "--in", str(tensor_files["rand"]),
+                         "--direction", direction]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("first", ["1e400", "1/0", "1e1000000"])
     def test_bad_direction_names_the_option(self, tensor_files, capsys, first):

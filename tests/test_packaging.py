@@ -49,3 +49,21 @@ def test_the_package_imports_only_the_stdlib_and_numpy():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 found.add(node.module.split(".")[0])
     assert "numpy" in found and found <= allowed, sorted(found - allowed)
+
+
+def test_all_lists_the_public_names_bound_in_init():
+    bound = set()
+    tree = ast.parse((ROOT / "src" / "osscheck" / "__init__.py").read_text(
+        encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    public = {name for name in bound if not name.startswith("_")}
+    assert len(set(osscheck.__all__)) == len(osscheck.__all__)
+    assert set(osscheck.__all__) == public
+    for name in osscheck.__all__:
+        assert getattr(osscheck, name) is not None, name

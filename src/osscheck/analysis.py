@@ -187,6 +187,13 @@ def _forget(ref):
         _store = None
 
 
+def _float_form(R):
+    """``R.to_float()``, the store's copy when the store holds R."""
+    store = _store
+    held = store is not None and store[0]() is R and store[2] is not None
+    return store[2] if held else R.to_float()
+
+
 def _spectral(R, seed, start, X, kind):
     """``eigvalsh`` values (``kind`` "vals", a 1-tuple), or ``eigh`` values
     and ambient eigenvectors ("eigh"), of the reduced Jacobi operators at the
@@ -310,7 +317,7 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
     eigenspace of dimension > 1 (the Jacobi operator is quadratic in its
     base, so basis vectors alone do not suffice).
     """
-    Rf = R.to_float()
+    Rf = _float_form(R)
     n = R.dim
     m = n - 1
     slot = _first_slot(Rf)
@@ -448,7 +455,7 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
         raise PreconditionError(
             f"two-root decomposition needs a stable two-root tensor "
             f"(found k={cls.k}, agreement={cls.per_sample_agreement})")
-    Rf = R.to_float()
+    Rf = _float_form(R)
     n = R.dim
     gap_tol = abs(cls.centers[1] - cls.centers[0]) / 4.0
 
@@ -511,7 +518,7 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
         raise PreconditionError(
             f"eigen-Bianchi identity assumes an Osserman tensor "
             f"(osserman residual {pre.worst_residual:.3e})")
-    Rf = R.to_float()
+    Rf = _float_form(R)
     n = R.dim
     m = n - 1
     ia, ib, ic = np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).T

@@ -122,17 +122,19 @@ def validate_hurwitz(family: CliffordFamily):
     exact = all(J.dtype == object or np.issubdtype(J.dtype, np.integer)
                 for J in Js)
     tol = 0 if exact else IDENTITY_TOL
-    eye = np.eye(family.dim, dtype=np.int64)
-    if not exact:
-        eye = eye.astype(np.float64)
+    eye = np.eye(family.dim, dtype=np.int64 if exact else np.float64)
+    # every product J_i J_j in one stacked product: P[i, j] = J_i J_j
+    m, A = len(Js), np.array(Js).reshape(len(Js), family.dim, family.dim)
+    P = A[:, None] @ A[None]
+    skew = np.abs(A + A.transpose(0, 2, 1)).max(axis=(1, 2))
+    square = np.abs(P[range(m), range(m)] + eye).max(axis=(1, 2))
+    anti = np.abs(P + P.transpose(1, 0, 2, 3)).max(axis=(2, 3))
     per_check = {}
-    for i, J in enumerate(Js):
-        per_check[f"skew[{i}]"] = np.abs(J + J.T).max()
-        per_check[f"square[{i}]"] = np.abs(J @ J + eye).max()
-    for i in range(len(Js)):
-        for j in range(i + 1, len(Js)):
-            per_check[f"anticommute[{i},{j}]"] = np.abs(
-                Js[i] @ Js[j] + Js[j] @ Js[i]).max()
+    for i in range(m):
+        per_check[f"skew[{i}]"], per_check[f"square[{i}]"] = skew[i], square[i]
+    for i in range(m):
+        for j in range(i + 1, m):
+            per_check[f"anticommute[{i},{j}]"] = anti[i, j]
     worst = max(per_check.values()) if per_check else 0
     return make_report("hurwitz", worst, {"residual_by_check": per_check},
                        samples=len(per_check), seed=0, tol=tol,

@@ -157,7 +157,7 @@ class CurvatureTensor:
         if nums.shape != (dim,) * 4:
             raise ValueError("numerators must be an n^4 array")
         if L != 1:
-            flat = nums.reshape(-1)
+            flat = nums.ravel(order="K")  # a view of a stored-order array
             g = math.gcd(L, *(flat.tolist() if nums.dtype == object
                               else [int(np.gcd.reduce(flat))]))
             if g != 1:
@@ -165,7 +165,7 @@ class CurvatureTensor:
         # int_array(nums, max(dim, 3)), with max_abs taken once: room for
         # the sums of stored entries that the class docstring names
         top = max_abs(nums)
-        nums = (nums.astype(np.int64) if int64_safe(top, max(dim, 3))
+        nums = (nums.astype(np.int64, copy=False) if int64_safe(top, max(dim, 3))
                 else nums.astype(object, copy=False))
         self._set(dim=dim, mode=RATIONAL, provenance=provenance, denominator=L,
                   _matrix=_as_matrix(nums), _max_numerator=top)
@@ -302,17 +302,18 @@ def ricci_operator(R: CurvatureTensor):
 def validate_symmetries(R: CurvatureTensor, *, tol=None):
     """Check the Z2 symmetries and the first Bianchi identity of R."""
     tol = default_tol(tol, R.mode)
-    c = _as_tensor(R._matrix, R.dim)
-    res = {
-        "skew_first_pair": c + c.transpose(1, 0, 2, 3),
-        "skew_last_pair": c + c.transpose(0, 1, 3, 2),
-        "pair_interchange": c - c.transpose(2, 3, 0, 1),
-        "first_bianchi": c + c.transpose(1, 2, 0, 3) + c.transpose(2, 0, 1, 3),
-    }
-    if R.mode == RATIONAL:
-        per_family = {k: Fraction(max_abs(v), R.denominator) for k, v in res.items()}
-    else:
-        per_family = {k: np.abs(v).max() for k, v in res.items()}
+    c, per_family = _as_tensor(R._matrix, R.dim), {}
+    # c plus its transposes (minus, for pair_interchange); each family is
+    # reduced to its worst entry as soon as it is formed
+    for name, axes in (("skew_first_pair", [(1, 0, 2, 3)]),
+                       ("skew_last_pair", [(0, 1, 3, 2)]),
+                       ("pair_interchange", [(2, 3, 0, 1)]),
+                       ("first_bianchi", [(1, 2, 0, 3), (2, 0, 1, 3)])):
+        op, v = np.subtract if name == "pair_interchange" else np.add, c
+        for a in axes:
+            v = op(v, c.transpose(a), out=None if v is c else v)
+        per_family[name] = (Fraction(max_abs(v), R.denominator) if R.mode == RATIONAL
+                            else np.abs(v, out=v).max())
     worst = np.max(list(per_family.values()))  # a NaN family stays worst
     witness = {"residual_by_family": per_family}
     return make_report("symmetries", worst, witness, samples=R.dim**4, seed=0,
@@ -350,13 +351,14 @@ def _read_off(table, G, n, out=None):
     """The n^4 array sum_t sign_t G[letters_t] in the stored order, of a
     rule's ``table`` and a Gram tensor ``G`` of n^4 entries indexed
     [a, b, c, d], summed term by term into ``out`` when it is given."""
-    G = G.reshape((n,) * 4)
+    G, scratch = G.reshape((n,) * 4), None
     for letters, sign in table:
         term = G.transpose([letters.index(c) for c in "lijk"])
         if out is None:
             out = np.multiply(term, sign, order="C")
-        else:
-            out += sign * term
+        else:  # through one scratch array: no temporary per term
+            scratch = np.multiply(term, abs(sign), out=scratch, order="C")
+            (np.add if sign > 0 else np.subtract)(out, scratch, out=out)
     return out
 
 

@@ -15,15 +15,17 @@ both directions work on a table of the distinct values.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 import sys
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 
-from .curvature import CurvatureTensor
+from .curvature import CurvatureTensor, _as_tensor
 from .linalg import FLOAT64, RATIONAL
 
 
@@ -37,21 +39,40 @@ class TensorFileError(ValueError):
         self.offset = offset
 
 
-def tensor_to_document(R: CurvatureTensor) -> dict:
+def _codes(values, count):
+    """Distinct ``values`` in first-seen order, and each value's index there."""
+    code = defaultdict(itertools.count().__next__)
+    codes = np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=count)
+    return list(code), codes
+
+
+def _document_text(R: CurvatureTensor) -> str:
+    """The file text of ``R``, the bytes of ``json.dumps`` of its document
+    and a newline: each distinct numerator spelled and encoded once, and
+    ValueError for a non-finite float component."""
     if R.mode == RATIONAL:
-        L = R.denominator
-        nums = R.numerators.reshape(-1).tolist()
-        text = {v: str(v) if L == 1 else str(Fraction(v, L)) for v in set(nums)}
-        comps = list(map(text.__getitem__, nums))
+        L, stored = R.denominator, R._matrix.reshape(-1)
+        distinct, codes = _codes(stored if stored.dtype == object
+                                 else memoryview(stored), stored.size)
+        text = np.array([json.dumps(str(v) if L == 1 else str(Fraction(v, L)))
+                         for v in distinct], dtype=object)
+        # the codes of the stored scalars, read in the component order
+        items = text[_as_tensor(codes, R.dim)].reshape(-1).tolist()
     else:
-        comps = R.components.reshape(-1).tolist()
-    return {"dim": R.dim, "mode": R.mode, "components": comps,
-            "provenance": R.provenance}
+        flat = R.components.reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            raise ValueError(f"non-finite float component at index {bad[0]}")
+        items = list(map(float.__repr__, flat.tolist()))
+    items[0] = f'{{"dim": {R.dim}, "mode": {json.dumps(R.mode)}, "components": [{items[0]}'
+    items[-1] += f'], "provenance": {json.dumps(R.provenance)}}}\n'
+    return ", ".join(items)
 
 
 def dump_tensor(R: CurvatureTensor, path):
+    text = _document_text(R)  # first, so a failure leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(tensor_to_document(R)) + "\n")
+        fh.write(text)
 
 
 # "p" or "p/q" in ASCII digits with q > 0
@@ -94,15 +115,14 @@ def _rational_numerators(comps):
     ``str(v)`` otherwise; ``str`` keeps JSON ``true`` apart from ``1``,
     which are equal as keys."""
     try:
-        distinct = dict.fromkeys(comps)
+        distinct, codes = _codes(comps, len(comps))
     except TypeError:  # a JSON array or object among the components
         distinct = None
     if distinct is None or not all(type(v) is str for v in distinct):
         comps = list(map(str, comps))
-        distinct = dict.fromkeys(comps)
-    code = {s: i for i, s in enumerate(distinct)}
+        distinct, codes = _codes(comps, len(comps))
     table = []
-    for spelling in code:
+    for spelling in distinct:
         try:
             table.append(_rational(spelling))
         except (ValueError, ZeroDivisionError) as e:
@@ -115,8 +135,6 @@ def _rational_numerators(comps):
         values = np.array(values, dtype=np.int64)
     except OverflowError:
         values = np.array(values, dtype=object)
-    codes = np.fromiter(map(code.__getitem__, comps), dtype=np.intp,
-                        count=len(comps))
     return values[codes], L
 
 

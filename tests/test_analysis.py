@@ -987,6 +987,35 @@ class TestSpectralSharing:
         check_osserman(quaternionic8, samples=200, seed=1)
         assert conversions == [quaternionic8]
 
+    @pytest.mark.parametrize("mu0, mus", [
+        (1, [-1] * 8),
+        (Fraction(1, 3), [Fraction(p, q) for p, q in ((1, 2), (-2, 5), (3, 7), (4, 9),
+                                                       (5, 2), (6, 5), (-7, 3), (8, 7))]),
+    ], ids=["two-root", "fractional"])
+    def test_check_all_converts_a_rational_file_twice(self, mu0, mus, tmp_path,
+                                                      monkeypatch, capsys):
+        from osscheck.cli import main
+        from osscheck.tensorio import dump_tensor
+
+        # ricci-sum converts R for its product and osserman's first miss
+        # for the store; jacobi-dual, two-root and eigen-Bianchi read the
+        # store's float form
+        path = tmp_path / "c16.json"
+        dump_tensor(clifford_tensor(16, 8, mus=mus, mu0=mu0), path)
+        conversions, to_float = [], CurvatureTensor.to_float
+
+        def spy(self):
+            if self.mode == RATIONAL:
+                conversions.append(self)
+            return to_float(self)
+
+        monkeypatch.setattr(CurvatureTensor, "to_float", spy)
+        assert main(["check", "all", "--in", str(path), "--samples", "6",
+                     "--seed", "3"]) == 0
+        two_root = "two-root-decomposition: pass" in capsys.readouterr().out
+        assert two_root == (mu0 == 1)
+        assert len(conversions) == 2
+
     @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
     def test_the_store_dies_with_its_tensor(self, mode):
         R = clifford_tensor(8, 3, mode=mode)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,28 @@ class TestValidateHurwitz:
         assert rep.mode == "float64"
         assert rep.passed
         assert float(rep.worst_residual) <= 1e-12
+
+    @pytest.mark.parametrize("n, m", [(4, 3), (8, 7), (16, 8)])
+    def test_residuals_equal_the_per_pair_products(self, n, m):
+        from osscheck.linalg import random_orthogonal_matrix
+
+        q = random_orthogonal_matrix(n, sample_stream(n))
+        structures = build_clifford_family(n, m).structures
+        families = (structures, tuple(q @ J @ q.T for J in structures),
+                    structures[:1] * 2 + structures[2:])
+        for Js in families:
+            eye = np.eye(n, dtype=Js[0].dtype)
+            want = {}
+            for i, J in enumerate(Js):
+                want[f"skew[{i}]"] = np.abs(J + J.T).max()
+                want[f"square[{i}]"] = np.abs(J @ J + eye).max()
+            for i, j in itertools.combinations(range(m), 2):
+                want[f"anticommute[{i},{j}]"] = np.abs(
+                    Js[i] @ Js[j] + Js[j] @ Js[i]).max()
+            got = validate_hurwitz(CliffordFamily(n, Js)).witness["residual_by_check"]
+            assert list(got) == list(want)
+            assert [v.tobytes() for v in got.values()] == [
+                v.tobytes() for v in want.values()]
 
     def test_conjugation_by_rotation_preserves(self):
         from osscheck.linalg import random_orthogonal_matrix

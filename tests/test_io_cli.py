@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from osscheck.cli import main
 from osscheck.curvature import CurvatureTensor, random_curvature
 from osscheck.linalg import sample_stream
 from osscheck.report import ARTIFACT_VERSION
-from osscheck.tensorio import TensorFileError, dump_tensor, tensor_to_document
+from osscheck.tensorio import TensorFileError, _document_text, dump_tensor
 from osscheck import build_clifford_family
 
 
@@ -38,7 +39,7 @@ class TestTensorFile:
         assert np.array_equal(load_tensor(p).components, R.components)
 
     def test_document_shape(self):
-        doc = tensor_to_document(make_constant_curvature(2, 1, mode="rational"))
+        doc = json.loads(_document_text(make_constant_curvature(2, 1, mode="rational")))
         assert set(doc) == {"dim", "mode", "components", "provenance"}
         assert len(doc["components"]) == 16
         assert all(isinstance(c, str) for c in doc["components"])
@@ -166,6 +167,20 @@ class TestCliBuild:
         assert captured.err == ("error: out of memory: "
                                 "Unable to allocate 745. TiB for an array\n")
         assert "Traceback" not in captured.out and not out.exists()
+
+    def test_non_finite_float_build_exits_2(self, tmp_path, capsys):
+        # R(e_0, e_1, e_0, e_1) = 3 mu - mu0 overflows to inf: a tensor file
+        # is strict JSON, so the writer refuses it and writes nothing
+        argv = ["build", "clifford", "--dim", "4", "--mode", "float64",
+                "--mu0", "1e308", "--mu=1e308", "--out"]
+        out = tmp_path / "inf.json"
+        assert main(argv + [str(out)]) == 2
+        assert "non-finite float component at index 17" in capsys.readouterr().err
+        assert not out.exists()
+        kept = tmp_path / "kept.json"
+        kept.write_bytes(b'{"earlier": "bytes"}\n')
+        assert main(argv + [str(kept)]) == 2
+        assert kept.read_bytes() == b'{"earlier": "bytes"}\n'
 
     def test_build_rj_and_random_and_symmetric(self, tmp_path):
         for args in (["build", "rj", "--dim", "4"],
@@ -778,24 +793,42 @@ def codec_tensors():
         "huge": _clifford16(Fraction(1, 1000003),
                             [Fraction(1, 1000033), Fraction(1, 1000037),
                              Fraction(1, 1000039), 1, 1, 1, 1, 1]),
+        # 117 distinct spellings, as in the files the benchmark builds
+        "frac117": _clifford16(Fraction(7, 4), [Fraction(p, q) for p, q in
+                                                ((-1, 3), (7, 6), (-5, 2), (5, 9),
+                                                 (1, 4), (-1, 1), (-8, 7), (7, 8))]),
         "float": random_curvature(6, 3, sample_stream(5)),
     }
 
 
 class TestCodecParity:
-    @pytest.mark.parametrize("name", ["int", "frac", "huge", "float"])
+    @pytest.mark.parametrize("name", ["int", "frac", "huge", "frac117", "float"])
     def test_dump_byte_identical(self, codec_tensors, tmp_path, name):
         R = codec_tensors[name]
         dump_tensor(R, tmp_path / "new.json")
         _oracle_dump(R, tmp_path / "old.json")
         assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
-    @pytest.mark.parametrize("name", ["int", "frac", "huge"])
+    @pytest.mark.parametrize("name", ["int", "frac", "huge", "frac117"])
     def test_load_equal(self, codec_tensors, tmp_path, name):
         p = tmp_path / "t.json"
         dump_tensor(codec_tensors[name], p)
         _same_tensor(load_tensor(p), _oracle_load(p))
         _same_tensor(load_tensor(p), codec_tensors[name])
+
+    @pytest.mark.parametrize("name", ["frac", "huge"])
+    def test_writing_a_dim16_file_traces_under_2_5_mb(self, codec_tensors, tmp_path, name):
+        # each distinct value is spelled and encoded once: encoding all n^4
+        # spellings traced 4.05 MiB
+        R = codec_tensors[name]
+        dump_tensor(R, tmp_path / "warm.json")
+        tracemalloc.start()
+        try:
+            dump_tensor(R, tmp_path / "t.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_500_000
 
     @staticmethod
     def _write(tmp_path, comps):
@@ -824,10 +857,15 @@ class TestCodecParity:
         p = self._write(tmp_path, comps)
         _same_tensor(load_tensor(p), _oracle_load(p))
 
+    _numerators = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-10**40, 10**40))
+
+    # sixteen numerators drawn freely, or from an alphabet of one to four,
+    # so that values repeat as they do in real files
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
-                              st.integers(-10**40, 10**40)),
-                    min_size=16, max_size=16),
+    @given(st.one_of(st.lists(_numerators, min_size=16, max_size=16),
+                     st.lists(_numerators, min_size=1, max_size=4).flatmap(
+                         lambda alphabet: st.lists(st.sampled_from(alphabet),
+                                                   min_size=16, max_size=16))),
            st.integers(1, 10**30))
     def test_round_trip(self, tmp_path_factory, nums, L):
         d = tmp_path_factory.mktemp("rt")

@@ -51,7 +51,7 @@ from .linalg import (
     sample_stream,
     sample_streams,
 )
-from .report import CheckReport, make_report
+from .report import CheckReport, make_report, residual
 
 def _worse(res, worst):
     """Whether a sample's residual replaces the worst so far: the first
@@ -151,7 +151,7 @@ def _sweep(name, R, fields, compute, *, samples, seed, tol, mode=FLOAT64,
     i, fields, s, c = winner
     witness = {"sample": i, **fields(s, c)}
     if denominator is not None:
-        worst = Fraction(worst, denominator)
+        worst = residual(worst, over=denominator)
     note = "sampling check: pass means no counterexample found"
     return make_report(name, worst, witness, samples, seed, tol, mode,
                        notes=f"{note}; {notes}" if notes else note,
@@ -258,7 +258,7 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
         else:
             j = jacobi_matrices(R, v)
             jxy, jyx = _mv(j[0::2], ys), _mv(j[1::2], xs)
-            res = (np.abs(_dot(jxy, jyx)) / (_norm(jxy) * _norm(jyx) + 1.0))[:, None]
+            res = residual(np.abs(_dot(jxy, jyx)), _norm(jxy) * _norm(jyx))[:, None]
         return res, lambda s, c: {"x": xs[s].tolist(), "y": ys[s].tolist()}
 
     return _sweep("jacobi-orthogonal", R, fields, compute, samples=samples,
@@ -339,7 +339,7 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
         lam = np.concatenate([np.take_along_axis(centers, labels, 1),
                               np.repeat(np.take_along_axis(centers, cluster, 1),
                                         3, axis=1)], 1)
-        res = _norm(jyx - lam[..., None] * xs[:, None, :]) / (1.0 + np.abs(lam))
+        res = residual(_norm(jyx - lam[..., None] * xs[:, None, :]), np.abs(lam))
         res[:, m:][~np.repeat(valid, 3, axis=1)] = -np.inf
 
         def fields(s, c):
@@ -370,15 +370,13 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
     def compute(start, xs):
         (vals,) = _spectral(R, seed, start, xs, "vals")
         if start == 0:
-            radius = max(1.0, float(np.abs(vals[0]).max()))
-            ref.update(radius=radius, x=list(xs[0]),
-                       coefficients=charpoly(vals[0] / radius))
+            ref.update(radius=max(1.0, float(np.abs(vals[0]).max())), x=list(xs[0]))
         coeffs = charpoly(vals / ref["radius"])
-        res = (np.abs(coeffs - ref["coefficients"])
-               / (1.0 + np.abs(ref["coefficients"]))).max(axis=1, keepdims=True)
+        c0 = ref.setdefault("coefficients", coeffs[0])  # row 0 of block 0
+        res = residual(np.abs(coeffs - c0), np.abs(c0)).max(axis=1, keepdims=True)
         return res, lambda s, c: {
             "x": list(xs[s]), "coefficients": list(coeffs[s]),
-            "reference_x": ref["x"], "reference_coefficients": list(ref["coefficients"])}
+            "reference_x": ref["x"], "reference_coefficients": list(c0)}
 
     return _sweep("osserman", R, (Field.unit(n),), compute, samples=samples,
                   seed=seed, tol=tol)
@@ -395,11 +393,11 @@ def check_einstein(R: CurvatureTensor, *, tol=None) -> CheckReport:
         tr = int(np.trace(t))
         dev = n * t - tr * np.eye(n, dtype=t.dtype)
         const = Fraction(tr, n * R.denominator)
-        worst = Fraction(max_abs(dev), n * R.denominator)
+        worst = residual(max_abs(dev), over=n * R.denominator)
     else:
         ric = ricci_operator(R)
         const = float(np.trace(ric)) / n
-        worst = float(np.abs(ric - const * np.eye(n)).max())
+        worst = residual(float(np.abs(ric - const * np.eye(n)).max()))
     return make_report("einstein", worst, {"einstein_constant": const},
                        samples=1, seed=0, tol=tol, mode=R.mode,
                        provenance=R.provenance)
@@ -479,9 +477,8 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
         b1, b2 = _dot(_mv(j1, ys), x2), _dot(_mv(j2, ys), x1)
         l1, l2 = centers[:, 0], centers[:, 1]
         rhs = (l2 - l1) * (b1 - b2)
-        span = 1.0 + np.abs(l2 - l1)
-        res = np.maximum.reduce([np.abs(lhs - rhs) / (1.0 + np.abs(lhs)),
-                                 np.abs(b1) / span, np.abs(b2) / span])
+        res = np.maximum.reduce([residual(np.abs(lhs - rhs), np.abs(lhs)),
+                                 *residual(np.abs([b1, b2]), np.abs(l2 - l1))])
         return res[:, None], lambda s, c: {
             "y": list(ys[s]), "x": list(x[s]),
             "lambda1": float(l1[s]), "lambda2": float(l2[s]),
@@ -531,7 +528,7 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
         r_abc, r_bac = c3[:, ib, ia, ic], c3[:, ia, ib, ic]
         la, lb, lc = vals[:, ia], vals[:, ib], vals[:, ic]
         lhs = r_abc * (lc - 2 * lb + la) + r_bac * (lc + lb - 2 * la)
-        res = np.abs(lhs) / (1.0 + np.abs(r_abc) + np.abs(r_bac))
+        res = residual(np.abs(lhs), np.abs(r_abc), np.abs(r_bac))
         return res, lambda s, c: {
             "x": list(xs[s]), "triple": [int(ia[c]), int(ib[c]), int(ic[c])],
             "eigenvalues": [float(vals[s, v[c]]) for v in (ia, ib, ic)],
@@ -589,7 +586,7 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
                 j[0::4], j[1::4], j[2::4], j[3::4], xs, ys)
             worst = np.maximum.reduce([_norm(r1), _norm(r2),
                                        np.abs(r3).max(axis=(1, 2))])
-            res = (worst / (1.0 + _norm(jxy) + _norm(jyx)))[:, None]
+            res = residual(worst, _norm(jxy), _norm(jyx))[:, None]
         return res, lambda s, c: {"x": xs[s].tolist(), "y": ys[s].tolist()}
 
     return _sweep("polarization", R, fields, compute, samples=samples, seed=seed,
@@ -620,7 +617,7 @@ def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None) -> CheckReport:
                         for stream in sample_streams(seed, range(bases))])
     acc = jacobi_matrices(R, q).reshape(bases, n, n, n).sum(axis=1)
     # the largest residual, or NaN when there is one
-    worst = float(np.abs(acc - ric).max()) / (1.0 + float(np.abs(ric).max()))
+    worst = residual(float(np.abs(acc - ric).max()), float(np.abs(ric).max()))
     return make_report("ricci-sum", worst, {"random_basis_residual": worst},
                        samples=bases, seed=seed, tol=tol, mode=R.mode,
                        notes="the identity holds for every 4-tensor: this "

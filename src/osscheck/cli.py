@@ -66,8 +66,7 @@ def _residual(r):
     rounded without passing through float."""
     try:
         return f"{float(r):.3e}"
-    except OverflowError:
-        r = Fraction(r)
+    except OverflowError:  # an exact residual, a Fraction
         with decimal.localcontext(prec=4, Emax=decimal.MAX_EMAX):
             return f"{decimal.Decimal(r.numerator) / r.denominator:.3e}"
 

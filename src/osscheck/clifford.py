@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import IDENTITY_TOL
-from .report import make_report
+from .report import make_report, residual
 
 _A = np.array([[0, -1], [1, 0]], dtype=np.int64)
 _B = np.array([[1, 0], [0, -1]], dtype=np.int64)
@@ -129,6 +129,7 @@ def validate_hurwitz(family: CliffordFamily):
     skew = np.abs(A + A.transpose(0, 2, 1)).max(axis=(1, 2))
     square = np.abs(P[range(m), range(m)] + eye).max(axis=(1, 2))
     anti = np.abs(P + P.transpose(1, 0, 2, 3)).max(axis=(2, 3))
+    skew, square, anti = (a if exact else residual(a) for a in (skew, square, anti))
     per_check = {}
     for i in range(m):
         per_check[f"skew[{i}]"], per_check[f"square[{i}]"] = skew[i], square[i]
@@ -136,6 +137,7 @@ def validate_hurwitz(family: CliffordFamily):
         for j in range(i + 1, m):
             per_check[f"anticommute[{i},{j}]"] = anti[i, j]
     worst = max(per_check.values()) if per_check else 0
-    return make_report("hurwitz", worst, {"residual_by_check": per_check},
-                       samples=len(per_check), seed=0, tol=tol,
+    return make_report("hurwitz", residual(worst, over=1) if exact else worst,
+                       {"residual_by_check": per_check}, samples=len(per_check),
+                       seed=0, tol=tol,
                        mode="rational" if exact else "float64")

@@ -40,7 +40,7 @@ from .linalg import (
     max_abs,
     require_symmetric,
 )
-from .report import make_report
+from .report import make_report, residual
 
 
 def _rounded_quotient(nums, denom, bound):
@@ -312,8 +312,8 @@ def validate_symmetries(R: CurvatureTensor, *, tol=None):
         op, v = np.subtract if name == "pair_interchange" else np.add, c
         for a in axes:
             v = op(v, c.transpose(a), out=None if v is c else v)
-        per_family[name] = (Fraction(max_abs(v), R.denominator) if R.mode == RATIONAL
-                            else np.abs(v, out=v).max())
+        per_family[name] = (residual(max_abs(v), over=R.denominator)
+                            if R.mode == RATIONAL else residual(np.abs(v, out=v).max()))
     worst = np.max(list(per_family.values()))  # a NaN family stays worst
     witness = {"residual_by_family": per_family}
     return make_report("symmetries", worst, witness, samples=R.dim**4, seed=0,

@@ -1,4 +1,4 @@
-"""Structured verdicts for property checkers."""
+"""Residuals and structured verdicts of the property checkers."""
 
 from __future__ import annotations
 
@@ -8,9 +8,21 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import RATIONAL
-
 ARTIFACT_VERSION = "0.6.0"
+
+
+def residual(raw, *magnitudes, over=None):
+    """A checker's residual, the one place where any is scaled.  Float:
+    ``raw / (1.0 + m1 + m2 ...)`` elementwise, the magnitudes added to 1.0
+    left to right; with none, the absolute ``raw / 1.0``.  Exact: the
+    Fraction of Python ints ``raw / over``, for ``raw`` an int, a numpy
+    integer or a Fraction and ``over`` the positive common denominator."""
+    if over is not None:
+        return Fraction(int(raw.numerator), raw.denominator * int(over))
+    scale = 1.0
+    for m in magnitudes:
+        scale = scale + m
+    return raw / scale
 
 
 def _jsonable(v):
@@ -78,21 +90,6 @@ class CheckReport:
 
 def make_report(name, worst, witness, samples, seed, tol, mode,
                 notes="", provenance=""):
-    if mode == RATIONAL and not isinstance(worst, float):
-        worst = Fraction(worst)
-    if isinstance(worst, Fraction):
-        ok = worst <= tol
-    else:
-        ok = math.isfinite(worst) and worst <= tol
-    return CheckReport(
-        name=name,
-        verdict="pass" if ok else "fail",
-        worst_residual=worst,
-        witness=witness,
-        samples=samples,
-        seed=seed,
-        tolerance=tol,
-        mode=mode,
-        notes=notes,
-        provenance=provenance,
-    )
+    ok = (isinstance(worst, Fraction) or math.isfinite(worst)) and worst <= tol
+    return CheckReport(name, "pass" if ok else "fail", worst, witness, samples,
+                       seed, tol, mode, notes, provenance)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -136,6 +137,11 @@ class TestValidateHurwitz:
             assert list(got) == list(want)
             assert [v.tobytes() for v in got.values()] == [
                 v.tobytes() for v in want.values()]
+
+    def test_an_integer_family_report_serialises(self):
+        rep = validate_hurwitz(build_clifford_family(4, 3))
+        assert rep.to_dict()["worst_residual"] == "0"
+        assert json.loads(rep.to_json())["worst_residual"] == "0"
 
     def test_conjugation_by_rotation_preserves(self):
         from osscheck.linalg import random_orthogonal_matrix

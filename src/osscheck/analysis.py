@@ -59,18 +59,6 @@ def _worse(res, worst):
     return res > worst or (res != res and worst == worst)
 
 
-def _first_worst(res):
-    """Flat index of the first NaN of ``res``, else of its first largest
-    entry: the one that :func:`_worse` keeps over ``res.flat`` in order,
-    starting from its first entry."""
-    flat = np.asarray(res).reshape(-1)
-    if flat.dtype != object:
-        nan = np.isnan(flat)
-        if nan.any():
-            return int(nan.argmax())
-    return int(flat.argmax())
-
-
 def _require_samples(least, **counts):
     """Reject a sample count below ``least``: fewer samples test nothing."""
     for name, count in counts.items():
@@ -115,8 +103,8 @@ def _blocks(size, seed, samples, fields):
         yield start, arrays
 
 
-def _sweep(name, R, fields, compute, *, samples, seed, tol, mode=FLOAT64,
-           denominator=None, notes=""):
+def _sweep(name, R, fields, compute, *, samples, seed, tol, denominator=None,
+           notes=""):
     """The sampling engine and report of every sampling checker.
 
     Samples run in blocks of _FLOAT_BLOCK, or BLOCK for an exact sweep, each
@@ -129,22 +117,23 @@ def _sweep(name, R, fields, compute, *, samples, seed, tol, mode=FLOAT64,
        ``fields(s, c)``, the witness fields of candidate c of row s;
     3. witness: over the flat sequence of residuals, sample by sample, the
        worst is the first NaN, else the first strictly largest, else the
-       first candidate (:func:`_first_worst` in a block, :func:`_worse`
-       across blocks).  Only the winner builds its witness
+       first candidate: ``np.argmax`` in a block, :func:`_worse` across
+       blocks.  Only the winner builds its witness
        ``{"sample": i, **fields(s, c)}``.
 
     An exact checker's residuals are integer numerators over one common
-    ``denominator``, so the rule compares plain integers; the report's worst
-    residual is their quotient.  ``notes`` adds to the sampling note what
-    the check certifies.
+    ``denominator``, which it passes and which makes the sweep rational: the
+    rule compares plain integers, and the report's worst residual is their
+    quotient.  ``notes`` adds to the sampling note what the check certifies.
     """
     _require_samples(1, samples=samples)
+    mode = FLOAT64 if denominator is None else RATIONAL
     tol = default_tol(tol, mode)
     worst, winner = 0.0, None
     size = BLOCK if mode == RATIONAL else _FLOAT_BLOCK
     for start, arrays in _blocks(size, seed, samples, fields):
         res, fields = compute(start, *arrays)
-        s, c = divmod(_first_worst(res), res.shape[1])
+        s, c = divmod(int(np.argmax(res)), res.shape[1])
         value = res.item(s, c)  # a Python float, int or Fraction
         if winner is None or _worse(value, worst):
             worst, winner = value, (start + s, fields, s, c)
@@ -262,7 +251,7 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
         return res, lambda s, c: {"x": xs[s].tolist(), "y": ys[s].tolist()}
 
     return _sweep("jacobi-orthogonal", R, fields, compute, samples=samples,
-                  seed=seed, tol=tol, mode=R.mode,
+                  seed=seed, tol=tol,
                   denominator=R.denominator**2 if exact else None)
 
 
@@ -590,8 +579,7 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
         return res, lambda s, c: {"x": xs[s].tolist(), "y": ys[s].tolist()}
 
     return _sweep("polarization", R, fields, compute, samples=samples, seed=seed,
-                  tol=tol, mode=R.mode,
-                  denominator=R.denominator if exact else None,
+                  tol=tol, denominator=R.denominator if exact else None,
                   notes="the identities hold for every tensor skew in its first "
                         "pair: this checks the library's Jacobi contractions")
 

@@ -136,7 +136,7 @@ def validate_hurwitz(family: CliffordFamily):
     for i in range(m):
         for j in range(i + 1, m):
             per_check[f"anticommute[{i},{j}]"] = anti[i, j]
-    worst = max(per_check.values()) if per_check else 0
+    worst = np.max(list(per_check.values())) if per_check else 0  # NaN first
     return make_report("hurwitz", residual(worst, over=1) if exact else worst,
                        {"residual_by_check": per_check}, samples=len(per_check),
                        seed=0, tol=tol,

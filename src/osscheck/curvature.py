@@ -285,7 +285,7 @@ def reduced_jacobi(R: CurvatureTensor, x):
     """Matrix ``[..., n-1, n-1]`` of J_x on x-perp at the unit vector
     ``x[n]``, or each row of ``x[S, n]``, in ``householder_frame(x)``."""
     x = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(np.linalg.norm(x, axis=-1) - 1.0) > UNIT_TOL):
+    if not np.all(np.abs(np.linalg.norm(x, axis=-1) - 1.0) <= UNIT_TOL):
         raise PreconditionError("reduced_jacobi requires a unit base vector")
     frame = householder_frame(x)
     full = jacobi_matrices(R, x.reshape(-1, R.dim)).reshape(x.shape + (R.dim,))
@@ -335,8 +335,8 @@ def _require_skew(J):
     if J.dtype == object or J.dtype.kind in "iu":
         if np.any(J != -J.T):
             raise ValueError("J is not skew-adjoint (exact check)")
-    elif (float(np.abs(J + J.T).max())
-          > IDENTITY_TOL * max(1.0, float(np.abs(J).max()))):
+    elif not (float(np.abs(J + J.T).max())
+              <= IDENTITY_TOL * max(1.0, float(np.abs(J).max()))):
         raise ValueError("J is not skew-adjoint beyond tolerance")
     return J
 
@@ -364,7 +364,7 @@ def _read_off(table, G, n, out=None):
 
 def _float_matrix(M):
     """``M`` as a float64 array, or ValueError naming an entry beyond float
-    range."""
+    range or one that is not finite."""
     M = np.asarray(M)
     if M.dtype == object:
         for index, e in np.ndenumerate(M):
@@ -372,7 +372,11 @@ def _float_matrix(M):
                 float(e)
             except OverflowError:
                 raise ValueError(f"entry {index} is beyond float range") from None
-    return M.astype(np.float64, copy=False)
+    M = M.astype(np.float64, copy=False)
+    bad = np.argwhere(~np.isfinite(M))
+    if len(bad):
+        raise ValueError(f"entry {tuple(bad[0].tolist())} is not finite")
+    return M
 
 
 def _generated(weights, terms, mode, provenance="") -> CurvatureTensor:

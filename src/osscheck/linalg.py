@@ -59,7 +59,7 @@ def require_symmetric(m):
         return m
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     worst = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
-    if np.any(worst > SYM_TOL * scale):
+    if not np.all(worst <= SYM_TOL * scale):  # a NaN residual is never within
         raise ValueError(f"matrix is not symmetric: residual {float(worst.max()):.3e}")
     return m
 

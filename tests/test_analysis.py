@@ -209,6 +209,27 @@ class TestTwoRootDecomposition:
         with pytest.raises(PreconditionError):
             check_two_root_decomposition(make_constant_curvature(4, 1))
 
+    def test_a_sample_with_three_clusters_is_named(self, monkeypatch):
+        # one row of the second block reports three clusters: the sweep
+        # stops there and names that sample
+        calls = []
+
+        def cluster_rows_3(vals, tol):
+            labels, centers, mults = cluster_rows(vals, tol)
+            if np.isscalar(tol):  # the sweep's, not classify_k_root's
+                calls.append(len(vals))
+                if len(calls) == 2:
+                    mults = mults.copy()
+                    mults[5] = [1, 1, 1]
+            return labels, centers, mults
+
+        monkeypatch.setattr(analysis, "cluster_rows", cluster_rows_3)
+        block = analysis._FLOAT_BLOCK
+        with pytest.raises(PreconditionError,
+                           match=f"sample {block + 5} produced 3 eigenvalue clusters"):
+            check_two_root_decomposition(clifford_tensor(4, 1), samples=block + 8)
+        assert calls == [block, 8]
+
     def test_x_inside_first_eigenspace_degenerates(self, quaternionic8):
         # X2 = 0 makes the right-hand side vanish term by term
         Rf = quaternionic8.to_float()

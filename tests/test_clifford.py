@@ -7,11 +7,13 @@ import pytest
 from osscheck import (
     CliffordFamily,
     build_clifford_family,
+    make_clifford,
     radon_hurwitz_bound,
     sample_stream,
     validate_hurwitz,
 )
 from osscheck.clifford import _maximal_family
+from osscheck.linalg import PreconditionError
 
 
 class TestRadonHurwitzBound:
@@ -93,6 +95,14 @@ class TestBuild:
                 assert rep.passed and rep.worst_residual == 0
 
 
+def _nan_family():
+    """The float dim-4 structures of build_clifford_family(4, 2), with
+    J1[0, 1] NaN."""
+    J0, J1 = (J.astype(float) for J in build_clifford_family(4, 2).structures)
+    J1[0, 1] = np.nan
+    return J0, J1
+
+
 class TestValidateHurwitz:
     def test_duplicated_generator_fails(self):
         fam = build_clifford_family(4, 3)
@@ -142,6 +152,18 @@ class TestValidateHurwitz:
         rep = validate_hurwitz(build_clifford_family(4, 3))
         assert rep.to_dict()["worst_residual"] == "0"
         assert json.loads(rep.to_json())["worst_residual"] == "0"
+
+    def test_a_nan_entry_fails(self):
+        # the NaN of J1 is not the first per-check residual, so a builtin
+        # max() over them would drop it
+        rep = validate_hurwitz(CliffordFamily(4, _nan_family()))
+        assert not rep.passed and np.isnan(rep.worst_residual)
+        assert json.loads(rep.to_json())["worst_residual"] == "NaN"
+
+    def test_make_clifford_refuses_a_nan_family(self):
+        J0, J1 = _nan_family()
+        with pytest.raises(PreconditionError, match="not a valid Clifford family"):
+            make_clifford(4, 1, [(-1, J0), (-1, J1)], mode="float64")
 
     def test_conjugation_by_rotation_preserves(self):
         from osscheck.linalg import random_orthogonal_matrix

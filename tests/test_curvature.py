@@ -355,6 +355,11 @@ class TestReducedJacobi:
         with pytest.raises(PreconditionError):
             reduced_jacobi(R, np.array([1.0, 1.0, 0.0]))
 
+    def test_nan_base_rejected(self):
+        # a NaN norm is never within the unit tolerance
+        with pytest.raises(PreconditionError, match="unit base vector"):
+            reduced_jacobi(make_constant_curvature(4, 1), [np.nan, 0, 0, 0])
+
 
 class TestRicci:
     def test_constant(self):
@@ -786,6 +791,18 @@ class TestExactGeneratorChecks:
                      dtype=object)
         with pytest.raises(ValueError, match="not skew-adjoint"):
             make_rj(J, RATIONAL)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_float_generator_names_its_entry(bad):
+    J = build_clifford_family(4, 1).structures[0].astype(float)
+    J[0, 1] = bad
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) is not finite"):
+        make_rj(J, FLOAT64)
+    S = np.eye(4)
+    S[0, 1] = bad
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) is not finite"):
+        make_from_symmetric([S], [1], FLOAT64)
 
 
 def test_rational_constructors_clear_only_their_matrices(monkeypatch, tmp_path):

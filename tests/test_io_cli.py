@@ -67,6 +67,13 @@ class TestCliBuild:
         assert R.mode == "rational" and R.dim == 4
         assert "constant" in capsys.readouterr().out
 
+    def test_build_random_is_float_only(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["build", "random", "--dim", "4", "--mode", "rational",
+                     "--out", str(out)]) == 2
+        assert "random tensors are float64 only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_build_clifford_quaternionic(self, tmp_path):
         out = tmp_path / "q.json"
         assert main(["build", "clifford", "--dim", "8", "--mu0", "1",
@@ -294,6 +301,11 @@ class TestCliSpectrum:
         out = capsys.readouterr().out
         assert "1 x4" in out and "4 x3" in out
         assert "char poly" in out
+
+    def test_direction_of_the_wrong_length(self, tensor_files, capsys):
+        assert main(["spectrum", "--in", str(tensor_files["r1"]),
+                     "--direction", "1,2"]) == 2
+        assert "direction has 2 entries, expected 4" in capsys.readouterr().err
 
     def test_zero_direction(self, tensor_files):
         assert main(["spectrum", "--in", str(tensor_files["quat"]),

@@ -18,6 +18,7 @@ from osscheck.linalg import (
     int_array,
     random_int_vector,
     random_unit_vector,
+    require_symmetric,
     sample_stream,
     sample_streams,
 )
@@ -68,6 +69,12 @@ class TestEigh:
         # one nonsymmetric matrix of a stack is enough
         with pytest.raises(ValueError):
             eigh(np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])]))
+
+    def test_a_nan_matrix_is_not_symmetric(self):
+        # a NaN residual is never within the tolerance; eigh zeroes such a
+        # matrix before it checks symmetry
+        with pytest.raises(ValueError, match="not symmetric"):
+            require_symmetric(np.full((3, 3), np.nan))
 
     def test_rejects_rational(self):
         with pytest.raises(PreconditionError):

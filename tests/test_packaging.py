@@ -51,6 +51,22 @@ def test_the_package_imports_only_the_stdlib_and_numpy():
     assert "numpy" in found and found <= allowed, sorted(found - allowed)
 
 
+def test_no_builtin_max_or_min_over_dict_values():
+    # max(d.values()) keeps a NaN only when it comes first; a worst
+    # residual is reduced by numpy (np.max, np.argmax), which ranks NaN first
+    found = []
+    for path in sorted((ROOT / "src" / "osscheck").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("max", "min")
+                    and any(isinstance(sub, ast.Call)
+                            and isinstance(sub.func, ast.Attribute)
+                            and sub.func.attr == "values"
+                            for arg in node.args for sub in ast.walk(arg))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
 def test_all_lists_the_public_names_bound_in_init():
     bound = set()
     tree = ast.parse((ROOT / "src" / "osscheck" / "__init__.py").read_text(

@@ -4,9 +4,10 @@ Einstein, root structure, and the proof-step identities.
 All checkers are pure given (tensor, seed): sample i always draws from the
 per-sample stream keyed by (seed, i), and its result depends on nothing
 else, not on how many samples run or how they are grouped, nor on what ran
-before: the float spectral checkers share eigensolves (:func:`_spectral`)
-bit for bit.  Sampling checkers certify "no counterexample found", not a
-proof; they all run through :func:`_sweep`.
+before: the float spectral checkers share one table of draws, eigensolves,
+clusters and contractions (:func:`_table`) bit for bit.  Sampling checkers
+certify "no counterexample found", not a proof; they all run through
+:func:`_sweep`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .linalg import (
     default_cluster_tol,
     default_tol,
     eigh,
-    eigvalsh,
     householder_frame,
     int64_parts,
     int_array,
@@ -74,17 +75,17 @@ def _require_samples(least, **counts):
 _FLOAT_BLOCK = 2 * BLOCK
 
 
-def _blocks(size, seed, samples, fields):
+def _blocks(size, seed, samples, fields, first=0):
     """Phase 1 of the sampling engine.  For each block of up to ``size``
-    consecutive samples, ``(start, arrays)``: sample i draws the tuple of
-    ``fields`` (:class:`linalg.Field`) from its own ``(seed, i)`` stream,
-    and ``arrays`` stacks the block's draws array by array.  Each sample
-    fills the raw values of its fields straight into their (rows, width)
-    arrays, which ``finish`` evaluates at once.  A row that ``finish``
-    rejects is drawn again by the fields' ``one`` from a fresh
-    ``sample_stream(seed, i)``, so the retry rule lives there only."""
-    streams = sample_streams(seed, range(samples))
-    for start in range(0, samples, size):
+    consecutive samples from sample ``first`` on, ``(start, arrays)``:
+    sample i draws the tuple of ``fields`` (:class:`linalg.Field`) from its
+    own ``(seed, i)`` stream, and ``arrays`` stacks the block's draws array
+    by array.  Each sample fills the raw values of its fields straight into
+    their (rows, width) arrays, which ``finish`` evaluates at once.  A row
+    that ``finish`` rejects is drawn again by the fields' ``one`` from a
+    fresh ``sample_stream(seed, i)``, so the retry rule lives there only."""
+    streams = sample_streams(seed, range(first, samples))
+    for start in range(first, samples, size):
         rows = min(size, samples - start)
         raw = [np.empty((rows, f.width), f.dtype) for f in fields]
         for r in range(rows):
@@ -110,7 +111,8 @@ def _sweep(name, R, fields, compute, *, samples, seed, tol, denominator=None,
     Samples run in blocks of _FLOAT_BLOCK, or BLOCK for an exact sweep, each
     in three phases:
 
-    1. draw the ``fields`` of every sample (:func:`_blocks`);
+    1. draw the ``fields`` of every sample (:func:`_blocks`), or for
+       ``fields`` None the spectral draw of the float table (:func:`_table`);
     2. compute: ``compute(start, *arrays)`` returns the residuals
        ``res[S, C]`` of the block's S samples, which start at sample
        ``start``, with C candidates each (-inf marks no candidate), and
@@ -131,7 +133,10 @@ def _sweep(name, R, fields, compute, *, samples, seed, tol, denominator=None,
     tol = default_tol(tol, mode)
     worst, winner = 0.0, None
     size = BLOCK if mode == RATIONAL else _FLOAT_BLOCK
-    for start, arrays in _blocks(size, seed, samples, fields):
+    blocks = (_blocks(size, seed, samples, fields) if fields is not None else
+              ((start, _table(R, seed, start, min(size, samples - start), "draw"))
+               for start in range(0, samples, size)))
+    for start, arrays in blocks:
         res, fields = compute(start, *arrays)
         s, c = divmod(int(np.argmax(res)), res.shape[1])
         value = res.item(s, c)  # a Python float, int or Fraction
@@ -161,61 +166,92 @@ def _norm(v):
     return np.linalg.norm(v, axis=-1)
 
 
-# The latest float sweep's spectral data, dropped when R dies: (weakref to R,
-# seed, R.to_float() for a rational R else None, {block start: {"x" | "red" |
-# "vals" | "eigh": tuple of read-only arrays}}), results at a prefix of its
-# directions "x".  Blocks from row _STORED_ROWS on are computed, not kept.
+# The float spectral table of the latest (R, seed), dropped when R dies.  In
+# each float block it maps kinds to read-only arrays over the block's first
+# rows: "draw" (x, then 3(n-1) normals: jacobi-dual's combinations take at
+# most three per eigenvector, two-root the first n), "eigh" (values and
+# ambient eigenvectors), "clusters" (cluster_rows at default_cluster_tol)
+# and "basis" (_in_eigenbasis).  An entry is kept while all the store holds,
+# float form and first-slot matrix included, stays within _STORE_BYTES.
 _store = None
-_STORED_ROWS = 1024
+_STORE_BYTES = 4 << 20
+
+
+class _Store(NamedTuple):
+    ref: weakref.ref  # to R
+    seed: int
+    Rf: object  # R.to_float() for a rational R, else None
+    slot: object  # _first_slot of the float form, once a "basis" needs it
+    blocks: dict  # {block start: {kind: tuple of read-only arrays}}
+
+    def nbytes(self):
+        held = [a for b in self.blocks.values() for v in b.values() for a in v]
+        held += [a for a in (self.slot, self.Rf and self.Rf._matrix) if a is not None]
+        return sum(a.nbytes for a in held)
 
 
 def _forget(ref):
     """Weak-reference callback: drop the store when its tensor dies."""
     global _store
-    if (store := _store) is not None and store[0] is ref:
+    if (store := _store) is not None and store.ref is ref:
         _store = None
+
+
+def _held(R, seed):
+    """The store when it holds ``(R, seed)``; else an empty one, which keeps
+    the float form and first-slot matrix of a store of R."""
+    store = _store  # read once, replaced whole
+    if store is None or store.ref() is not R:
+        return _Store(weakref.ref(R, _forget), seed, None, None, {})
+    return store if store.seed == seed else store._replace(seed=seed, blocks={})
 
 
 def _float_form(R):
     """``R.to_float()``, the store's copy when the store holds R."""
     store = _store
-    held = store is not None and store[0]() is R and store[2] is not None
-    return store[2] if held else R.to_float()
+    held = store is not None and store.ref() is R and store.Rf is not None
+    return store.Rf if held else R.to_float()
 
 
-def _spectral(R, seed, start, X, kind):
-    """``eigvalsh`` values (``kind`` "vals", a 1-tuple), or ``eigh`` values
-    and ambient eigenvectors ("eigh"), of the reduced Jacobi operators at the
-    unit rows of ``X``, block ``start`` of the sweep of ``R`` at ``seed``.
-    Served when the store has them for the same tensor object, seed and
-    start at directions that begin with X byte for byte: a row keeps its
-    place in its BLAS chunk and LAPACK solves each matrix alone."""
+def _table(R, seed, start, rows, kind):
+    """Entry ``kind`` of the float spectral table of ``R`` at ``seed``: its
+    arrays over the first ``rows`` samples of the float block at ``start``.
+    Served when the store holds at least these rows, else computed from the
+    entries it needs, taken the same way.  Each row is a pure function of
+    its sample: a row keeps its place in its BLAS chunk and LAPACK solves
+    each matrix alone, so a served prefix has the bits of a fresh call."""
     global _store
-    store = _store  # read once, replaced whole
-    if store is None or store[0]() is not R or store[1] != seed:
-        store = (weakref.ref(R, _forget), seed, None, {})
-    rows, Rf = len(X), store[2]
-    block = store[3].get(start, {})
-    x = block.get("x", (X[:0],))[0]
-    if x[:rows].tobytes() != X[:len(x)].tobytes():
-        block, x = {}, X[:0]
-    fits = {k: v for k, v in block.items() if len(v[0]) >= rows}
-    got = fits.get(kind)
-    if got is None:
-        Rf = R.to_float() if Rf is None else Rf
-        red = fits.get("red") or (reduced_jacobi(Rf, X),)
-        if kind == "vals":
-            got = (eigvalsh(red[0][:rows]),)
+    got = _held(R, seed).blocks.get(start, {}).get(kind)
+    if got is not None and len(got[0]) >= rows:
+        return tuple(a[:rows] for a in got)
+    made = {}  # the float form or first-slot matrix this call makes
+    if kind == "draw":
+        fields = Field.unit(R.dim), Field.normals(3 * (R.dim - 1))
+        got = tuple(next(_blocks(_FLOAT_BLOCK, seed, start + rows, fields, start))[1])
+    elif kind == "clusters":
+        vals = _table(R, seed, start, rows, "eigh")[0]
+        got = cluster_rows(vals, default_cluster_tol(vals))
+    else:
+        x = _table(R, seed, start, rows, "draw")[0]
+        if kind == "eigh":
+            Rf = _float_form(R)
+            made = {"Rf": Rf} if Rf is not R else {}
+            vals, vecs = eigh(reduced_jacobi(Rf, x))
+            got = vals, householder_frame(x) @ vecs
         else:
-            vals, vecs = eigh(red[0][:rows])
-            got = (vals, householder_frame(X) @ vecs)
-        x = X.copy() if rows > len(x) else x
-        for a in (x,) + red + got:
-            a.flags.writeable = False
-        if start < _STORED_ROWS:
-            _store = (store[0], seed, None if Rf is R else Rf, {
-                **store[3], start: {**block, "x": (x,), "red": red, kind: got}})
-    return tuple(a[:rows] for a in got)
+            amb = _table(R, seed, start, rows, "eigh")[1]
+            slot = _held(R, seed).slot
+            if slot is None:
+                slot = made["slot"] = _first_slot(_float_form(R))
+            got = (_in_eigenbasis(slot, x, amb),)
+    for a in got:
+        a.flags.writeable = False
+    # the store as the entries this one needs left it, with what it made
+    store = _held(R, seed)._replace(**made)
+    kept = store._replace(blocks={
+        **store.blocks, start: {**store.blocks.get(start, {}), kind: got}})
+    _store = kept if kept.nbytes() <= _STORE_BYTES else store
+    return got
 
 
 def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
@@ -306,20 +342,18 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
     eigenspace of dimension > 1 (the Jacobi operator is quadratic in its
     base, so basis vectors alone do not suffice).
     """
-    Rf = _float_form(R)
     n = R.dim
     m = n - 1
-    slot = _first_slot(Rf)
 
     def compute(start, xs, normals):
         S = len(xs)
-        vals, amb = _spectral(R, seed, start, xs, "eigh")
-        labels, centers, mults = cluster_rows(vals, default_cluster_tol(vals))
+        amb = _table(R, seed, start, S, "eigh")[1]
+        labels, centers, mults = _table(R, seed, start, S, "clusters")
         coef, cluster, valid = _combinations(labels, mults, normals)
         coef = coef.reshape(S, -1, m)
         # J_y x = R(x, y, y, .) = c_a c_b q[b, a, :] for y = A c: one n^4
         # product per sample, not one per candidate
-        q = _in_eigenbasis(slot, xs, amb)
+        (q,) = _table(R, seed, start, S, "basis")
         along = np.arange(m)
         jyx = np.concatenate(
             [q[:, along, along],
@@ -337,9 +371,8 @@ def check_jacobi_dual(R: CurvatureTensor, *, samples=1000, seed=0,
 
         return res, fields
 
-    # at most 3 (n - 1) combination coefficients per sample
-    return _sweep("jacobi-dual", R, (Field.unit(n), Field.normals(3 * m)),
-                  compute, samples=samples, seed=seed, tol=tol)
+    return _sweep("jacobi-dual", R, None, compute, samples=samples, seed=seed,
+                  tol=tol)
 
 
 def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
@@ -353,11 +386,10 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
     the large ones and no uniform tolerance works across dimensions.
     """
     _require_samples(2, samples=samples)  # sample 0 compares only to itself
-    n = R.dim
     ref = {}  # sample 0's, set by the first block
 
-    def compute(start, xs):
-        (vals,) = _spectral(R, seed, start, xs, "vals")
+    def compute(start, xs, normals):
+        vals = _table(R, seed, start, len(xs), "eigh")[0]
         if start == 0:
             ref.update(radius=max(1.0, float(np.abs(vals[0]).max())), x=list(xs[0]))
         coeffs = charpoly(vals / ref["radius"])
@@ -367,8 +399,8 @@ def check_osserman(R: CurvatureTensor, *, samples=1000, seed=0,
             "x": list(xs[s]), "coefficients": list(coeffs[s]),
             "reference_x": ref["x"], "reference_coefficients": list(c0)}
 
-    return _sweep("osserman", R, (Field.unit(n),), compute, samples=samples,
-                  seed=seed, tol=tol)
+    return _sweep("osserman", R, None, compute, samples=samples, seed=seed,
+                  tol=tol)
 
 
 def check_einstein(R: CurvatureTensor, *, tol=None) -> CheckReport:
@@ -408,12 +440,12 @@ def classify_k_root(R: CurvatureTensor, *, samples=100, seed=0) -> RootClassific
     """Clustered reduced Jacobi spectrum at sample 0, and whether every
     sample's spectrum agrees with it (a NaN center agrees with nothing)."""
     _require_samples(1, samples=samples)
-    n = R.dim
     ref, agree = None, True
-    for start, (xs,) in _blocks(_FLOAT_BLOCK, seed, samples, (Field.unit(n),)):
-        (vals,) = _spectral(R, seed, start, xs, "vals")
+    for start in range(0, samples, _FLOAT_BLOCK):
+        rows = min(_FLOAT_BLOCK, samples - start)
+        vals = _table(R, seed, start, rows, "eigh")[0]
+        _, centers, mults = _table(R, seed, start, rows, "clusters")
         ct = default_cluster_tol(vals)
-        _, centers, mults = cluster_rows(vals, ct)
         if ref is None:
             ref = centers[0], mults[0]
         same = ((mults == ref[1]).all(axis=1)
@@ -446,14 +478,15 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
     n = R.dim
     gap_tol = abs(cls.centers[1] - cls.centers[0]) / 4.0
 
-    def compute(start, ys, xr):
-        vals, basis = _spectral(R, seed, start, ys, "eigh")
+    def compute(start, ys, normals):
+        vals, basis = _table(R, seed, start, len(ys), "eigh")
         labels, centers, mults = cluster_rows(vals, gap_tol)
         count = np.count_nonzero(mults, axis=1)
         bad = np.flatnonzero(count != 2)
         if bad.size:
             raise PreconditionError(f"sample {start + bad[0]} produced "
                                     f"{count[bad[0]]} eigenvalue clusters")
+        xr = normals[:, :n]
         x = xr - _dot(xr, ys)[:, None] * ys
         x /= _norm(x)[:, None]
         along = _mv(basis.transpose(0, 2, 1), x)  # x in the eigenbasis
@@ -474,8 +507,8 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
             "lhs": float(lhs[s]), "rhs": float(rhs[s]),
             "byproducts": [float(b1[s]), float(b2[s])]}
 
-    return _sweep("two-root-decomposition", R, (Field.unit(n), Field.normals(n)),
-                  compute, samples=samples, seed=seed, tol=tol)
+    return _sweep("two-root-decomposition", R, None, compute, samples=samples,
+                  seed=seed, tol=tol)
 
 
 def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
@@ -504,16 +537,13 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
         raise PreconditionError(
             f"eigen-Bianchi identity assumes an Osserman tensor "
             f"(osserman residual {pre.worst_residual:.3e})")
-    Rf = _float_form(R)
-    n = R.dim
-    m = n - 1
+    m = R.dim - 1
     ia, ib, ic = np.array(list(itertools.combinations(range(m), 3)), dtype=np.intp).T
-    slot = _first_slot(Rf)
 
-    def compute(start, xs):
-        vals, amb = _spectral(R, seed, start, xs, "eigh")
+    def compute(start, xs, normals):
+        vals, amb = _table(R, seed, start, len(xs), "eigh")
         # c3[s, b, a, c] = R(X, A_a, B_b, C_c): each triple is a table lookup
-        c3 = _in_eigenbasis(slot, xs, amb) @ amb[:, None]
+        c3 = _table(R, seed, start, len(xs), "basis")[0] @ amb[:, None]
         r_abc, r_bac = c3[:, ib, ia, ic], c3[:, ia, ib, ic]
         la, lb, lc = vals[:, ia], vals[:, ib], vals[:, ic]
         lhs = r_abc * (lc - 2 * lb + la) + r_bac * (lc + lb - 2 * la)
@@ -523,8 +553,8 @@ def check_eigen_bianchi_identity(R: CurvatureTensor, *, samples=100, seed=0,
             "eigenvalues": [float(vals[s, v[c]]) for v in (ia, ib, ic)],
             "r_xabc": float(r_abc[s, c]), "r_xbac": float(r_bac[s, c])}
 
-    return _sweep("eigen-bianchi", R, (Field.unit(n),), compute, samples=samples,
-                  seed=seed, tol=tol)
+    return _sweep("eigen-bianchi", R, None, compute, samples=samples, seed=seed,
+                  tol=tol)
 
 
 def _polarization_residuals(jx, jy, jp, jm, x, y):

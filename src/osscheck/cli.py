@@ -33,7 +33,7 @@ from .linalg import (
     charpoly,
     cluster_rows,
     default_cluster_tol,
-    eigvalsh,
+    eigh,
     random_unit_vector,
     sample_stream,
 )
@@ -232,7 +232,7 @@ def _cmd_spectrum(args):
         x = x / np.linalg.norm(x)
     else:
         x = random_unit_vector(R.dim, sample_stream(args.seed))
-    vals = eigvalsh(reduced_jacobi(R.to_float(), x))
+    vals = eigh(reduced_jacobi(R.to_float(), x))[0]
     coeffs = charpoly(vals)
     for label, values in (("reduced Jacobi spectrum", vals),
                           ("characteristic polynomial", coeffs)):

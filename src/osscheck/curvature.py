@@ -331,12 +331,12 @@ def validate_symmetries(R: CurvatureTensor, *, tol=None):
 def _require_skew(J):
     """``J``, or ValueError when it is not skew-adjoint: exactly for integer
     and object matrices, in float to IDENTITY_TOL relative to its largest
-    entry."""
+    entry, which must be finite."""
     if J.dtype == object or J.dtype.kind in "iu":
         if np.any(J != -J.T):
             raise ValueError("J is not skew-adjoint (exact check)")
     elif not (float(np.abs(J + J.T).max())
-              <= IDENTITY_TOL * max(1.0, float(np.abs(J).max()))):
+              <= IDENTITY_TOL * max(1.0, float(np.abs(J).max())) < np.inf):
         raise ValueError("J is not skew-adjoint beyond tolerance")
     return J
 
@@ -511,8 +511,9 @@ def _clifford_provenance(n, mu0, mus, Js):
     fam = [np.asarray(J).tolist() for J in Js]
     def fmt(x):
         return str(Fraction(x)) if isinstance(x, (int, Fraction)) else repr(x)
+    # an exact entry that JSON has no number for is spelled as its Fraction
     return (f"clifford(n={n}; mu0={fmt(mu0)}; mu=[{', '.join(fmt(m) for m in mus)}]; "
-            f"family={json.dumps(fam)})")
+            f"family={json.dumps(fam, default=lambda v: str(Fraction(v)))})")
 
 
 def make_from_symmetric(S_list, coeffs, mode=FLOAT64, n=None) -> CurvatureTensor:

@@ -48,7 +48,8 @@ class PreconditionError(ValueError):
 def require_symmetric(m):
     """``m``, a square matrix or a stack ``m[..., k, k]`` of them, or
     ValueError when one is not symmetric (exactly for integer and object
-    matrices, in float to SYM_TOL relative to its largest entry)."""
+    matrices, in float to SYM_TOL relative to its largest entry, which must
+    be finite)."""
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("matrix must be square")
@@ -59,7 +60,8 @@ def require_symmetric(m):
         return m
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
     worst = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
-    if not np.all(worst <= SYM_TOL * scale):  # a NaN residual is never within
+    # a NaN residual is never within, and an infinite scale admits nothing
+    if not np.all((worst <= SYM_TOL * scale) & np.isfinite(scale)):
         raise ValueError(f"matrix is not symmetric: residual {float(worst.max()):.3e}")
     return m
 
@@ -116,15 +118,6 @@ def _zero_non_finite(m):
     m = np.asarray(m, dtype=np.float64)
     bad = ~np.isfinite(m).all(axis=(-2, -1))
     return (np.where(bad[..., None, None], 0.0, m) if bad.any() else m), bad
-
-
-def eigvalsh(m):
-    """Ascending eigenvalues of the symmetric float matrices ``m[..., k, k]``;
-    all NaN for a matrix with an entry that is not finite."""
-    m, bad = _zero_non_finite(m)
-    vals = np.linalg.eigvalsh(m)
-    vals[bad] = np.nan
-    return vals
 
 
 def eigh(m):

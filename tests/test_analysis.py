@@ -28,13 +28,14 @@ from osscheck import (
     sample_stream,
 )
 from osscheck import analysis
-from osscheck.curvature import CurvatureTensor
+from osscheck.curvature import CurvatureTensor, _first_slot
 from osscheck.linalg import (
     FLOAT64,
     RATIONAL,
     Field,
     PreconditionError,
     cluster_rows,
+    default_cluster_tol,
     eigh,
     householder_frame,
 )
@@ -130,7 +131,7 @@ class TestOsserman:
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_reference_is_sample_zero(self, n, monkeypatch):
-        from osscheck.linalg import charpoly, eigvalsh, random_unit_vector
+        from osscheck.linalg import charpoly, random_unit_vector
 
         for R in (clifford_tensor(n, 3).to_float(),
                   random_curvature(n, 2, sample_stream(60 + n))):
@@ -138,7 +139,7 @@ class TestOsserman:
             rep = check_osserman(R, samples=40, seed=3)
             # the standalone spectrum of sample 0, alone in its product
             x0 = random_unit_vector(n, sample_stream(3, 0))
-            vals0 = eigvalsh(reduced_jacobi(R, x0[None]))[0]
+            vals0 = eigh(reduced_jacobi(R, x0[None]))[0][0]
             ref = charpoly(vals0 / max(1.0, float(np.abs(vals0).max())))
             assert rep.witness["reference_x"] == list(x0)
             assert np.array_equal(rep.witness["reference_coefficients"], ref)
@@ -649,8 +650,9 @@ def _ints(values):
     return np.array(values, dtype=np.int64)
 
 
-# Every field combination that a sampling checker declares, as functions of
-# n: its fields, and its per-sample draw, one call at a time (tests/oracles.py)
+# Every field combination that a sampling checker declares, and the unit
+# vector alone and with n normals, as functions of n: its fields, and its
+# per-sample draw, one call at a time (tests/oracles.py)
 DRAWS = {
     "unit": (lambda n: (Field.unit(n),), lambda n, s: (unit_vector(n, s),)),
     "unit, 3(n-1) normals": (
@@ -731,12 +733,12 @@ class TestBlockFill:
                                    _stacked(draw, n, 100 + n, samples))
 
     @pytest.mark.parametrize("name, tensor, combination", [
-        ("osserman", "float4", "unit"),
-        ("k-root", "float4", "unit"),
+        ("osserman", "float4", "unit, 3(n-1) normals"),
+        ("k-root", "float4", "unit, 3(n-1) normals"),
         ("jacobi-dual", "float4", "unit, 3(n-1) normals"),
-        ("two-root-decomposition", "float8", "unit, n normals"),
-        ("eigen-bianchi", "float4", "unit"),
-        ("eigen-bianchi", "float16", "unit"),
+        ("two-root-decomposition", "float8", "unit, 3(n-1) normals"),
+        ("eigen-bianchi", "float4", "unit, 3(n-1) normals"),
+        ("eigen-bianchi", "float16", "unit, 3(n-1) normals"),
         ("polarization", "rational4", "two int vectors"),
         ("polarization", "float4", "two normal vectors"),
         ("jacobi-orthogonal", "rational4", "orthogonal int pair"),
@@ -748,9 +750,9 @@ class TestBlockFill:
              "float8": quaternionic8.to_float(), "float16": clifford16}[tensor]
         declared, blocks = [], analysis._blocks
 
-        def spy(size, seed, samples, fields):
+        def spy(size, seed, samples, fields, *first):
             declared.append((size, fields))
-            return blocks(size, seed, samples, fields)
+            return blocks(size, seed, samples, fields, *first)
 
         monkeypatch.setattr(analysis, "_blocks", spy)
         if name == "k-root":
@@ -759,7 +761,8 @@ class TestBlockFill:
             analysis.run_check(name, R, samples=2, seed=1, tol=None)
         monkeypatch.undo()
         # the last declaration is the checker's own, after any precheck, in
-        # blocks of the size of its mode
+        # blocks of the size of its mode; a float spectral checker's is the
+        # draw of the shared table, which its precheck may have made
         size, fields = declared[-1]
         assert size == (analysis.BLOCK if tensor == "rational4" else analysis._FLOAT_BLOCK)
         _assert_same_bytes(_filled(fields, size, 9, 33),
@@ -838,44 +841,71 @@ def _spectral_report(name, R, samples, seed, precheck_samples=50):
     return analysis.run_check(name, R, samples=samples, seed=seed, tol=None).to_json()
 
 
-def _fresh(R, X, kind):
-    """What a spectral request computes with no store: the eigvalsh values,
-    or the eigh values and ambient eigenvectors, at the rows of X."""
-    red = reduced_jacobi(R, X)
-    if kind == "vals":
-        return (np.linalg.eigvalsh(red),)
-    vals, vecs = eigh(red)
-    return vals, householder_frame(X) @ vecs
+# The kinds of entry of the float spectral table, in the order of their needs
+KINDS = ("draw", "eigh", "clusters", "basis")
+
+
+def _fresh(R, seed, start, rows, kind):
+    """What a table entry computes with no store, for samples start to
+    start + rows - 1: their one-call-at-a-time draws, then the eigensolves,
+    clusters or eigenbasis table of those rows alone."""
+    draw = DRAWS["unit, 3(n-1) normals"][1]
+    x, normals = (np.stack(a) for a in zip(*(
+        draw(R.dim, sample_stream(seed, i)) for i in range(start, start + rows))))
+    vals, vecs = eigh(reduced_jacobi(R, x))
+    amb = householder_frame(x) @ vecs
+    return {"draw": lambda: (x, normals), "eigh": lambda: (vals, amb),
+            "clusters": lambda: cluster_rows(vals, default_cluster_tol(vals)),
+            "basis": lambda: (analysis._in_eigenbasis(_first_slot(R), x, amb),),
+            }[kind]()
+
+
+def _held_arrays(store):
+    return [a for block in store.blocks.values() for arrays in block.values()
+            for a in arrays]
 
 
 class TestSpectralSharing:
-    """The float spectral checkers share one store of reduced Jacobi
-    operators and eigensolver results (analysis._spectral), and every report
-    is the one a fresh store gives."""
+    """The float spectral checkers share one table per (tensor, seed) of
+    draws, eigensolves, clusters and eigenbasis tables (analysis._table),
+    and every report is the one a fresh store gives."""
 
     @pytest.mark.parametrize("samples", [36, 100])
     def test_one_pass_per_block_over_the_float_sweep_ops(
             self, samples, quaternionic8, clifford16, monkeypatch):
         calls = []
-        for fn in ("reduced_jacobi", "eigvalsh", "eigh"):
+        # the rows of each call: the draw's from sample `first` on
+        rows_of = {"_blocks": lambda args: args[2] - args[4],
+                   "cluster_rows": lambda args: len(args[0]),
+                   "_first_slot": lambda args: None}
+        for fn in ("_blocks", "reduced_jacobi", "eigh", "cluster_rows",
+                   "_in_eigenbasis", "_first_slot"):
             def spy(*args, fn=fn, real=getattr(analysis, fn)):
-                calls.append((fn, len(args[-1])))
+                calls.append((fn, rows_of.get(fn, lambda args: len(args[-1]))(args)))
                 return real(*args)
             monkeypatch.setattr(analysis, fn, spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *args: calls.append(("eigvalsh", None)))
         tensors = (quaternionic8.to_float(), clifford16)
         for R in tensors:
             for name in SPECTRAL:
                 _spectral_report(name, R, samples, 4, precheck_samples=12)
         size = analysis._FLOAT_BLOCK
         rows = [min(size, samples - start) for start in range(0, samples, size)]
+        # each once per block and tensor, cluster_rows also for two-root's
+        # own gap tolerance; the first-slot matrix once per tensor
+        per_block = ("_blocks", "reduced_jacobi", "eigh", "cluster_rows",
+                     "cluster_rows", "_in_eigenbasis")
         assert sorted(calls) == sorted(
-            (fn, r) for fn in ("reduced_jacobi", "eigvalsh", "eigh")
-            for r in rows * len(tensors))
+            [(fn, r) for fn in per_block for r in rows * len(tensors)]
+            + [("_first_slot", None)] * len(tensors))
 
     def test_reports_equal_those_of_a_fresh_store(self, quaternionic8):
         pairs = [(R, seed) for R in (clifford_tensor(4, 2), quaternionic8.to_float())
                  for seed in (1, 2)]
-        counts = (12, 36, 100, 300, analysis._STORED_ROWS + 70)
+        # 1094 samples: past the rows whose eigenbasis tables fit the store
+        # at n = 8
+        counts = (12, 36, 100, 300, 1094)
         # each (tensor, seed) through every count, then each checker over
         # every (tensor, seed) in turn
         runs = [(R, seed, samples, name) for R, seed in pairs
@@ -890,40 +920,39 @@ class TestSpectralSharing:
 
     def test_served_rows_equal_a_fresh_call(self, quaternionic8, monkeypatch):
         R = quaternionic8.to_float()
-        (x,), (other,) = (next(analysis._blocks(64, seed, 64, (Field.unit(8),)))[1]
-                          for seed in (1, 2))
-        solved, reduce = [], analysis.reduced_jacobi
-        monkeypatch.setattr(analysis, "reduced_jacobi",
-                            lambda R, X: solved.append(len(X)) or reduce(R, X))
-        # (directions, whether the request solves them): a prefix of what
-        # the store holds is served; more rows, or other ones, are solved
-        requests = [(x[:40], True), (x[:20], False), (x, True), (x[:30], False),
-                    (other[:30], True), (np.concatenate([other[:30], x[30:50]]), True),
-                    (x[:10], True)]
-        for kind in ("vals", "eigh"):
+        drawn, blocks = [], analysis._blocks
+        monkeypatch.setattr(analysis, "_blocks",
+                            lambda *args: drawn.append(args) or blocks(*args))
+        # (block start, rows, whether the request draws): a prefix of what
+        # the store holds is served; more rows, or another block, are drawn
+        # and computed
+        requests = [(0, 40, True), (0, 20, False), (0, 64, True), (0, 30, False),
+                    (64, 30, True), (64, 10, False), (0, 64, False), (128, 5, True)]
+        for kind in KINDS:
             analysis._store = None
-            for X, solves in requests:
-                count = len(solved)
-                got = analysis._spectral(R, 5, 0, X.copy(), kind)
-                assert len(solved) == count + solves
-                _assert_same_bytes(got, _fresh(R, X, kind))
+            for start, rows, draws in requests:
+                count = len(drawn)
+                got = analysis._table(R, 5, start, rows, kind)
+                assert len(drawn) == count + draws, (kind, start, rows)
+                _assert_same_bytes(got, _fresh(R, 5, start, rows, kind))
 
     def test_served_arrays_are_read_only(self, quaternionic8, monkeypatch):
-        served, spectral = [], analysis._spectral
+        served, table = [], analysis._table
 
         def spy(*args):
-            got = spectral(*args)
+            got = table(*args)
             served.extend(got)
             return got
 
-        monkeypatch.setattr(analysis, "_spectral", spy)
+        monkeypatch.setattr(analysis, "_table", spy)
         R = quaternionic8.to_float()
-        # the last blocks lie past the store's cap and are not kept
+        # the last blocks' eigenbasis tables lie past the store's budget and
+        # are not kept
         for name in SPECTRAL:
-            _spectral_report(name, R, analysis._STORED_ROWS + 70, 2)
-        stored = [a for block in analysis._store[3].values()
-                  for arrays in block.values() for a in arrays]
+            _spectral_report(name, R, 1094, 2)
+        stored = _held_arrays(analysis._store)
         assert len(served) > 0 and len(stored) > 0
+        assert not all("basis" in b for b in analysis._store.blocks.values())
         for a in served + stored:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -970,28 +999,38 @@ class TestSpectralSharing:
     def test_a_call_replaces_the_store_and_changes_no_earlier_one(self, clifford16):
         check_osserman(clifford16, samples=100, seed=3)
         before = analysis._store
-        head, blocks = before[:3], {s: dict(b) for s, b in before[3].items()}
+        head, blocks = before[:4], {s: dict(b) for s, b in before.blocks.items()}
         check_jacobi_dual(clifford16, samples=100, seed=3)
         after = analysis._store
-        assert after is not before and after[0]() is clifford16
-        assert all(a is b for a, b in zip(before[:3], head))
-        assert before[3] == blocks and sorted(blocks) == sorted(after[3]) == [0, 64]
+        assert after is not before and after.ref() is clifford16
+        assert all(a is b for a, b in zip(before[:4], head))
+        assert before.blocks == blocks and sorted(blocks) == sorted(after.blocks) == [0, 64]
         for start, block in blocks.items():
-            assert sorted(block) == ["red", "vals", "x"]
-            assert sorted(after[3][start]) == ["eigh", "red", "vals", "x"]
+            assert sorted(block) == ["draw", "eigh"]
+            assert sorted(after.blocks[start]) == ["basis", "clusters", "draw", "eigh"]
             assert all(a is b for k, v in block.items()
-                       for a, b in zip(after[3][start][k], v))
+                       for a, b in zip(after.blocks[start][k], v))
+        # another seed empties the table and keeps the first-slot matrix
         check_osserman(clifford16, samples=100, seed=4)
-        assert analysis._store[1] == 4 and sorted(analysis._store[3]) == [0, 64]
+        store = analysis._store
+        assert store.seed == 4 and sorted(store.blocks) == [0, 64]
+        assert all(sorted(b) == ["draw", "eigh"] for b in store.blocks.values())
+        assert store.slot is after.slot is not None
 
-    def test_the_store_keeps_at_most_its_cap(self, quaternionic8):
-        cap = analysis._STORED_ROWS
-        R = quaternionic8.to_float()  # alive while its store is read
-        check_osserman(R, samples=cap + 200, seed=1)
-        blocks = analysis._store[3]
-        assert max(blocks) < cap
-        for kind in ("x", "red", "vals"):
-            assert sum(len(b[kind][0]) for b in blocks.values()) == cap
+    def test_the_store_keeps_at_most_its_cap(self):
+        # check all at the CLI's default 1000 samples on a rational dim-16
+        # file: the draws, spectra and clusters of every block fit, beside
+        # the float form and first-slot matrix; the eigenbasis tables do not
+        R = clifford_tensor(16, 8)
+        check_osserman(R, samples=1000, seed=1)
+        check_jacobi_dual(R, samples=1000, seed=1)
+        store = analysis._store
+        assert sorted(store.blocks) == list(range(0, 1000, analysis._FLOAT_BLOCK))
+        for kind in ("draw", "eigh", "clusters"):
+            assert sum(len(b[kind][0]) for b in store.blocks.values()) == 1000
+        assert not all("basis" in b for b in store.blocks.values())
+        held = _held_arrays(store) + [store.slot, store.Rf._matrix]
+        assert store.nbytes() == sum(a.nbytes for a in held) <= analysis._STORE_BYTES
 
     def test_a_rational_tensor_is_converted_once_per_store(self, quaternionic8,
                                                            monkeypatch):
@@ -1041,7 +1080,7 @@ class TestSpectralSharing:
     def test_the_store_dies_with_its_tensor(self, mode):
         R = clifford_tensor(8, 3, mode=mode)
         check_jacobi_dual(R, samples=100, seed=2)
-        assert analysis._store is not None and analysis._store[3]
+        assert analysis._store is not None and analysis._store.blocks
         del R
         gc.collect()
         assert analysis._store is None

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,18 @@ class TestValidateHurwitz:
         J0, J1 = _nan_family()
         with pytest.raises(PreconditionError, match="not a valid Clifford family"):
             make_clifford(4, 1, [(-1, J0), (-1, J1)], mode="float64")
+
+    def test_make_clifford_takes_a_fraction_family(self):
+        # an exact family of Fractions builds the tensor of its integer
+        # twin; the provenance spells each entry as its Fraction
+        J = build_clifford_family(4, 1).structures[0]
+        R = make_clifford(4, 1, [(Fraction(-1), np.frompyfunc(Fraction, 1, 1)(J))])
+        twin = make_clifford(4, 1, [(-1, J)])
+        assert R.numerators.tobytes() == twin.numerators.tobytes()
+        assert R.denominator == twin.denominator == 1
+        family = json.loads(R.provenance.split("family=")[1][:-1])
+        assert family == [[[str(v) for v in row] for row in J.tolist()]]
+        assert twin.provenance.endswith(f"family={json.dumps([J.tolist()])})")
 
     def test_conjugation_by_rotation_preserves(self):
         from osscheck.linalg import random_orthogonal_matrix

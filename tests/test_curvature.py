@@ -194,6 +194,13 @@ class TestRJ:
         with pytest.raises(ValueError):
             make_rj(np.eye(3))
 
+    def test_an_infinite_entry_is_not_skew(self):
+        # the tolerance is relative to the largest entry, which must be finite
+        from osscheck.curvature import _require_skew
+
+        with pytest.raises(ValueError, match="not skew-adjoint"):
+            _require_skew(np.array([[np.inf, 1.0], [-1.0, 0.0]]))
+
 
 class TestClifford:
     def test_m0_equals_constant(self):

@@ -76,6 +76,12 @@ class TestEigh:
         with pytest.raises(ValueError, match="not symmetric"):
             require_symmetric(np.full((3, 3), np.nan))
 
+    def test_an_infinite_entry_is_not_symmetric(self):
+        # the tolerance is relative to the largest entry, which must be
+        # finite: an infinite one admitted any asymmetry
+        with pytest.raises(ValueError, match="not symmetric"):
+            require_symmetric(np.array([[0.0, np.inf], [0.0, 0.0]]))
+
     def test_rejects_rational(self):
         with pytest.raises(PreconditionError):
             eigh(np.array([[Fraction(1), Fraction(0)],

@@ -4,7 +4,7 @@ Einstein, root structure, and the proof-step identities.
 All checkers are pure given (tensor, seed): sample i always draws from the
 per-sample stream keyed by (seed, i), and its result depends on nothing
 else, not on how many samples run or how they are grouped, nor on what ran
-before: the float spectral checkers share one table of draws, eigensolves,
+before: the float sampling checkers share one table of draws, eigensolves,
 clusters and contractions (:func:`_table`) bit for bit.  Sampling checkers
 certify "no counterexample found", not a proof; they all run through
 :func:`_sweep`.
@@ -111,8 +111,9 @@ def _sweep(name, R, fields, compute, *, samples, seed, tol, denominator=None,
     Samples run in blocks of _FLOAT_BLOCK, or BLOCK for an exact sweep, each
     in three phases:
 
-    1. draw the ``fields`` of every sample (:func:`_blocks`), or for
-       ``fields`` None the spectral draw of the float table (:func:`_table`);
+    1. draw the ``fields`` of every sample of an exact sweep
+       (:func:`_blocks`); a float sweep passes ``fields`` None and reads the
+       draw of the float table (:func:`_table`), x and 3(n-1) normals;
     2. compute: ``compute(start, *arrays)`` returns the residuals
        ``res[S, C]`` of the block's S samples, which start at sample
        ``start``, with C candidates each (-inf marks no candidate), and
@@ -166,10 +167,18 @@ def _norm(v):
     return np.linalg.norm(v, axis=-1)
 
 
+def _unit_perp(v, x):
+    """The rows of ``v`` projected off the unit rows ``x``, then scaled to
+    unit norm."""
+    y = v - _dot(v, x)[:, None] * x
+    return y / _norm(y)[:, None]
+
+
 # The float spectral table of the latest (R, seed), dropped when R dies.  In
 # each float block it maps kinds to read-only arrays over the block's first
 # rows: "draw" (x, then 3(n-1) normals: jacobi-dual's combinations take at
-# most three per eigenvector, two-root the first n), "eigh" (values and
+# most three per eigenvector; two-root, jacobi-orthogonal and polarization
+# the first n; the draw of every float sweep), "eigh" (values and
 # ambient eigenvectors), "clusters" (cluster_rows at default_cluster_tol)
 # and "basis" (_in_eigenbasis).  An entry is kept while all the store holds,
 # float form and first-slot matrix included, stays within _STORE_BYTES.
@@ -258,10 +267,12 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
                             tol=None) -> CheckReport:
     """J_X Y perpendicular to J_Y X over random orthogonal pairs.
 
-    A rational tensor is checked exactly: pairs of integer vectors are
-    forced orthogonal by projection and the residual is the exact inner
-    product (tolerance 0).  Its numerator is an integer over L^2, for L the
-    denominator of the tensor.
+    A float tensor takes X from the spectral table's draw, the directions
+    that osserman samples, and Y from its first n normals, projected off X
+    twice and scaled to unit norm.  A rational tensor is checked exactly: pairs
+    of integer vectors are forced orthogonal by projection and the residual
+    is the exact inner product (tolerance 0).  Its numerator is an integer
+    over L^2, for L the denominator of the tensor.
     """
     if R.dim < 2:
         raise PreconditionError("need dimension >= 2")
@@ -269,9 +280,13 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
     exact = R.mode == RATIONAL
     if exact:
         numerators = jacobi_numerator_rows(R)
-    fields = (Field.orthogonal_int_pair(n) if exact else Field.orthonormal_pair(n),)
+    fields = (Field.orthogonal_int_pair(n),) if exact else None
 
     def compute(start, xs, ys):
+        if not exact:
+            # y: the table's first n normals v projected off x twice; one
+            # pass leaves x.y up to about eps / sin(angle of v to x)
+            ys = _unit_perp(_unit_perp(ys[:, :n], xs), xs)
         v = np.stack([xs, ys], axis=1).reshape(-1, n)
         if exact:
             # J_x y' and J_{y'} x part by part, then summed
@@ -486,9 +501,7 @@ def check_two_root_decomposition(R: CurvatureTensor, *, samples=500, seed=0,
         if bad.size:
             raise PreconditionError(f"sample {start + bad[0]} produced "
                                     f"{count[bad[0]]} eigenvalue clusters")
-        xr = normals[:, :n]
-        x = xr - _dot(xr, ys)[:, None] * ys
-        x /= _norm(x)[:, None]
+        x = _unit_perp(normals[:, :n], ys)
         along = _mv(basis.transpose(0, 2, 1), x)  # x in the eigenbasis
         x1 = _mv(basis, np.where(labels == 0, along, 0.0))
         x2 = _mv(basis, np.where(labels == 1, along, 0.0))
@@ -574,8 +587,10 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
         J_{X-Y}(X+Y) = 2 (J_Y X + J_X Y)
         J_{X+Y} + J_{X-Y} = 2 J_X + 2 J_Y   (as matrices)
 
-    A rational tensor is checked exactly, on integer X, Y and the integer
-    Jacobi numerators, which all share the denominator of the tensor.
+    A float tensor takes X and the first n normals of the spectral table's
+    draw as Y.  A rational tensor is checked exactly, on integer X, Y and
+    the integer Jacobi numerators, which all share the denominator of the
+    tensor.
 
     The identities follow from J being quadratic in X and from
     R(X, Y, ., .) = -R(Y, X, ., .), so they hold for every tensor skew in
@@ -585,10 +600,11 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
     n = R.dim
     if exact:
         numerators = jacobi_numerator_rows(R)
-    fields = ((Field.int_vector(n), Field.int_vector(n)) if exact
-              else (Field.normals(n), Field.normals(n)))
+    fields = (Field.int_vector(n), Field.int_vector(n)) if exact else None
 
     def compute(start, xs, ys):
+        if not exact:  # ys: the table's normals
+            ys = ys[:, :n]
         v = np.stack([xs, ys, xs + ys, xs - ys], axis=1).reshape(-1, n)
         if exact:
             # the residuals add five matrix-vector products of these

@@ -29,7 +29,6 @@ RATIONAL = "rational"
 
 # Default tolerances.  Safe for dims <= 16 with well separated spectra.
 IDENTITY_TOL = 1e-9
-DEP_TOL = 1e-12
 UNIT_TOL = 1e-12
 SYM_TOL = 1e-10
 
@@ -231,17 +230,11 @@ def sample_streams(seed, indices):
 _MAX_RETRIES = 16
 
 
-def _dots(u, v):
-    """Inner products of the rows of ``u[S, n]`` and ``v[S, n]``, each one
-    BLAS dot as in ``np.dot`` and ``np.linalg.norm``: a stacked
-    (1, n) @ (n, 1) product calls that kernel (``einsum`` and
-    ``norm(axis=1)`` sum in other orders)."""
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
-
-
 def _norms(v):
-    """Norms of the rows of ``v[S, n]``, with the bits of ``np.linalg.norm``."""
-    return np.sqrt(_dots(v, v))
+    """Norms of the rows of ``v[S, n]``, with the bits of ``np.linalg.norm``:
+    a stacked (1, n) @ (n, 1) product calls its BLAS dot (``einsum`` and
+    ``norm(axis=1)`` sum in other orders)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
 def _unit_rows(v):
@@ -253,26 +246,10 @@ def _unit_rows(v):
         return (v / _norms(v)[:, None],), ~(nv > 1e-6)
 
 
-def _orthonormal_rows(v):
-    """``((x, y), redo)`` for the normal rows ``v[S, 2n] = (a, b)``: x = a / |a|
-    and y, b made orthogonal to x by Gram-Schmidt with two passes (for
-    1e-14 level orthogonality), then scaled to unit norm; and the rows where
-    a or b is within DEP_TOL of dependent, which are drawn again."""
-    a, b = (np.ascontiguousarray(h) for h in np.hsplit(v, 2))
-    na, nb = _norms(a), _norms(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = a / na[:, None]
-        y = b - _dots(x, b)[:, None] * x
-        y -= _dots(x, y)[:, None] * x
-        ny = _norms(y)
-        redo = ~(na > DEP_TOL) | ~(ny > DEP_TOL * np.maximum(1.0, nb))
-        return (x, y / ny[:, None]), redo
-
-
 def _projected_pairs(v):
     """``((x, y'), redo)`` for the integer rows ``v[S, 2n] = (x, y)``:
-    y' = (x.x) y - (y.x) x, and the rows where y' is zero, as it is
-    where x or y is."""
+    y' = (x.x) y - (y.x) x, and the rows where y' is zero (x or y zero, or
+    the two parallel), whose whole pair is drawn again."""
     x, y = np.hsplit(v, 2)
     p = (x * x).sum(axis=1)[:, None] * y - (y * x).sum(axis=1)[:, None] * x
     return (x.copy(), p), ~p.any(axis=1)
@@ -318,28 +295,12 @@ class Field(NamedTuple):
         return Field(k, np.float64, _normals, lambda v: ((v,), False))
 
     @staticmethod
-    def orthonormal_pair(n):
-        return Field(2 * n, np.float64, _normals, _orthonormal_rows)
-
-    @staticmethod
     def int_vector(n):
         return Field(n, np.int64, _integers, lambda v: ((v,), ~v.any(axis=1)))
 
     @staticmethod
     def orthogonal_int_pair(n):
-        """x and y drawn one at a time, each again while zero, then y
-        projected off x.  ``fill`` draws both at once, and a zero one is
-        dropped and followed by the next n integers, as drawn one at a time."""
-        def fill(stream, row):
-            x, y = row[:n], row[n:]
-            row[:] = stream.integers(-9, 10, size=2 * n)
-            for _ in range(_MAX_RETRIES):
-                if x.any() and y.any():
-                    return
-                x[:] = x if x.any() else y
-                y[:] = stream.integers(-9, 10, size=n)
-
-        return Field(2 * n, np.int64, fill, _projected_pairs)
+        return Field(2 * n, np.int64, _integers, _projected_pairs)
 
 
 def random_unit_vector(n, stream):

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-ARTIFACT_VERSION = "0.7.0"
+ARTIFACT_VERSION = "0.8.0"
 
 
 def residual(raw, *magnitudes, over=None):

@@ -106,6 +106,30 @@ def unit_vector(n, stream):
     raise RuntimeError("degenerate draws")
 
 
+def int_vector(n, stream):
+    """Integers in [-9, 9] as Python ints, drawn again while all zero."""
+    for _ in range(16):
+        v = [int(c) for c in stream.integers(-9, 10, size=n)]
+        if any(v):
+            return v
+    raise RuntimeError("degenerate draws")
+
+
+def orthogonal_int_pair(n, stream):
+    """x and y, n integers in [-9, 9] each, as Python ints, with y replaced
+    by (x.x) y - (y.x) x; the whole pair drawn again while that is zero."""
+    for _ in range(16):
+        x, y = ([int(c) for c in stream.integers(-9, 10, size=n)] for _ in range(2))
+        xx, yx = sum(a * a for a in x), sum(a * b for a, b in zip(x, y))
+        y = [xx * b - yx * a for a, b in zip(x, y)]
+        if any(y):
+            return x, y
+    raise RuntimeError("degenerate draws")
+
+
+# Not a draw of the library: an orthonormal pair for tests of identities at
+# X perpendicular to Y.
+
 def orthonormal_pair(n, stream):
     """Two standard normal vectors, orthonormalised by modified Gram-Schmidt
     with two passes, drawn again while one is within 1e-12 of dependent."""
@@ -122,25 +146,4 @@ def orthonormal_pair(n, stream):
             out.append(w / nw)
         if len(out) == 2:
             return tuple(out)
-    raise RuntimeError("degenerate draws")
-
-
-def int_vector(n, stream):
-    """Integers in [-9, 9] as Python ints, drawn again while all zero."""
-    for _ in range(16):
-        v = [int(c) for c in stream.integers(-9, 10, size=n)]
-        if any(v):
-            return v
-    raise RuntimeError("degenerate draws")
-
-
-def orthogonal_int_pair(n, stream):
-    """Two int_vector draws x, y, with y replaced by (x.x) y - (y.x) x, in
-    Python ints, drawn again while that is zero."""
-    for _ in range(16):
-        x, y = int_vector(n, stream), int_vector(n, stream)
-        xx, yx = sum(a * a for a in x), sum(a * b for a, b in zip(x, y))
-        y = [xx * b - yx * a for a, b in zip(x, y)]
-        if any(y):
-            return x, y
     raise RuntimeError("degenerate draws")

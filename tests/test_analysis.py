@@ -87,6 +87,18 @@ class TestJacobiOrthogonal:
         rep = check_jacobi_orthogonal(quaternionic8.to_float(), samples=100)
         assert rep.passed
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 15, 16])
+    def test_float_witness_is_an_orthonormal_pair(self, n):
+        # y is the table's first n normals projected off x twice: the
+        # witness of every seed is a unit x and a unit y orthogonal to it
+        R = random_curvature(n, 3, sample_stream(n))
+        for seed in range(5):
+            w = check_jacobi_orthogonal(R, samples=100, seed=seed).witness
+            x, y = np.array(w["x"]), np.array(w["y"])
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+            assert abs(np.linalg.norm(y) - 1.0) <= 1e-14
+            assert abs(x.dot(y)) <= 1e-14, (seed, x.dot(y))
+
     def test_deterministic_reports(self, quaternionic8):
         a = check_jacobi_orthogonal(quaternionic8, samples=20, seed=3)
         b = check_jacobi_orthogonal(quaternionic8, samples=20, seed=3)
@@ -650,9 +662,10 @@ def _ints(values):
     return np.array(values, dtype=np.int64)
 
 
-# Every field combination that a sampling checker declares, and the unit
-# vector alone and with n normals, as functions of n: its fields, and its
-# per-sample draw, one call at a time (tests/oracles.py)
+# Every field combination that a sampling checker declares, and three that
+# none does (the unit vector alone and with n normals, and two normal
+# vectors), as functions of n: its fields, and its per-sample draw, one call
+# at a time (tests/oracles.py)
 DRAWS = {
     "unit": (lambda n: (Field.unit(n),), lambda n, s: (unit_vector(n, s),)),
     "unit, 3(n-1) normals": (
@@ -667,7 +680,6 @@ DRAWS = {
                            lambda n, s: (s.standard_normal(n), s.standard_normal(n))),
     "orthogonal int pair": (lambda n: (Field.orthogonal_int_pair(n),),
                             lambda n, s: tuple(map(_ints, orthogonal_int_pair_draw(n, s)))),
-    "orthonormal pair": (lambda n: (Field.orthonormal_pair(n),), orthonormal_pair),
 }
 
 
@@ -740,9 +752,9 @@ class TestBlockFill:
         ("eigen-bianchi", "float4", "unit, 3(n-1) normals"),
         ("eigen-bianchi", "float16", "unit, 3(n-1) normals"),
         ("polarization", "rational4", "two int vectors"),
-        ("polarization", "float4", "two normal vectors"),
+        ("polarization", "float4", "unit, 3(n-1) normals"),
         ("jacobi-orthogonal", "rational4", "orthogonal int pair"),
-        ("jacobi-orthogonal", "float4", "orthonormal pair"),
+        ("jacobi-orthogonal", "float4", "unit, 3(n-1) normals"),
     ])
     def test_checkers_declare_these_fields(self, name, tensor, combination,
                                            quaternionic8, clifford16, monkeypatch):
@@ -899,6 +911,21 @@ class TestSpectralSharing:
         assert sorted(calls) == sorted(
             [(fn, r) for fn in per_block for r in rows * len(tensors)]
             + [("_first_slot", None)] * len(tensors))
+
+    def test_check_all_draws_once_on_a_float_tensor(self, quaternionic8, monkeypatch):
+        # every float sampling checker, polarization and jacobi-orthogonal
+        # included, reads the table's draw: one block of 64 rows
+        drawn, blocks = [], analysis._blocks
+
+        def spy(size, seed, samples, fields, first=0):
+            drawn.append(samples - first)
+            return blocks(size, seed, samples, fields, first)
+
+        monkeypatch.setattr(analysis, "_blocks", spy)
+        R = quaternionic8.to_float()
+        for name in analysis.CHECKERS:
+            analysis.run_check(name, R, samples=64, seed=3, tol=None)
+        assert drawn == [64]
 
     def test_reports_equal_those_of_a_fresh_store(self, quaternionic8):
         pairs = [(R, seed) for R in (clifford_tensor(4, 2), quaternionic8.to_float())

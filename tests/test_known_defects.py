@@ -7,6 +7,7 @@ suite under ``strict``, and the fixing change removes the marker.  The
 defect numbers are those of ROADMAP.md.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -15,18 +16,21 @@ import pytest
 from osscheck import (
     analysis,
     build_clifford_family,
+    check_eigen_bianchi_identity,
     check_einstein,
     check_jacobi_dual,
     check_jacobi_orthogonal,
     check_osserman,
+    check_ricci_sum,
     make_clifford,
     make_from_symmetric,
     random_curvature,
     sample_stream,
+    validate_symmetries,
 )
 from osscheck.cli import main
 from osscheck.curvature import CurvatureTensor
-from osscheck.linalg import FLOAT64, RATIONAL
+from osscheck.linalg import FLOAT64, RATIONAL, PreconditionError
 from osscheck.tensorio import dump_tensor
 from oracles import weighted_sum
 
@@ -51,6 +55,75 @@ def _clifford(n, m, mu0, mus, mode=RATIONAL):
 def _largest_entry_one(R):
     c = R.components
     return CurvatureTensor(R.dim, FLOAT64, c / np.abs(c).max())
+
+
+def _from_symmetric_control(mode):
+    """The n = 8 from-symmetric control: three symmetrised integer matrices
+    a + a^T, a with entries in [-3, 3], weights 1."""
+    a = sample_stream(1234).integers(-3, 4, size=(3, 8, 8))
+    return make_from_symmetric([s + s.T for s in a], [1, 1, 1], mode)
+
+
+def _check_all(R, path, samples, seed):
+    """``check all`` on R written to ``path``: its exit code and the
+    reports of its --out file."""
+    dump_tensor(R, path)
+    out = path.with_suffix(".report.json")
+    code = main(["check", "all", "--in", str(path), "--samples", str(samples),
+                 "--seed", str(seed), "--out", str(out)])
+    return code, json.loads(out.read_text())["reports"]
+
+
+@_known(1)
+def test_check_all_fails_a_small_non_osserman_tensor(tmp_path):
+    # the control fails einstein, osserman, jacobi-dual and
+    # jacobi-orthogonal at scale 1; scaled by 2^-40 every residual shrinks
+    # below its unscaled tolerance
+    R = _from_symmetric_control(RATIONAL).to_float()
+    _premise(_check_all(R, tmp_path / "one.json", 30, 1)[0] == 1,
+             "check all fails at scale 1")
+    code, reports = _check_all(R.scaled(2.0**-40), tmp_path / "small.json", 30, 1)
+    rep = reports["osserman"]
+    assert code == 1, (f"check all exits {code} at scale 2^-40: osserman "
+                       f"{rep['verdict']} at {rep['worst_residual']:.3e}")
+
+
+@_known(1)
+def test_a_large_weight_clifford_tensor_passes_eigen_bianchi():
+    # the dim-16 Clifford file with weights near 10^16: a Clifford tensor,
+    # so Osserman, and exact jacobi-orthogonal passes it at 0
+    mus = [-9999999999999998, 4182252893772301, -7979979107520731,
+           8325981966109077, -1000000000000001, 5555555555555555,
+           -3141592653589793, 2718281828459045]
+    R = _clifford(16, 8, 9999999999999999, mus)
+    rep = check_eigen_bianchi_identity(R, samples=40, seed=3)
+    assert rep.passed, f"eigen-bianchi {rep.verdict} at {rep.worst_residual:.3e}"
+
+
+@_known(2)
+def test_ricci_sum_passes_a_large_weight_clifford_tensor():
+    # exact-sweep's large/n4/m3 at seed 354 (group 5, op seed 354005): the
+    # identity holds for every 4-tensor
+    R = _clifford(4, 3, 4525498720860099,
+                  [-7979979107520731, 4182252893772301, 8325981966109077])
+    _premise(check_einstein(R).passed, "exact einstein passes")
+    rep = check_ricci_sum(R, seed=354005)
+    assert rep.passed, f"ricci-sum {rep.verdict} at {rep.worst_residual:.3e}"
+
+
+@_known(4)
+def test_osserman_refuses_a_tensor_without_the_curvature_symmetries():
+    # a random float n = 6 4-tensor is no curvature tensor: a verdict on it
+    # says nothing about the Osserman property
+    T = CurvatureTensor(6, FLOAT64, np.random.default_rng(0).standard_normal((6,) * 4))
+    sym = validate_symmetries(T)
+    _premise(not sym.passed, "symmetries fails")
+    try:
+        rep = check_osserman(T, samples=100, seed=1)
+    except PreconditionError:
+        return
+    raise AssertionError(f"osserman {rep.verdict} at {rep.worst_residual:.3e} on a "
+                         f"symmetries residual of {sym.worst_residual:.3g}")
 
 
 @_known(3)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from osscheck.linalg import (
-    Field,
     PreconditionError,
     _norms,
     charpoly,
@@ -22,7 +21,7 @@ from osscheck.linalg import (
     sample_stream,
     sample_streams,
 )
-from oracles import keyed_stream, orthonormal_pair, unit_vector
+from oracles import keyed_stream, unit_vector
 
 
 def e(i, n):
@@ -150,34 +149,6 @@ class TestRandomness:
         for i in range(50):
             v = random_unit_vector(8, sample_stream(1, i))
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
-
-    def test_pair_orthonormal(self):
-        for i in range(50):
-            x, y = Field.orthonormal_pair(8).one(sample_stream(2, i))
-            assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
-            assert abs(np.linalg.norm(y) - 1.0) <= 1e-14
-            assert abs(x.dot(y)) <= 1e-14
-
-    def test_pair_equals_the_gram_schmidt_oracle(self):
-        for n in range(2, 18):
-            for i in range(30):
-                got = Field.orthonormal_pair(n).one(sample_stream(n, i))
-                want = orthonormal_pair(n, sample_stream(n, i))
-                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
-
-    def test_pair_redraws_dependent_vectors(self):
-        a, b, c = np.array([1.0, 2.0]), np.array([3.0, 1.0]), np.array([0.0, 1.0])
-        tiny = np.array([1e-13, 0.0])
-        for draws in ([tiny, b], [a, 2 * a], [a, a + tiny]):
-            stream = iter(draws + [b, c])
-
-            class Planted:
-                # the pair fills its row of 2n normals in one call
-                def standard_normal(self, out):
-                    out[:] = np.concatenate([next(stream), next(stream)])
-
-            x, y = Field.orthonormal_pair(2).one(Planted())
-            assert np.allclose(x, b / np.linalg.norm(b)) and abs(x.dot(y)) <= 1e-15
 
     def test_unit_vector_equals_the_per_sample_oracle(self):
         for n in range(1, 20):

@@ -24,7 +24,7 @@ def test_pyproject_takes_the_version_from_the_artifact_version():
     assert "version" in meta["project"]["dynamic"]
     attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
     assert attr == "osscheck.report.ARTIFACT_VERSION"
-    assert osscheck.__version__ == ARTIFACT_VERSION == "0.7.0"
+    assert osscheck.__version__ == ARTIFACT_VERSION == "0.8.0"
 
 
 def test_readme_states_the_numpy_floor_of_pyproject():

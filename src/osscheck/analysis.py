@@ -48,7 +48,7 @@ from .linalg import (
     int64_parts,
     int_array,
     max_abs,
-    random_orthogonal_matrix,
+    random_orthogonal_matrices,
     sample_stream,
     sample_streams,
 )
@@ -647,8 +647,8 @@ def check_ricci_sum(R: CurvatureTensor, *, seed=0, tol=None) -> CheckReport:
     if R.mode == RATIONAL:
         ric = _rounded_quotient(ric, R.denominator, n * R._max_numerator)
     # the columns of the three random bases, summed basis by basis
-    q = np.concatenate([random_orthogonal_matrix(n, stream).T
-                        for stream in sample_streams(seed, range(bases))])
+    q = np.swapaxes(random_orthogonal_matrices(n, sample_streams(seed, range(bases))),
+                    1, 2).reshape(-1, n)
     acc = jacobi_matrices(R, q).reshape(bases, n, n, n).sum(axis=1)
     # the largest residual, or NaN when there is one
     worst = residual(float(np.abs(acc - ric).max()), float(np.abs(ric).max()))

@@ -13,7 +13,6 @@ so the Hurwitz relations hold exactly.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,27 +71,30 @@ def _quat_mult_matrix(q, side):
     return m
 
 
-@functools.cache
+def _maximal_families():
+    """The canonical maximal family on R^d for each d in {2, 4, 8, 16}, as
+    read-only arrays."""
+    left = [_quat_mult_matrix(q, "left") for q in (1, 2, 3)]
+    right = [_quat_mult_matrix(q, "right") for q in (1, 2, 3)]
+    fams = {2: [_A.copy()], 4: left}
+    fams[8] = ([np.kron(_B, J) for J in left]
+               + [np.kron(_A, np.eye(4, dtype=np.int64))]
+               + [np.kron(_C, L) for L in right])
+    fams[16] = ([np.kron(_B, J) for J in fams[8]]
+                + [np.kron(_A, np.eye(8, dtype=np.int64))])
+    for fam in fams.values():
+        for J in fam:
+            J.flags.writeable = False
+    return {d: tuple(fam) for d, fam in fams.items()}
+
+
+# constants, built once at import
+_MAXIMAL_FAMILIES = _maximal_families()
+
+
 def _maximal_family(d):
-    """The canonical maximal family on R^d for d in {2, 4, 8, 16}, built
-    once, as read-only arrays."""
-    if d == 2:
-        fam = [_A.copy()]
-    elif d == 4:
-        fam = [_quat_mult_matrix(q, "left") for q in (1, 2, 3)]
-    elif d == 8:
-        right = [_quat_mult_matrix(q, "right") for q in (1, 2, 3)]
-        fam = [np.kron(_B, J) for J in _maximal_family(4)]
-        fam.append(np.kron(_A, np.eye(4, dtype=np.int64)))
-        fam.extend(np.kron(_C, L) for L in right)
-    elif d == 16:
-        fam = [np.kron(_B, J) for J in _maximal_family(8)]
-        fam.append(np.kron(_A, np.eye(8, dtype=np.int64)))
-    else:
-        raise ValueError(f"no canonical family in dimension {d}")
-    for J in fam:
-        J.flags.writeable = False
-    return tuple(fam)
+    """The canonical maximal family on R^d for d in {2, 4, 8, 16}."""
+    return _MAXIMAL_FAMILIES[d]
 
 
 def _minimal_dimension(m):

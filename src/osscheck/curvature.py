@@ -120,13 +120,18 @@ class CurvatureTensor:
     ``validate_symmetries``.  Every Jacobi contraction starts from the
     int64 parts of ``linalg.exact_parts``, which bounds its own sums, and
     the exact checkers contract each part before they sum the parts.  Both
-    modes store their scalars in the one layout described above.  Immutable
-    after construction; all operations on it are pure.  It can be held
+    modes store their scalars in the one layout described above.  Its
+    scalars are immutable after construction, and every operation on it
+    returns the same result on every call.  A rational tensor whose exact
+    Jacobi product has cut the stored matrix into two or more float64 limbs
+    keeps that product, limbs and all, in its one mutable slot (see
+    :func:`jacobi_numerator_rows`): at most ``linalg._MAX_LIMBS`` float64
+    copies of the matrix, which die with the tensor.  It can be held
     weakly: the spectral store of ``analysis`` dies with its tensor.
     """
 
     __slots__ = ("dim", "mode", "provenance", "denominator", "_matrix",
-                 "_max_numerator", "__weakref__")
+                 "_max_numerator", "_limb_product", "__weakref__")
 
     def __init__(self, dim, mode, components, provenance=""):
         """``components`` is a float64 array, or in rational mode an object
@@ -142,7 +147,8 @@ class CurvatureTensor:
             raise ValueError("float64 mode requires float64 components")
         components.setflags(write=False)
         self._set(dim=dim, mode=mode, provenance=provenance, denominator=None,
-                  _matrix=_as_matrix(components), _max_numerator=None)
+                  _matrix=_as_matrix(components), _max_numerator=None,
+                  _limb_product=None)
 
     @classmethod
     def _from_numerators(cls, numerators, denominator=1, provenance=""):
@@ -168,7 +174,8 @@ class CurvatureTensor:
         nums = (nums.astype(np.int64, copy=False) if int64_safe(top, max(dim, 3))
                 else nums.astype(object, copy=False))
         self._set(dim=dim, mode=RATIONAL, provenance=provenance, denominator=L,
-                  _matrix=_as_matrix(nums), _max_numerator=top)
+                  _matrix=_as_matrix(nums), _max_numerator=top,
+                  _limb_product=None)
 
     def _set(self, **fields):
         for key, value in fields.items():
@@ -259,13 +266,21 @@ def jacobi_numerator_rows(R: CurvatureTensor):
     integer rows of ``V[S, n]``: their numerators over ``R.denominator``,
     as the ``(parts, bits, bound)``, each part of shape (S, n, n), of one
     exact product of the rows vec(v v^T) with the stored matrix of R
-    (:func:`linalg.exact_parts`)."""
+    (:func:`linalg.exact_parts`).
+
+    The first product that cuts the stored matrix into two or more float64
+    limbs is kept on R, with its limbs, and serves every later call, which
+    cuts again only for a narrower limb width.  A product of one limb is a
+    dtype conversion of the matrix, made again on each call and not kept.
+    """
     n = R.dim
-    product = exact_parts(R._matrix.T)
+    product = R._limb_product or exact_parts(R._matrix.T)
 
     def numerators(V):
         outer = (V[:, :, None] * V[:, None, :]).reshape(-1, n * n)
         parts, bits, bound = product(outer)
+        if len(parts) > 1:
+            R._set(_limb_product=product)
         return [p.reshape(-1, n, n) for p in parts], bits, bound
 
     return numerators

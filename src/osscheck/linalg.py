@@ -313,10 +313,18 @@ def random_int_vector(n, stream):
     return Field.int_vector(n).one(stream)[0]
 
 
+def random_orthogonal_matrices(n, streams):
+    """Haar-ish random orthogonal matrices, one per generator of
+    ``streams``: the Q of the QR factorisation of a Gaussian n x n matrix
+    drawn from it, its columns signed so that R has a positive diagonal.
+    One stacked QR call factors every matrix, each alone."""
+    q, r = np.linalg.qr(np.stack([s.standard_normal((n, n)) for s in streams]))
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+
+
 def random_orthogonal_matrix(n, stream):
-    """Haar-ish random orthogonal matrix via QR of a Gaussian matrix."""
-    q, r = np.linalg.qr(stream.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
+    """The one-stream case of :func:`random_orthogonal_matrices`."""
+    return random_orthogonal_matrices(n, (stream,))[0]
 
 
 def _exact_scalar(index, e):
@@ -443,14 +451,16 @@ def exact_parts(b):
     from the bound k max|a| max|b| (see above) and returns ``(parts, bits,
     bound)``, ``a @ b == combine(parts, bits, bound)``: one part on the
     float64 and Python-int paths, one int64 part below 2^53 per limb of b on
-    the limb path, and twice that bound.  The limbs of b are cut once for
-    the narrowest limb width that a call has needed so far.
+    the limb path, and twice that bound.  The float64 limbs of b are cut
+    once for the narrowest limb width that a call has needed so far and
+    kept by the function as long as it lives: a caller that keeps it cuts
+    b again only for an a that needs narrower limbs.
     """
     k = b.shape[0]
     try:
         b = b.astype(np.int64, copy=False)
     except OverflowError:  # an entry does not fit int64
-        b = b.astype(object)
+        b = b.astype(object, copy=False)
     bmax = max_abs(b)
     cut = None  # (w, the float64 limbs of w bits of b)
 

@@ -7,7 +7,9 @@ checkers must give the same reports (verdict, worst residual, witness) on
 each of the product's three arithmetic paths.
 """
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -374,6 +376,96 @@ def _object_sizes(monkeypatch):
     rows = analysis.jacobi_numerator_rows
     monkeypatch.setattr(analysis, "jacobi_numerator_rows", lambda R: spy(rows(R)))
     return sizes
+
+
+def _wide_int64():
+    # integer weights near 10^16, as in perfbench's large slice: 55-bit
+    # int64 numerators, two or more limbs against every draw
+    return _large_corpus()[1]
+
+
+def _wide_object():
+    # denominators near 10^6, as in the large-denominator file: 82-bit
+    # numerators, Python ints
+    return _clifford(8, 7, Fraction(1, 1000003),
+                     [Fraction(1, 1000033), Fraction(1, 1000037),
+                      Fraction(1, 1000039), 1, 1, 1, 1])
+
+
+# exact calls on one tensor, in an order whose limb widths do not only narrow
+_CALLS = (
+    lambda R: jacobi_matrix(R, np.array([1, 2, 0, 0, 0, 0, 0, -1])),
+    lambda R: check_jacobi_orthogonal(R, samples=16, seed=1),
+    lambda R: check_jacobi_orthogonal(R, samples=16, seed=2),
+    lambda R: check_polarization(R, samples=6, seed=1),
+)
+
+
+def _result(got):
+    return got.tolist() if isinstance(got, np.ndarray) else got.to_dict()
+
+
+class TestKeptLimbs:
+    """A rational tensor keeps the float64 limbs of its exact Jacobi product
+    once they are two or more, and cuts them again only to narrow them."""
+
+    @pytest.mark.parametrize("make", [_wide_int64, _wide_object])
+    def test_the_matrix_is_cut_once_per_narrowing(self, monkeypatch, make):
+        seen = []
+        monkeypatch.setattr(linalg, "limbs",
+                            lambda a, c, top: seen.append(c) or limbs(a, c, top))
+        widths = []  # the one width each call cuts on a tensor of its own
+        for call in _CALLS:
+            R = make()
+            seen.clear()
+            call(R)
+            assert len(seen) == 1
+            widths.append(seen[0])
+        R = make()
+        seen.clear()
+        for call in _CALLS:
+            call(R)
+        narrowing = [w for i, w in enumerate(widths)
+                     if w < min(widths[:i], default=math.inf)]
+        assert seen == narrowing
+        assert len(seen) < len(_CALLS)
+
+    @pytest.mark.parametrize("make", [_wide_int64, _wide_object])
+    def test_repeated_calls_report_as_on_a_fresh_tensor(self, make):
+        R = make()
+        for _ in range(2):
+            for call in _CALLS:
+                fresh = CurvatureTensor._from_numerators(
+                    R.numerators, R.denominator, R.provenance)
+                assert _result(call(R)) == _result(call(fresh))
+        assert R._limb_product is not None
+
+    def test_a_narrow_tensor_keeps_nothing(self):
+        for R in (_small_corpus()[2],
+                  make_constant_curvature(5, Fraction(7, 3), RATIONAL)):
+            check_jacobi_orthogonal(R, samples=40, seed=1)
+            check_polarization(R, samples=40, seed=1)
+            assert R._limb_product is None
+            assert R.to_float()._limb_product is None
+
+    def test_a_wide_tensor_dies_with_its_limbs(self):
+        R = _wide_object()
+        check_jacobi_orthogonal(R, samples=16, seed=1)
+        assert R._limb_product is not None
+        ref = weakref.ref(R)
+        del R
+        gc.collect()
+        assert ref() is None
+
+    def test_the_slot_is_not_set_from_outside(self):
+        R = _wide_int64()
+        assert "_limb_product" in CurvatureTensor.__slots__
+        with pytest.raises(AttributeError, match="immutable"):
+            R._limb_product = None
+        check_jacobi_orthogonal(R, samples=16, seed=1)
+        with pytest.raises(AttributeError, match="immutable"):
+            R._limb_product = None
+        assert R._limb_product is not None
 
 
 class TestContractedParts:

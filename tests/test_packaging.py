@@ -83,3 +83,21 @@ def test_all_lists_the_public_names_bound_in_init():
     assert set(osscheck.__all__) == public
     for name in osscheck.__all__:
         assert getattr(osscheck, name) is not None, name
+
+
+def test_no_module_level_cache_but_the_spectral_store():
+    # derived data stays on its tensor and dies with it: the one module
+    # state is analysis._store, which holds its tensor weakly
+    caches = {"cache", "lru_cache", "cached_property", "WeakKeyDictionary",
+              "WeakValueDictionary"}
+    found, globals_ = [], set()
+    for path in sorted((ROOT / "src" / "osscheck").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name in caches:
+                found.append(f"{path.name}:{node.lineno} {name}")
+            elif isinstance(node, ast.Global):
+                globals_.update(f"{path.stem}.{g}" for g in node.names)
+    assert not found, found
+    assert globals_ == {"analysis._store"}

@@ -25,8 +25,8 @@ from .curvature import (
     _as_tensor,
     _first_slot,
     _rounded_quotient,
+    exact_jacobi,
     jacobi_matrices,
-    jacobi_numerator_rows,
     reduced_jacobi,
     ricci_operator,
     validate_symmetries,  # run by name through CHECKERS
@@ -40,12 +40,10 @@ from .linalg import (
     block_product,
     charpoly,
     cluster_rows,
-    combine,
     default_cluster_tol,
     default_tol,
     eigh,
     householder_frame,
-    int64_parts,
     int_array,
     max_abs,
     random_orthogonal_matrices,
@@ -279,7 +277,7 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
     n = R.dim
     exact = R.mode == RATIONAL
     if exact:
-        numerators = jacobi_numerator_rows(R)
+        jacobi = exact_jacobi(R)
     fields = (Field.orthogonal_int_pair(n),) if exact else None
 
     def compute(start, xs, ys):
@@ -289,10 +287,9 @@ def check_jacobi_orthogonal(R: CurvatureTensor, *, samples=1000, seed=0,
             ys = _unit_perp(_unit_perp(ys[:, :n], xs), xs)
         v = np.stack([xs, ys], axis=1).reshape(-1, n)
         if exact:
-            # J_x y' and J_{y'} x part by part, then summed
-            parts, bits, bound = int64_parts(numerators(v), n, max_abs(v))
-            jxy, jyx = (combine([_mv(p[i::2], w) for p in parts], bits, bound)
-                        for i, w in ((0, ys), (1, xs)))
+            # J_x y' and J_{y'} x
+            jxy, jyx = jacobi(v, lambda j: (_mv(j[0::2], ys), _mv(j[1::2], xs)),
+                              n, max_abs(v))
             jxy = int_array(jxy, n, max_abs(jyx))
             res = np.abs((jxy * jyx).sum(axis=1))[:, None]
         else:
@@ -599,7 +596,7 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
     exact = R.mode == RATIONAL
     n = R.dim
     if exact:
-        numerators = jacobi_numerator_rows(R)
+        jacobi = exact_jacobi(R)
     fields = (Field.int_vector(n), Field.int_vector(n)) if exact else None
 
     def compute(start, xs, ys):
@@ -608,11 +605,9 @@ def check_polarization(R: CurvatureTensor, *, samples=200, seed=0,
         v = np.stack([xs, ys, xs + ys, xs - ys], axis=1).reshape(-1, n)
         if exact:
             # the residuals add five matrix-vector products of these
-            # matrices with vectors no larger than v at most, part by part
-            parts, bits, bound = int64_parts(numerators(v), 6, n, max_abs(v))
-            r1, r2, r3 = (combine(r, bits, bound) for r in zip(*(
-                _polarization_residuals(p[0::4], p[1::4], p[2::4], p[3::4],
-                                        xs, ys)[:3] for p in parts)))
+            # matrices with vectors no larger than v at most
+            r1, r2, r3 = jacobi(v, lambda j: _polarization_residuals(
+                j[0::4], j[1::4], j[2::4], j[3::4], xs, ys)[:3], 6, n, max_abs(v))
             res = np.abs(np.concatenate([r1, r2, r3.reshape(len(xs), -1)], axis=1))
             res = res.max(axis=1)[:, None]
         else:

@@ -32,7 +32,6 @@ from .linalg import (
     combine,
     default_tol,
     exact_parts,
-    exact_product,
     householder_frame,
     int64_safe,
     int_array,
@@ -117,17 +116,17 @@ class CurvatureTensor:
     sums are the only arithmetic on the stored integers themselves: the
     n-entry traces of ``ricci_operator``, ``check_einstein`` and
     ``check_ricci_sum`` and the 2- and 3-entry sums of
-    ``validate_symmetries``.  Every Jacobi contraction starts from the
-    int64 parts of ``linalg.exact_parts``, which bounds its own sums, and
-    the exact checkers contract each part before they sum the parts.  Both
-    modes store their scalars in the one layout described above.  Its
-    scalars are immutable after construction, and every operation on it
-    returns the same result on every call.  A rational tensor whose exact
-    Jacobi product has cut the stored matrix into two or more float64 limbs
-    keeps that product, limbs and all, in its one mutable slot (see
-    :func:`jacobi_numerator_rows`): at most ``linalg._MAX_LIMBS`` float64
-    copies of the matrix, which die with the tensor.  It can be held
-    weakly: the spectral store of ``analysis`` dies with its tensor.
+    ``validate_symmetries``.  Every exact Jacobi contraction runs through
+    :func:`exact_jacobi`, on the parts of ``linalg.exact_parts``, which
+    bounds its own sums.  Both modes store their scalars in the one layout
+    described above.  Its scalars are immutable after construction, and
+    every operation on it returns the same result on every call.  A
+    rational tensor whose exact Jacobi product has cut the stored matrix
+    into two or more float64 limbs keeps that product, limbs and all, in
+    its one mutable slot (see :func:`exact_jacobi`): at most
+    ``linalg._MAX_LIMBS`` float64 copies of the matrix, which die with the
+    tensor.  It can be held weakly: the spectral store of ``analysis`` dies
+    with its tensor.
     """
 
     __slots__ = ("dim", "mode", "provenance", "denominator", "_matrix",
@@ -181,8 +180,10 @@ class CurvatureTensor:
         for key, value in fields.items():
             object.__setattr__(self, key, value)
 
-    def __setattr__(self, key, value):
+    def __setattr__(self, *args):
         raise AttributeError("CurvatureTensor is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def numerators(self):
@@ -234,9 +235,10 @@ def _check_vector(R, x):
 def _jacobi_numerators(R: CurvatureTensor, x):
     """Exact Jacobi matrix of a rational tensor at the exact vector ``x``,
     as ``(numerators, denominator)``: the one-row case of
-    :func:`jacobi_numerator_rows` at the integer numerators of ``x``."""
+    :func:`exact_jacobi` at the integer numerators of ``x``."""
     xn, Lx = clear_denominators(np.asarray(x, dtype=object))
-    return combine(*jacobi_numerator_rows(R)(xn[None]))[0], R.denominator * Lx * Lx
+    (nums,) = exact_jacobi(R)(xn[None], lambda j: (j,))
+    return nums[0], R.denominator * Lx * Lx
 
 
 def jacobi_matrix(R: CurvatureTensor, x):
@@ -261,29 +263,34 @@ def jacobi_matrices(R: CurvatureTensor, X):
     return block_product(outer, Rf._matrix.T).reshape(-1, n, n)
 
 
-def jacobi_numerator_rows(R: CurvatureTensor):
-    """Exact Jacobi matrices of a rational tensor as a function of the
-    integer rows of ``V[S, n]``: their numerators over ``R.denominator``,
-    as the ``(parts, bits, bound)``, each part of shape (S, n, n), of one
-    exact product of the rows vec(v v^T) with the stored matrix of R
-    (:func:`linalg.exact_parts`).
+def exact_jacobi(R: CurvatureTensor):
+    """``apply(V, contract, *growth)``: the tuple ``contract(J)``, exactly,
+    for J[S, n, n] the numerators over ``R.denominator`` of the Jacobi
+    matrices of a rational tensor at the integer rows of ``V[S, n]``.  The
+    linear ``contract``, which enlarges J by at most ``growth``, runs on
+    each part of one exact product of the rows vec(v v^T) with the stored
+    matrix of R (:func:`linalg.exact_parts`), in int64 where the int64 rule
+    admits it, and each of its results is summed over the parts
+    (:func:`linalg.combine`).
 
     The first product that cuts the stored matrix into two or more float64
     limbs is kept on R, with its limbs, and serves every later call, which
     cuts again only for a narrower limb width.  A product of one limb is a
-    dtype conversion of the matrix, made again on each call and not kept.
+    dtype conversion of the matrix, made once per ``exact_jacobi`` and not
+    kept.
     """
     n = R.dim
     product = R._limb_product or exact_parts(R._matrix.T)
 
-    def numerators(V):
+    def apply(V, contract, *growth):
         outer = (V[:, :, None] * V[:, None, :]).reshape(-1, n * n)
-        parts, bits, bound = product(outer)
-        if len(parts) > 1:
+        parts, bits = product(outer, *growth)
+        if R._max_numerator >> bits:  # the matrix is cut into two or more limbs
             R._set(_limb_product=product)
-        return [p.reshape(-1, n, n) for p in parts], bits, bound
+        done = [contract(p.reshape(-1, n, n)) for p in parts]
+        return tuple(combine(results, bits) for results in zip(*done))
 
-    return numerators
+    return apply
 
 
 def _first_slot(R: CurvatureTensor):
@@ -405,10 +412,10 @@ def _generated(weights, terms, mode, provenance="") -> CurvatureTensor:
     terms of one rule are read off one Gram
     tensor G = A^T diag(c) A, where the rows of A are the vec(N_t) and c
     the integer weights of the N_t over one denominator, or one limb of them
-    (_exact_sum picks int64, limbs or Python ints).  G is one
-    linalg.exact_product with the wide side c A on the right: a float64
-    product, or one per float64 limb of c A, and Python ints only when A or
-    c A is too wide for that.
+    (_exact_sum picks int64, limbs or Python ints).  G is the sum
+    (linalg.combine) of the parts of one linalg.exact_parts product with
+    the wide side c A on the right: a float64 product, or one per float64
+    limb of c A, and Python ints only when A or c A is too wide for that.
     """
     n, exact = len(terms[0][1]), _require_mode(mode) == RATIONAL
     cleared = [(rule, *(clear_denominators(np.asarray(M)) if exact
@@ -434,7 +441,7 @@ def _generated(weights, terms, mode, provenance="") -> CurvatureTensor:
         for (_, table), (ts, A) in groups.items():
             c = int_array(np.array([cs[t] for t in ts], dtype=object)[:, None],
                           max_abs(A))
-            G = exact_product(c * A)(A.T).astype(dtype, copy=False)
+            G = combine(*exact_parts(c * A)(A.T)).astype(dtype, copy=False)
             acc = _read_off(table, G, n, acc)
         return _as_tensor(acc, n)
 
@@ -455,7 +462,7 @@ def _exact_sum(weights, denominators, tops, term_sum):
     the bound sum_i |c_i| tops_i passes the int64 rule, the sum runs in
     int64.  Otherwise the c_i are split into s-bit limbs (linalg.limbs), with
     sum_i tops_i 2^s < 2^61 (so every X_i is int64): each limb's sum runs in
-    int64, and only their sum (linalg.combine) in Python ints, two passes
+    int64, and only their sum (linalg.combine) may take Python ints, two passes
     over the entries per limb, so with more limbs than terms, or no s >= 1,
     the sum runs in Python ints.
     """
@@ -472,8 +479,7 @@ def _exact_sum(weights, denominators, tops, term_sum):
     if s < 1 or width > s * len(coeffs):
         return term_sum(coeffs, object), L
     rows = limbs(np.array(coeffs, dtype=object), s)
-    return combine([term_sum(row.tolist(), np.int64) for row in rows], s,
-                   total), L
+    return combine([term_sum(row.tolist(), np.int64) for row in rows], s), L
 
 
 def make_constant_curvature(n, kappa, mode=FLOAT64) -> CurvatureTensor:

@@ -8,11 +8,11 @@ matrix product (:func:`exact_parts`) takes one of three arithmetic paths:
 one float64 product when every partial sum stays below 2^53, one float64
 product per limb (:func:`limbs`) of the right factor above that, whether
 its entries fit int64 or not, and Python ints only when the entries of the
-left factor do not fit int64 or the limbs would be too many to keep.  Its
-limb products are int64 parts, which a contraction can take one by one in
-int64 (:func:`int64_parts`) before :func:`combine` sums only its result.
-All spectral operations are float-only; identity checks may run in either
-mode.
+left factor do not fit int64 or the limbs would be too many to keep.  It
+hands back parts that linear work of a stated growth can take one by one
+in int64, and :func:`combine` sums what that work makes of them, in int64
+when their magnitudes allow it.  All spectral operations are float-only;
+identity checks may run in either mode.
 """
 
 from __future__ import annotations
@@ -322,11 +322,6 @@ def random_orthogonal_matrices(n, streams):
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
 
 
-def random_orthogonal_matrix(n, stream):
-    """The one-stream case of :func:`random_orthogonal_matrices`."""
-    return random_orthogonal_matrices(n, (stream,))[0]
-
-
 def _exact_scalar(index, e):
     """Entry ``index`` of an array as an int or a Fraction, or ValueError."""
     if isinstance(e, (int, Fraction)):
@@ -365,7 +360,7 @@ def clear_denominators(arr):
 # An integer too wide for the work ahead is split into limbs of s bits,
 # x = sum_t x_t 2^(s t) (see limbs), so that the work runs on each small
 # limb and only the final Horner step x = (... x_top 2^s + ...) 2^s + x_0
-# may need Python ints.
+# may need Python ints (combine).
 #
 # An exact product a @ b of integer matrices a[rows, k] and b[k, m] bounds
 # every partial sum by k max|a| max|b| and takes one of three paths:
@@ -375,17 +370,15 @@ def clear_denominators(arr):
 #   int64 is exact;
 # - limbs: above 2^53, b is split into limbs of c bits, with c chosen so
 #   that k max|a| 2^c < 2^53.  Each limb takes one exact float64 product,
-#   a part of the result; the parts, or what a linear map makes of each,
-#   are recombined (combine) in int64 when the rule admits the total, in
-#   Python ints otherwise.  This holds whether the entries of b fit int64
-#   or not;
+#   a part of the result below 2^53.  This holds whether the entries of b
+#   fit int64 or not;
 # - Python ints: only when the entries of a do not fit int64, or a is too
 #   large for a limb of one bit, or b would need more than _MAX_LIMBS limbs.
 # ---------------------------------------------------------------------------
 
 _INT64_SAFE = 2**62
 _FLOAT64_EXACT_BITS = 53
-# exact_product keeps the float64 limbs of b, each as large as b: past this
+# exact_parts keeps the float64 limbs of b, each as large as b: past this
 # many, the Python-int product, which keeps no copy, runs instead.  A limb
 # product costs under a hundredth of a Python-int one, so the cap bounds
 # memory, not time.
@@ -431,12 +424,14 @@ def limbs(a, bits, top=None):
         yield shifted.astype(np.int64, copy=False)
 
 
-def combine(parts, bits, bound):
+def combine(parts, bits):
     """``sum_t parts[t] 2^(bits t)``, low part first, by Horner from the top:
-    int64 when it is one int64 part or the int64 rule admits ``bound``, a
-    bound on every partial result, Python ints otherwise."""
+    int64 when it is one part or the int64 rule admits
+    sum_t max|parts[t]| 2^(bits t), which bounds every Horner partial,
+    Python ints otherwise."""
     *low, acc = parts
-    if low and not int64_safe(bound):
+    if low and not int64_safe(sum(max_abs(p) << (bits * t)
+                                  for t, p in enumerate(parts))):
         acc = acc.astype(object)
     for part in reversed(low):
         acc = acc * (1 << bits) + part
@@ -447,11 +442,15 @@ def exact_parts(b):
     """The exact integer product ``a @ b`` as a function of ``a``, in parts.
 
     ``b[k, m]`` is an integer matrix (int64 or Python ints), prepared once:
-    the returned function takes an integer ``a[rows, k]``, picks its path
-    from the bound k max|a| max|b| (see above) and returns ``(parts, bits,
-    bound)``, ``a @ b == combine(parts, bits, bound)``: one part on the
-    float64 and Python-int paths, one int64 part below 2^53 per limb of b on
-    the limb path, and twice that bound.  The float64 limbs of b are cut
+    the returned ``product(a, *growth)`` takes an integer ``a[rows, k]``,
+    picks its path from the bound k max|a| max|b| (see above) and returns
+    ``(parts, bits)``, ``a @ b == combine(parts, bits)``: one int64 part
+    below 2^53 per limb of ``bits`` bits of b, or on the Python-int path
+    one part, b taken as one limb.  For linear work that enlarges each part
+    by ``growth``, the limb parts stay when the int64 rule admits it, else
+    are each split into their low ``bits`` bits and the rest, which joins
+    the part above, else are summed into one part, as :func:`int_array`
+    takes it (so is the Python-int part).  The float64 limbs of b are cut
     once for the narrowest limb width that a call has needed so far and
     kept by the function as long as it lives: a caller that keeps it cuts
     b again only for an a that needs narrower limbs.
@@ -462,49 +461,32 @@ def exact_parts(b):
     except OverflowError:  # an entry does not fit int64
         b = b.astype(object, copy=False)
     bmax = max_abs(b)
+    width = max(1, bmax.bit_length())  # of b as one limb
     cut = None  # (w, the float64 limbs of w bits of b)
 
-    def product(a):
+    def product(a, *growth):
         nonlocal cut
         a = int_array(a)
         amax = max_abs(a)
         c = _FLOAT64_EXACT_BITS - (k * amax).bit_length()  # k max|a| 2^c < 2^53
-        bound = 2 * k * amax * bmax  # of each partial result a @ (b >> c t)
-        if a.dtype == object or c < 1 or bmax.bit_length() > _MAX_LIMBS * c:
-            return [a.astype(object) @ b.astype(object, copy=False)], 1, bound
+        if a.dtype == object or c < 1 or width > _MAX_LIMBS * c:
+            part = a.astype(object) @ b.astype(object, copy=False)
+            return [int_array(part, *growth) if growth else part], width
         if cut is None or cut[0] > c:
             # limbs of w <= c bits keep k max|a| 2^w below 2^53 for every
             # later block whose c is at least w
-            w = max(1, min(c, bmax.bit_length()))
+            w = min(c, width)
             cut = w, [limb.astype(np.float64) for limb in limbs(b, w, bmax)]
         c, b_limbs = cut
         af = a.astype(np.float64)
-        return [(af @ limb).astype(np.int64) for limb in b_limbs], c, bound
+        parts = [(af @ limb).astype(np.int64) for limb in b_limbs]
+        top = max(map(max_abs, parts)) if growth else 0
+        if int64_safe(top, *growth):
+            return parts, c
+        if int64_safe((1 << c) + (top >> c), *growth):
+            low = [p & ((1 << c) - 1) for p in parts] + [0]
+            high = [0] + [p >> c for p in parts]
+            return [lo + hi for lo, hi in zip(low, high)], c
+        return [int_array(combine(parts, c), *growth)], c
 
     return product
-
-
-def exact_product(b):
-    """``a @ b`` as a function of ``a``: the sum of :func:`exact_parts`."""
-    parts = exact_parts(b)
-    return lambda a: combine(*parts(a))
-
-
-def int64_parts(product, *growth):
-    """``(parts, bits, bound)`` of :func:`exact_parts` with the same sum,
-    for work that grows each part by ``growth``, and ``bound`` times that:
-    the parts when the int64 rule admits the work on each; else each split
-    into its low ``bits`` bits and the rest, which joins the part above (a
-    partial result gains one high part, within ``bound``); else, or for
-    Python ints, their sum as one part, as :func:`int_array` takes it."""
-    parts, bits, bound = product
-    grown = bound * math.prod(growth)
-    if parts[0].dtype != object:
-        top = max(map(max_abs, parts))
-        if int64_safe(top, *growth):
-            return parts, bits, grown
-        if int64_safe((1 << bits) + (top >> bits), *growth):
-            low = [p & ((1 << bits) - 1) for p in parts] + [0]
-            high = [0] + [p >> bits for p in parts]
-            return [lo + hi for lo, hi in zip(low, high)], bits, grown
-    return [int_array(combine(*product), *growth)], bits, grown

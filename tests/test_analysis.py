@@ -365,7 +365,7 @@ class TestRicciSum:
 
     @pytest.mark.parametrize("n", [4, 6, 8, 16])
     def test_random_route_is_the_per_vector_loop(self, n, monkeypatch):
-        from osscheck.linalg import random_orthogonal_matrix
+        from osscheck.linalg import random_orthogonal_matrices
 
         original, calls = analysis.jacobi_matrices, []
 
@@ -381,7 +381,7 @@ class TestRicciSum:
         ric = ricci_operator(Rf)
         worst = 0.0
         for b in range(3):
-            q = random_orthogonal_matrix(n, sample_stream(4, b))
+            q = random_orthogonal_matrices(n, (sample_stream(4, b),))[0]
             assert np.array_equal(X[b * n:(b + 1) * n], q.T)
             loop = sum(jacobi_matrix(Rf, q[:, i]) for i in range(n))
             batched = J[b * n:(b + 1) * n].sum(axis=0)

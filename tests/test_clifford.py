@@ -115,11 +115,11 @@ class TestValidateHurwitz:
         assert rep.worst_residual == 2
 
     def test_conjugated_family_float(self):
-        from osscheck.linalg import random_orthogonal_matrix
+        from osscheck.linalg import random_orthogonal_matrices
 
         # conjugated by a random orthogonal matrix, the family has float
         # entries and its relations hold to roundoff instead of exactly
-        q = random_orthogonal_matrix(8, sample_stream(42))
+        q = random_orthogonal_matrices(8, (sample_stream(42),))[0]
         fam = CliffordFamily(8, tuple(q @ J @ q.T for J in
                                       build_clifford_family(8, 7).structures))
         rep = validate_hurwitz(fam)
@@ -129,9 +129,9 @@ class TestValidateHurwitz:
 
     @pytest.mark.parametrize("n, m", [(4, 3), (8, 7), (16, 8)])
     def test_residuals_equal_the_per_pair_products(self, n, m):
-        from osscheck.linalg import random_orthogonal_matrix
+        from osscheck.linalg import random_orthogonal_matrices
 
-        q = random_orthogonal_matrix(n, sample_stream(n))
+        q = random_orthogonal_matrices(n, (sample_stream(n),))[0]
         structures = build_clifford_family(n, m).structures
         families = (structures, tuple(q @ J @ q.T for J in structures),
                     structures[:1] * 2 + structures[2:])
@@ -179,10 +179,10 @@ class TestValidateHurwitz:
         assert twin.provenance.endswith(f"family={json.dumps([J.tolist()])})")
 
     def test_conjugation_by_rotation_preserves(self):
-        from osscheck.linalg import random_orthogonal_matrix
+        from osscheck.linalg import random_orthogonal_matrices
 
         fam = build_clifford_family(4, 3)
-        q = random_orthogonal_matrix(4, sample_stream(7))
+        q = random_orthogonal_matrices(4, (sample_stream(7),))[0]
         conj = CliffordFamily(4, tuple(q @ J @ q.T for J in fam.structures))
         rep = validate_hurwitz(conj)
         assert rep.passed and float(rep.worst_residual) <= 1e-12

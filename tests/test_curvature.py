@@ -446,6 +446,16 @@ class TestExactStorage:
         with pytest.raises(AttributeError):
             R.denominator = 2
 
+    @pytest.mark.parametrize("mode", [RATIONAL, FLOAT64])
+    def test_attributes_are_not_deleted(self, mode):
+        # a deleted slot would leave a tensor whose every checker raises
+        R = make_constant_curvature(3, 1, mode)
+        for name in CurvatureTensor.__slots__[:-1]:  # all but __weakref__
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(R, name)
+        assert R.denominator == (1 if mode == RATIONAL else None)
+        assert check_einstein(R).passed
+
     def test_huge_weights_fall_back_to_python_ints(self):
         R = make_constant_curvature(4, 10**20, RATIONAL)
         assert R.numerators.dtype == object

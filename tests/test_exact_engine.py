@@ -2,7 +2,7 @@
 
 The oracles below draw, contract and pick witnesses one sample at a time,
 in Python ints and Fractions, as exact jacobi-orthogonal and polarization
-did before their blocks ran through ``linalg.exact_product``.  The
+did before their blocks ran through ``linalg.exact_parts``.  The
 checkers must give the same reports (verdict, worst residual, witness) on
 each of the product's three arithmetic paths.
 """
@@ -40,8 +40,6 @@ from osscheck.linalg import (
     Field,
     combine,
     exact_parts,
-    exact_product,
-    int64_parts,
     int64_safe,
     limbs,
     max_abs,
@@ -287,12 +285,12 @@ class TestExactProduct:
     @given(_operands())
     def test_equals_the_python_int_product(self, operands):
         a_list, b = operands
-        product = exact_product(b)  # one product, blocks of several sizes
+        product = exact_parts(b)  # one product, blocks of several sizes
         for a in a_list:
             want = a @ b
             if all(abs(v) < 2**62 for v in a.reshape(-1).tolist()):
                 a = a.astype(np.int64)  # the draws of a block are int64
-            got = product(a)
+            got = combine(*product(a))
             assert got.shape == want.shape
             assert got.tolist() == want.tolist()
             if got.dtype == object:
@@ -300,8 +298,8 @@ class TestExactProduct:
 
     def test_int64_result_only_under_the_rule(self):
         b = np.array([[2**61], [2**61]], dtype=object)
-        assert exact_product(b)(np.array([[1, 1]])).dtype == object
-        assert exact_product(b // 8)(np.array([[1, 1]])).dtype == np.int64
+        assert combine(*exact_parts(b)(np.array([[1, 1]]))).dtype == object
+        assert combine(*exact_parts(b // 8)(np.array([[1, 1]]))).dtype == np.int64
 
     @pytest.mark.parametrize("bits, cuts", [(100, 1), (2000, 0)])
     def test_limbs_of_b_are_cut_once(self, monkeypatch, bits, cuts):
@@ -311,10 +309,10 @@ class TestExactProduct:
         seen = []
         monkeypatch.setattr(linalg, "limbs",
                             lambda a, c, top: seen.append(c) or limbs(a, c, top))
-        product = exact_product(b)
+        product = exact_parts(b)
         for a in ([[1, 2]], [[-3, 1], [0, 1]], [[2, 2]]):
             a = np.array(a)
-            assert product(a).tolist() == (a.astype(object) @ b).tolist()
+            assert combine(*product(a)).tolist() == (a.astype(object) @ b).tolist()
         assert len(seen) == cuts
 
     @pytest.mark.parametrize("bmax", [2**52 - 1, 2**52, 2**53 - 1, 2**53])
@@ -322,7 +320,8 @@ class TestExactProduct:
         # a zero a leaves a 53-bit limb: b up to 2^53 - 1 is one limb
         b = np.array([[0], [bmax]], dtype=object)
         for a in (np.zeros((1, 2), dtype=np.int64), np.array([[1, 1]])):
-            assert exact_product(b)(a).tolist() == (a.astype(object) @ b).tolist()
+            got = combine(*exact_parts(b)(a))
+            assert got.tolist() == (a.astype(object) @ b).tolist()
 
 
 # the largest entry of a projected y' of jacobi-orthogonal at n = 16
@@ -352,29 +351,32 @@ def _contractions(draw):
     return a, b, v
 
 
-def _object_sizes(monkeypatch):
-    """The sizes of the object arrays that the exact checkers' block steps
-    in ``analysis`` return: the Jacobi numerators and what is built from
-    them."""
-    sizes = []
+def _array_sizes(monkeypatch):
+    """``{dtype: sizes}`` of the arrays that the exact checkers' block steps
+    in ``analysis`` take and return: each part of the Jacobi numerators
+    that a contraction gets, and what is built from them."""
+    sizes = {}
 
     def record(value):
-        if isinstance(value, np.ndarray) and value.dtype == object:
-            sizes.append(value.size)
+        if isinstance(value, np.ndarray):
+            sizes.setdefault(value.dtype, []).append(value.size)
         elif isinstance(value, (tuple, list)):
             for v in value:
                 record(v)
         return value
 
     def spy(f):
-        return lambda *args: record(f(*args))
+        return lambda *args: record(f(*record(args)))
 
-    for name in ("int_array", "combine", "int64_parts", "_mv",
-                 "_polarization_residuals"):
-        if hasattr(analysis, name):
-            monkeypatch.setattr(analysis, name, spy(getattr(analysis, name)))
-    rows = analysis.jacobi_numerator_rows
-    monkeypatch.setattr(analysis, "jacobi_numerator_rows", lambda R: spy(rows(R)))
+    for name in ("int_array", "_mv", "_polarization_residuals"):
+        monkeypatch.setattr(analysis, name, spy(getattr(analysis, name)))
+    jacobi = analysis.exact_jacobi
+
+    def spied(R):
+        apply = jacobi(R)
+        return lambda V, contract, *growth: record(apply(V, spy(contract), *growth))
+
+    monkeypatch.setattr(analysis, "exact_jacobi", spied)
     return sizes
 
 
@@ -474,23 +476,31 @@ class TestContractedParts:
     # one part of 52 bits, split; limb parts too wide to split, summed first
     @example((np.array([[2**29]]), np.array([[2**23 - 1]]), np.array([_PROJECTED])))
     @example((np.array([[16]]), np.full((1, 5), 2**62 - 1), np.full(5, _PROJECTED)))
+    # limbs 2^52 - 1 and -2: their magnitudes sum to about 3 max|b|, past
+    # the rule, though the contracted sum fits int64
+    @example((np.array([[1]]), np.array([[-(2**52 + 1)]]), np.array([400])))
     def test_equals_the_contracted_python_int_product(self, case):
         a, b, v = case
         k, m = b.shape
-        parts, bits, bound = int64_parts(exact_parts(b)(a), m, max_abs(v))
-        got = combine([p @ v for p in parts], bits, bound)
+        parts, bits = exact_parts(b)(a, m, max_abs(v))
+        contracted = [p @ v for p in parts]
+        got = combine(contracted, bits)
         want = (a.astype(object) @ b) @ v.astype(object)
         assert got.tolist() == want.tolist()
         if got.dtype == object:
             assert all(type(e) is int for e in got.tolist())
         # int64 exactly when it is one contracted int64 part or the int64
-        # rule admits the sum of the parts, and always when the rule admits
-        # both the product and its contraction
+        # rule admits the magnitudes of the contracted parts
         if len(parts) == 1:
             assert got.dtype == parts[0].dtype
         else:
-            assert (got.dtype == np.int64) == int64_safe(bound)
-        if int64_safe(2, k, max_abs(a), max_abs(b), max(1, m * max_abs(v))):
+            assert all(p.dtype == np.int64 for p in parts)
+            assert (got.dtype == np.int64) == int64_safe(sum(
+                max_abs(p) << (bits * t) for t, p in enumerate(contracted)))
+        # and always when the rule admits three times the product and its
+        # contraction: the limbs of b sum in magnitude,
+        # sum_t max|limb_t| 2^(bits t), to less than 3 max|b|
+        if int64_safe(3, k, max_abs(a), max_abs(b), max(1, m * max_abs(v))):
             assert got.dtype == np.int64
 
     def test_large_weights_contract_each_part_in_int64(self, monkeypatch):
@@ -499,14 +509,18 @@ class TestContractedParts:
         R = _large_corpus()[-1]
         S, n = 32, R.dim
         assert n == 16 and R._matrix.dtype == np.int64
-        sizes = _object_sizes(monkeypatch)
+        sizes = _array_sizes(monkeypatch)
         check_jacobi_orthogonal(R, samples=S, seed=3)
+        # the int64 parts at x and y', each (2S, n, n); Python ints only in
         # J_x y' and J_{y'} x, each (S, n)
-        assert sizes and max(sizes) <= 2 * S * n
+        assert max(sizes[np.dtype(np.int64)]) == 2 * S * n * n
+        assert max(sizes.get(np.dtype(object), [0])) <= 2 * S * n
         sizes.clear()
         check_polarization(R, samples=S, seed=3)
-        # its four vectors, each (S, n), and r3, (S, n, n)
-        assert sizes and max(sizes) <= S * n * n
+        # the int64 parts at x, y, x + y and x - y, each (4S, n, n); Python
+        # ints only in its four vectors, each (S, n), and r3, (S, n, n)
+        assert max(sizes[np.dtype(np.int64)]) == 4 * S * n * n
+        assert max(sizes.get(np.dtype(object), [0])) <= S * n * n
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +701,13 @@ class TestGram:
         sums ran their terms in."""
         products, sums = [], []
 
-        def traced_product(b):
-            product = exact_product(b)
+        def traced_parts(b):
+            product = exact_parts(b)
 
             def traced(a):
-                G = product(a)
-                products.append(G.dtype.type)
-                return G
+                parts, bits = product(a)
+                products.append(combine(parts, bits).dtype.type)
+                return parts, bits
             return traced
 
         exact_sum = curvature._exact_sum
@@ -704,7 +718,7 @@ class TestGram:
                 return term_sum(cs, dtype)
             return exact_sum(weights, denominators, tops, traced)
 
-        monkeypatch.setattr(curvature, "exact_product", traced_product)
+        monkeypatch.setattr(curvature, "exact_parts", traced_parts)
         monkeypatch.setattr(curvature, "_exact_sum", spy)
         return products, sums
 

@@ -25,6 +25,7 @@ from osscheck import (
     make_clifford,
     make_from_symmetric,
     random_curvature,
+    ricci_operator,
     sample_stream,
     validate_symmetries,
 )
@@ -174,5 +175,38 @@ def test_float_osserman_fails_a_rational_tensor_that_is_not_einstein():
     control = make_from_symmetric([s + s.T for s in a], [1, 1, 1], RATIONAL)
     T = weighted_sum([1, Fraction(1, 10**12)], [_clifford(8, 3, 1, [-1] * 3), control])
     _premise(not check_einstein(T).passed, "exact einstein fails")
+    rep = check_osserman(T, samples=200, seed=1)
+    assert not rep.passed, f"osserman {rep.verdict} at {rep.worst_residual:.3e}"
+
+
+def _kulkarni_nomizu(h):
+    """h wedge g: the part of R^S(h + I) bilinear in h and the identity."""
+    eye = np.eye(len(h), dtype=np.int64)
+    return make_from_symmetric([h + eye, h, eye], [1, -1, -1], RATIONAL)
+
+
+@_known(13)
+def test_float_osserman_fails_a_rational_einstein_tensor_that_is_not_osserman():
+    # W is the Ricci-flat part of defect 9's control E: E - h wedge g, with
+    # Ric(h wedge g) = a h + b tr(h) I equal to Ric(E).  T = the (8, 3)
+    # Clifford tensor + 1e-12 W is Einstein, so exact einstein passes it,
+    # but exact jacobi-orthogonal fails it, and an Osserman tensor is
+    # Jacobi-orthogonal
+    E = _from_symmetric_control(RATIONAL)
+    n = E.dim
+    unit = np.zeros((n, n), dtype=np.int64)
+    unit[0, 0] = 1
+    ric = ricci_operator(_kulkarni_nomizu(unit))  # a e0 e0^T + b I
+    b = ric[1, 1]
+    a = ric[0, 0] - b
+    target = ricci_operator(E)
+    trace = Fraction(np.trace(target)) / (a + b * n)
+    h = (target - b * trace * np.eye(n, dtype=np.int64)) / a
+    W = weighted_sum([1, -1], [E, _kulkarni_nomizu(h)])
+    _premise(not ricci_operator(W).any(), "W is Ricci-flat")
+    T = weighted_sum([1, Fraction(1, 10**12)], [_clifford(8, 3, 1, [-1] * 3), W])
+    _premise(check_einstein(T).passed, "exact einstein passes")
+    _premise(not check_jacobi_orthogonal(T, samples=200, seed=1).passed,
+             "exact jacobi-orthogonal fails")
     rep = check_osserman(T, samples=200, seed=1)
     assert not rep.passed, f"osserman {rep.verdict} at {rep.worst_residual:.3e}"

@@ -101,3 +101,17 @@ def test_no_module_level_cache_but_the_spectral_store():
                 globals_.update(f"{path.stem}.{g}" for g in node.names)
     assert not found, found
     assert globals_ == {"analysis._store"}
+
+
+def test_the_checkers_import_no_limb_name():
+    # the exact checkers hand a linear contraction to curvature.exact_jacobi
+    # and get exact results back: the limb format stays behind linalg and
+    # curvature
+    limb_names = {"combine", "exact_parts", "limbs", "int64_parts"}
+    tree = ast.parse((ROOT / "src" / "osscheck" / "analysis.py").read_text(
+        encoding="utf-8"))
+    found = [f"{node.lineno} {alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module
+             and node.module.split(".")[-1] == "linalg"
+             for alias in node.names if alias.name in limb_names]
+    assert not found, found

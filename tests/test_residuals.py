@@ -33,7 +33,8 @@ from osscheck import (
 )
 from osscheck import analysis
 from osscheck.curvature import CurvatureTensor, jacobi_matrices
-from osscheck.linalg import FLOAT64, RATIONAL, random_orthogonal_matrix, sample_streams
+from osscheck.linalg import (FLOAT64, RATIONAL, random_orthogonal_matrices,
+                             sample_streams)
 from osscheck.report import residual
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "osscheck"
@@ -168,7 +169,7 @@ class TestWitnessRecomputation:
         # again from the checker's bases
         R, seed = valid[n].to_float(), 7
         rep = check_ricci_sum(R, seed=seed)
-        q = np.concatenate([random_orthogonal_matrix(n, s).T
+        q = np.concatenate([random_orthogonal_matrices(n, (s,))[0].T
                             for s in sample_streams(seed, range(3))])
         acc = jacobi_matrices(R, q).reshape(3, n, n, n).sum(axis=1)
         ric = ricci_operator(R)

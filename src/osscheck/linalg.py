@@ -370,8 +370,10 @@ def clear_denominators(arr):
 #   int64 is exact;
 # - limbs: above 2^53, b is split into limbs of c bits, with c chosen so
 #   that k max|a| 2^c < 2^53.  Each limb takes one exact float64 product,
-#   a part of the result below 2^53.  This holds whether the entries of b
-#   fit int64 or not;
+#   a part of the result below 2^53.  The limbs carry the sign of b, so
+#   the parts P_t sum in magnitude, sum_t max|P_t| 2^(c t), to at most
+#   2 k max|a| max|b|.  This holds whether the entries of b fit int64 or
+#   not;
 # - Python ints: only when the entries of a do not fit int64, or a is too
 #   large for a limb of one bit, or b would need more than _MAX_LIMBS limbs.
 # ---------------------------------------------------------------------------
@@ -409,19 +411,22 @@ def int_array(a, *growth):
 def limbs(a, bits, top=None):
     """The limbs of ``bits`` bits (1 to 63) of the integer array ``a``
     (int64 or Python ints), low limb first, as int64 arrays:
-    ``a == sum_t limb_t 2^(bits t)``.  The low limbs
-    ``(a >> bits t) & (2^bits - 1)`` lie in [0, 2^bits), the top limb
-    ``a >> bits (count - 1)``, an arithmetic shift, in [-2^bits, 2^bits),
-    with ``count`` as small as these ranges allow for entries up to ``top``
-    in absolute value (by default ``max_abs(a)``); a single limb is ``a``
-    itself when ``a`` is int64."""
+    ``a == sum_t limb_t 2^(bits t)``.  Each limb is the sign of ``a`` times
+    ``(|a| >> bits t) & (2^bits - 1)``, so sum_t |limb_t| 2^(bits t) is
+    ``|a|`` entry by entry, and sum_t max|limb_t| 2^(bits t) is at most
+    ``2 top``, with ``count`` limbs as few as |limb_t| < 2^bits allows for
+    entries up to ``top`` in absolute value (by default ``max_abs(a)``); a
+    single limb is ``a`` itself when ``a`` is int64."""
     top = max_abs(a) if top is None else top
     count = max(1, -(-top.bit_length() // bits))
+    if count == 1:
+        yield a.astype(np.int64, copy=False)
+        return
+    negative = a < 0
+    magnitude = np.abs(a if top < 2**63 else a.astype(object))
     for t in range(count):
-        shifted = a >> (bits * t) if t else a
-        if t < count - 1:
-            shifted = shifted & ((1 << bits) - 1)
-        yield shifted.astype(np.int64, copy=False)
+        limb = ((magnitude >> (bits * t)) & ((1 << bits) - 1)).astype(np.int64)
+        yield np.where(negative, -limb, limb)
 
 
 def combine(parts, bits):
@@ -445,8 +450,9 @@ def exact_parts(b):
     the returned ``product(a, *growth)`` takes an integer ``a[rows, k]``,
     picks its path from the bound k max|a| max|b| (see above) and returns
     ``(parts, bits)``, ``a @ b == combine(parts, bits)``: one int64 part
-    below 2^53 per limb of ``bits`` bits of b, or on the Python-int path
-    one part, b taken as one limb.  For linear work that enlarges each part
+    below 2^53 per limb of ``bits`` bits of b, which sum in magnitude to
+    at most twice that bound (see above), or on the Python-int path one
+    part, b taken as one limb.  For linear work that enlarges each part
     by ``growth``, the limb parts stay when the int64 rule admits it, else
     are each split into their low ``bits`` bits and the rest, which joins
     the part above, else are summed into one part, as :func:`int_array`

@@ -296,6 +296,26 @@ class TestExactProduct:
             if got.dtype == object:
                 assert all(type(v) is int for v in got.reshape(-1).tolist())
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**200), 2**200), min_size=1, max_size=6),
+           st.integers(1, 63))
+    @example([-(2**63), 2**63 - 1], 20)
+    @example([-(2**52 + 1), 3], 52)
+    def test_limbs_carry_the_sign(self, entries, bits):
+        a = np.array(entries, dtype=object)
+        arrays = [a]
+        if all(-(2**63) <= e < 2**63 for e in entries):
+            arrays.append(a.astype(np.int64))
+        for x in arrays:
+            parts = list(limbs(x, bits))
+            assert all(p.dtype == np.int64 for p in parts)
+            assert all(max_abs(p) < 2**bits for p in parts)
+            assert (sum(p.astype(object) << (bits * t) for t, p in enumerate(parts))
+                    == a).all()
+            assert all((p * np.sign(a) >= 0).all() for p in parts)
+            assert (sum(max_abs(p) << (bits * t) for t, p in enumerate(parts))
+                    <= 2 * max_abs(a))
+
     def test_int64_result_only_under_the_rule(self):
         b = np.array([[2**61], [2**61]], dtype=object)
         assert combine(*exact_parts(b)(np.array([[1, 1]]))).dtype == object
@@ -476,8 +496,8 @@ class TestContractedParts:
     # one part of 52 bits, split; limb parts too wide to split, summed first
     @example((np.array([[2**29]]), np.array([[2**23 - 1]]), np.array([_PROJECTED])))
     @example((np.array([[16]]), np.full((1, 5), 2**62 - 1), np.full(5, _PROJECTED)))
-    # limbs 2^52 - 1 and -2: their magnitudes sum to about 3 max|b|, past
-    # the rule, though the contracted sum fits int64
+    # two limbs of b near 2^52: a limb of either sign would leave the
+    # magnitudes of the parts past the rule
     @example((np.array([[1]]), np.array([[-(2**52 + 1)]]), np.array([400])))
     def test_equals_the_contracted_python_int_product(self, case):
         a, b, v = case
@@ -490,17 +510,15 @@ class TestContractedParts:
         if got.dtype == object:
             assert all(type(e) is int for e in got.tolist())
         # int64 exactly when it is one contracted int64 part or the int64
-        # rule admits the magnitudes of the contracted parts
+        # rule admits the magnitudes of the contracted parts, and always
+        # when the rule admits both the product and its contraction
         if len(parts) == 1:
             assert got.dtype == parts[0].dtype
         else:
             assert all(p.dtype == np.int64 for p in parts)
             assert (got.dtype == np.int64) == int64_safe(sum(
                 max_abs(p) << (bits * t) for t, p in enumerate(contracted)))
-        # and always when the rule admits three times the product and its
-        # contraction: the limbs of b sum in magnitude,
-        # sum_t max|limb_t| 2^(bits t), to less than 3 max|b|
-        if int64_safe(3, k, max_abs(a), max_abs(b), max(1, m * max_abs(v))):
+        if int64_safe(2, k, max_abs(a), max_abs(b), max(1, m * max_abs(v))):
             assert got.dtype == np.int64
 
     def test_large_weights_contract_each_part_in_int64(self, monkeypatch):
